@@ -10,9 +10,9 @@ is zero.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import permutations, product
 from typing import Iterable, NamedTuple
 
 from .geometry import Diagonal, Dissection, faces
@@ -325,142 +325,105 @@ def max_relation_chain(q: QuiverWithRelations) -> int:
     return best
 
 
-def _vertex_signatures(q: QuiverWithRelations, rounds: int = 2) -> list:
-    """Permutation-invariant vertex signatures (degrees, relation roles,
-    then neighborhood refinement)."""
-    triples = q.relation_triples()
-    sig = []
-    for v in range(q.vertex_count):
-        sig.append(
+def _refine(
+    colours: list[int],
+    outs: list[list[int]],
+    ins: list[list[int]],
+    triples: frozenset[tuple[int, int, int]],
+) -> list[int]:
+    """Colour refinement to a fixed point.
+
+    A vertex's signature is its colour, the sorted colours of its out- and
+    in-neighbours, and its roles (0 first, 1 middle, 2 last) in relation
+    triples together with the colours of the other two vertices.  New
+    colours are the ranks of the sorted signatures: they do not depend on
+    how the vertices are numbered, and a class only ever splits.
+    """
+    while True:
+        roles: list[list[tuple[int, int, int]]] = [[] for _ in colours]
+        for a, b, c in triples:
+            roles[a].append((0, colours[b], colours[c]))
+            roles[b].append((1, colours[a], colours[c]))
+            roles[c].append((2, colours[a], colours[b]))
+        sigs = [
             (
-                len(q.out_arrows[v]),
-                len(q.in_arrows[v]),
-                sum(1 for tr in triples if tr[0] == v),
-                sum(1 for tr in triples if tr[1] == v),
-                sum(1 for tr in triples if tr[2] == v),
+                colours[v],
+                tuple(sorted(colours[w] for w in outs[v])),
+                tuple(sorted(colours[w] for w in ins[v])),
+                tuple(sorted(roles[v])),
             )
-        )
-    for _ in range(rounds):
-        nxt = []
-        for v in range(q.vertex_count):
-            outs = sorted(sig[a.target] for a in q.out_arrows[v])
-            ins = sorted(sig[a.source] for a in q.in_arrows[v])
-            nxt.append((sig[v], tuple(outs), tuple(ins)))
-        sig = nxt
-    return sig
+            for v in range(len(colours))
+        ]
+        rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        refined = [rank[sig] for sig in sigs]
+        if len(rank) == len(set(colours)):
+            return refined
+        colours = refined
 
 
 def iso_quivers(q1: QuiverWithRelations, q2: QuiverWithRelations) -> tuple[int, ...] | None:
-    """A vertex bijection preserving arrows and relations, or None.
+    """A vertex bijection carrying q1's arrows and relations onto q2's, or None.
 
-    Deterministic: vertices of q1 are assigned in index order and candidates
-    tried in ascending order, so the first bijection found is canonical for
-    the search order.  Backtracking with signature pruning; instance sizes
-    make this exact approach safe.
+    Vertex v of q1 goes to the vertex of q2 with the same canonical index,
+    so the witness is the isomorphism fixed by the two canonical labelings.
+    On a quiver with automorphisms it need not be the first bijection in
+    index order; ``iso_quivers(q, q)`` is the identity.
     """
-    if q1.vertex_count != q2.vertex_count:
+    key1, perm1 = canonical_form(q1)
+    key2, perm2 = canonical_form(q2)
+    if key1 != key2:
         return None
-    if len(q1.arrows) != len(q2.arrows) or len(q1.relations) != len(q2.relations):
-        return None
-    sig1 = _vertex_signatures(q1)
-    sig2 = _vertex_signatures(q2)
-    if sorted(sig1) != sorted(sig2):
-        return None
-    pairs1, pairs2 = q1.arrow_pairs(), q2.arrow_pairs()
-    trip1, trip2 = q1.relation_triples(), q2.relation_triples()
-
-    n = q1.vertex_count
-    mapping: list[int | None] = [None] * n
-    used = [False] * n
-
-    def consistent(v1: int, v2: int) -> bool:
-        for u1 in range(n):
-            u2 = mapping[u1]
-            if u2 is None:
-                continue
-            if ((v1, u1) in pairs1) != ((v2, u2) in pairs2):
-                return False
-            if ((u1, v1) in pairs1) != ((u2, v2) in pairs2):
-                return False
-        return True
-
-    def assign(v1: int) -> bool:
-        if v1 == n:
-            image = {
-                (mapping[a], mapping[b], mapping[c]) for a, b, c in trip1
-            }
-            return image == trip2
-        for v2 in range(n):
-            if used[v2] or sig2[v2] != sig1[v1]:
-                continue
-            if not consistent(v1, v2):
-                continue
-            mapping[v1] = v2
-            used[v2] = True
-            if assign(v1 + 1):
-                return True
-            mapping[v1] = None
-            used[v2] = False
-        return False
-
-    if assign(0):
-        return tuple(mapping)  # type: ignore[arg-type]
-    return None
+    vertex_of = {canon: v for v, canon in enumerate(perm2)}
+    return tuple(vertex_of[canon] for canon in perm1)
 
 
 def canonical_key(q: QuiverWithRelations) -> tuple:
-    """A complete isomorphism invariant: the lexicographically least
-    (arrows, relations) presentation over all vertex relabelings compatible
-    with the signature partition."""
-    key, _ = canonical_form(q)
-    return key
+    """A complete isomorphism invariant: the key of ``canonical_form``."""
+    return canonical_form(q)[0]
 
 
 def canonical_form(q: QuiverWithRelations) -> tuple[tuple, tuple[int, ...]]:
     """(canonical key, relabeling) where relabeling[v] is the canonical index
-    of vertex v and the key is the minimized certificate."""
-    sig = _vertex_signatures(q)
-    order = sorted(range(q.vertex_count), key=lambda v: (repr(sig[v]), v))
-    classes: list[list[int]] = []
-    for v in order:
-        if classes and sig[classes[-1][0]] == sig[v]:
-            classes[-1].append(v)
-        else:
-            classes.append([v])
+    of vertex v and the key is (vertex count, sorted relabeled arrows,
+    sorted relabeled relation triples).
 
-    sizes = 1
-    for cls in classes:
-        for i in range(2, len(cls) + 1):
-            sizes *= i
-    if sizes > 500_000:
-        raise AlgebraError(f"canonical form search too large ({sizes} relabelings)")
-
+    Individualization-refinement (McKay & Piperno, "Practical graph
+    isomorphism II", 2014): refine the uniform colouring; while a class
+    holds several vertices, branch on each vertex of the first such class,
+    give it a colour of its own and refine again.  Each discrete colouring
+    is a relabeling, and the least key over all of them is canonical.  No
+    automorphism pruning is done, so the number of leaves grows with the
+    symmetry left after refinement: small on gentle quivers, factorial on
+    a vertex with many interchangeable neighbours.
+    """
+    n = q.vertex_count
+    outs = [[a.target for a in q.out_arrows[v]] for v in range(n)]
+    ins = [[a.source for a in q.in_arrows[v]] for v in range(n)]
     pairs = [(a.source, a.target) for a in q.arrows]
-    triples = sorted(q.relation_triples())
-    best_key: tuple | None = None
-    best_perm: tuple[int, ...] | None = None
+    triples = q.relation_triples()
+    best: tuple[tuple, tuple[int, ...]] | None = None
 
-    slots: list[list[int]] = []
-    start = 0
-    for cls in classes:
-        slots.append(list(range(start, start + len(cls))))
-        start += len(cls)
+    def search(colours: list[int]) -> None:
+        nonlocal best
+        sizes = Counter(colours)
+        cell = min((c for c, size in sizes.items() if size > 1), default=None)
+        if cell is None:
+            key = (
+                n,
+                tuple(sorted((colours[s], colours[t]) for s, t in pairs)),
+                tuple(sorted((colours[a], colours[b], colours[c]) for a, b, c in triples)),
+            )
+            if best is None or key < best[0]:
+                best = (key, tuple(colours))
+            return
+        for v in range(n):
+            if colours[v] == cell:
+                split = [2 * c + (c == cell and u != v) for u, c in enumerate(colours)]
+                search(_refine(split, outs, ins, triples))
 
-    for arrangement in product(*(permutations(s) for s in slots)):
-        perm = [0] * q.vertex_count
-        for cls, slot_order in zip(classes, arrangement):
-            for v, pos in zip(cls, slot_order):
-                perm[v] = pos
-        key = (
-            q.vertex_count,
-            tuple(sorted((perm[s], perm[t]) for s, t in pairs)),
-            tuple(sorted((perm[a], perm[b], perm[c]) for a, b, c in triples)),
-        )
-        if best_key is None or key < best_key:
-            best_key = key
-            best_perm = tuple(perm)
-    assert best_key is not None and best_perm is not None
-    return best_key, best_perm
+    search(_refine([0] * n, outs, ins, triples))
+    assert best is not None
+    return best
 
 
 def opposite(q: QuiverWithRelations) -> QuiverWithRelations:

@@ -83,10 +83,7 @@ def _guarded(work):
         return work()
     except CapExceeded as exc:
         _fail(3, str(exc))
-    except NormalFormError as exc:
-        text = str(exc)
-        _fail(3 if ("cap" in text or "budget" in text) else 1, text)
-    except (MutationError, HomologyError) as exc:
+    except (NormalFormError, MutationError, HomologyError) as exc:
         _fail(1, str(exc))
     except (GeometryError, AlgebraError, SerializeError, json.JSONDecodeError) as exc:
         _fail(2, str(exc))
@@ -249,7 +246,13 @@ def reduce_cmd(infile: str, comp_idx: int, cap: int | None, out: str | None) -> 
         comps = components(q)
         if not 0 <= comp_idx < len(comps):
             _fail(2, f"component {comp_idx} out of range; quiver has {len(comps)}")
-        trace = reduce_component(comps[comp_idx].quiver)
+        comp = comps[comp_idx].quiver
+        # Reduction is defined on the realizable class, and the canonical
+        # form's search grows factorially on non-gentle input.
+        report = realizability_report(comp)
+        if report.problems:
+            _fail(2, f"component {comp_idx} is not realizable: {report.problems[0]}")
+        trace = reduce_component(comp)
         if cap is not None and len(trace.steps) > cap:
             _fail(3, f"reduction used {len(trace.steps)} steps, cap {cap}")
         _emit(dumps(trace_to_json(trace)) + "\n", out)

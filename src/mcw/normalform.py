@@ -32,7 +32,7 @@ from .algebra import (
     quiver,
     quiver_of,
 )
-from .geometry import Dissection
+from .geometry import CapExceeded, Dissection
 from .homology import derived_invariant
 from .mutation import (
     MoveRecord,
@@ -214,6 +214,7 @@ def _successors(
 
 
 _SCRIPTS: dict[tuple, tuple[tuple[str, tuple[int, ...]], ...]] = {}
+_STATE_BUDGET = 100_000
 
 
 def _search_script(
@@ -245,8 +246,11 @@ def _search_script(
                 return step
             seen.add(key)
             queue.append((nxt, step))
-        if len(seen) > 100_000:
-            raise NormalFormError("reduction search exceeded the state budget")
+        if len(seen) > _STATE_BUDGET:
+            raise CapExceeded(
+                f"reduction search found {len(seen)} states, "
+                f"over the budget of {_STATE_BUDGET}"
+            )
     raise NormalFormError(
         "no accepted move sequence reaches the normal form within "
         f"{cap} steps; this contradicts the classification theorem"
@@ -288,7 +292,7 @@ def reduce_component(q: QuiverWithRelations) -> ReductionTrace:
         steps.append(record_move(kind, site, state, moved))
         state = moved
     if len(steps) > cap:
-        raise NormalFormError(f"reduction used {len(steps)} steps, cap {cap}")
+        raise CapExceeded(f"reduction used {len(steps)} steps, cap {cap}")
     witness = iso_quivers(state, target)
     if witness is None:
         raise NormalFormError("reduction terminated off the normal form")

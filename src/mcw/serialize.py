@@ -11,7 +11,7 @@ import json
 from typing import Any, Mapping
 
 from .algebra import QuiverWithRelations, quiver
-from .geometry import Dissection, dissection
+from .geometry import Dissection, dissection, validate_dissection
 from .homology import DerivedInvariant, IntMatrix
 from .mutation import MoveRecord
 from .normalform import ReductionTrace
@@ -52,10 +52,18 @@ def dissection_to_json(t: Dissection) -> dict[str, Any]:
 
 
 def dissection_from_json(obj: Any) -> Dissection:
+    """Load a dissection, rejecting non-allowable and crossing diagonals.
+
+    Non-crossing partial dissections are accepted, as ``Dissection`` allows.
+    """
     _require(obj, "n", "m", "diagonals")
-    return dissection(
+    t = dissection(
         int(obj["n"]), int(obj["m"]), _int_pairs(obj["diagonals"], "diagonals")
     )
+    report = validate_dissection(t)
+    if report.problem in ("allowability", "crossing"):
+        raise SerializeError(f"invalid dissection: {report.detail}")
+    return t
 
 
 def quiver_to_json(q: QuiverWithRelations) -> dict[str, Any]:

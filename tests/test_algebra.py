@@ -3,7 +3,11 @@ cycles, relation chains, isomorphism, canonical forms."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from networkx import DiGraph
+from networkx.algorithms.isomorphism import DiGraphMatcher
 
 from conftest import all_dissections, small_range
 from mcw.algebra import (
@@ -20,6 +24,7 @@ from mcw.algebra import (
     quiver_of,
 )
 from mcw.geometry import diagonal, dissection
+from mcw.normalform import NormalFormSpec, build_normal_form
 
 
 def test_pentagon_fan_is_a2():
@@ -229,3 +234,98 @@ def test_constructor_rejects_malformed():
         quiver(1, 3, [(0, 1), (2, 1)], [(0, 1)])  # not composable
     with pytest.raises(AlgebraError):
         quiver(1, 2, [(0, 3)])  # vertex out of range
+
+
+def shuffled(q, rng):
+    """The image of q under a random vertex relabeling; arrow ids keep their
+    order as written, so relation pairs carry over unchanged."""
+    perm = rng.sample(range(q.vertex_count), q.vertex_count)
+    arrows = [(perm[a.source], perm[a.target]) for a in q.arrows]
+    return quiver(q.m, q.vertex_count, arrows, q.relations)
+
+
+def fan(s):
+    return quiver_of(dissection(s, 1, [(0, j) for j in range(2, s + 2)]))
+
+
+def cycles(*lengths):
+    """Disjoint oriented cycles: every vertex has one arrow in and one out,
+    so colour refinement alone splits nothing."""
+    arrows, start = [], 0
+    for k in lengths:
+        arrows += [(start + i, start + (i + 1) % k) for i in range(k)]
+        start += k
+    return quiver(1, start, arrows)
+
+
+def property_inputs():
+    """Every component of a few small cells, normal forms up to s = 60, the
+    fans with 18 and 40 diagonals, and cycles that need individualization."""
+    qs = [
+        c.quiver
+        for n, m in [(5, 1), (4, 2), (3, 3)]
+        for t in all_dissections(n, m)
+        for c in components(quiver_of(t))
+    ]
+    for m in (1, 2, 3):
+        for s in (1, 2, 7, 16, 33, 60):
+            top = (s - 1) // (m + 1)
+            for r in sorted({0, 1, top // 2, top}):
+                if r <= top:
+                    qs.append(build_normal_form(NormalFormSpec(s, r, m)))
+    return qs + [fan(18), fan(40), cycles(3, 6), cycles(4, 2, 5)]
+
+
+def test_canonical_form_under_random_relabeling():
+    rng = random.Random(2)
+    for q in property_inputs():
+        moved = shuffled(q, rng)
+        assert canonical_key(moved) == canonical_key(q), q
+        witness = iso_quivers(q, moved)
+        assert witness is not None
+        assert sorted(witness) == list(range(q.vertex_count))
+        assert {(witness[s], witness[t]) for s, t in q.arrow_pairs()} == moved.arrow_pairs()
+        assert {
+            (witness[a], witness[b], witness[c]) for a, b, c in q.relation_triples()
+        } == moved.relation_triples()
+
+
+def as_digraph(q):
+    """Arrows as edges between vertex nodes; each relation triple as an
+    extra node with edges to its first, middle and last vertex."""
+    g = DiGraph()
+    g.add_nodes_from((("v", v) for v in range(q.vertex_count)), kind="vertex")
+    g.add_edges_from(((("v", a.source), ("v", a.target)) for a in q.arrows), role="arrow")
+    for i, triple in enumerate(sorted(q.relation_triples())):
+        g.add_node(("r", i), kind="relation")
+        for role, v in enumerate(triple):
+            g.add_edge(("r", i), ("v", v), role=role)
+    return g
+
+
+def networkx_isomorphic(a, b):
+    return DiGraphMatcher(
+        as_digraph(a),
+        as_digraph(b),
+        node_match=lambda x, y: x["kind"] == y["kind"],
+        edge_match=lambda x, y: x["role"] == y["role"],
+    ).is_isomorphic()
+
+
+def test_iso_and_canonical_key_agree_with_networkx():
+    rng = random.Random(3)
+    by_size: dict[tuple[int, int], list] = {}
+    for n, m in [(4, 1), (3, 2), (4, 2), (3, 3)]:
+        for t in all_dissections(n, m):
+            for c in components(quiver_of(t)):
+                by_size.setdefault((c.quiver.vertex_count, len(c.quiver.arrows)), []).append(c.quiver)
+    pairs = rng.sample([(a, b) for qs in by_size.values() for a, b in zip(qs, qs[1:])], 300)
+    pairs += [(a, shuffled(a, rng)) for a, _ in pairs[:60]]
+    pairs += [(cycles(9), cycles(3, 6)), (cycles(3, 6), cycles(3, 3, 3)), (cycles(6, 3), cycles(3, 6))]
+    verdicts = []
+    for a, b in pairs:
+        expected = networkx_isomorphic(a, b)
+        assert (iso_quivers(a, b) is not None) == expected, (a, b)
+        assert (canonical_key(a) == canonical_key(b)) == expected, (a, b)
+        verdicts.append(expected)
+    assert True in verdicts and False in verdicts

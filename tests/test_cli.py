@@ -7,10 +7,13 @@ documented exit codes: 0 ok, 1 invariant failure, 2 bad input, 3 cap.
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
 
+import mcw.normalform
+from mcw.algebra import quiver
 from mcw.cli import main
 from mcw.geometry import dissection
 from mcw.normalform import NormalFormSpec, build_normal_form
@@ -128,6 +131,61 @@ def test_reduce_cap_flag_and_env(runner, tmp_path):
     assert invoke(runner, "reduce", "--in", src, "--cap", "0").exit_code == 3
     via_env = invoke(runner, "reduce", "--in", src, env={"MCW_CAP": "0"})
     assert via_env.exit_code == 3
+
+
+def test_reduce_state_budget_exits_3(runner, tmp_path, monkeypatch):
+    monkeypatch.setattr(mcw.normalform, "_SCRIPTS", {})
+    monkeypatch.setattr(mcw.normalform, "_STATE_BUDGET", 1)
+    # Two moves from its normal form, so the search must expand a second state.
+    src = write_dissection(tmp_path / "t.json", 4, 1, [(0, 2), (0, 3), (3, 6), (4, 6)])
+    result = invoke(runner, "reduce", "--in", src)
+    assert result.exit_code == 3
+    assert "over the budget of 1" in result.output
+
+
+@pytest.mark.parametrize("s", [18, 40])
+def test_reduce_large_fan_is_its_own_normal_form(runner, tmp_path, s):
+    src = write_dissection(tmp_path / "fan.json", s, 1, [(0, j) for j in range(2, s + 2)])
+    result = invoke(runner, "reduce", "--in", src)
+    assert result.exit_code == 0
+    trace = json.loads(result.output)
+    assert trace["steps"] == []
+    assert trace["final"]["vertices"] == s
+
+
+def _never(*args):
+    raise AssertionError("canonical-form work on unrealizable input")
+
+
+@pytest.mark.parametrize(
+    "q, problem",
+    [
+        (quiver(1, 13, [(0, leaf) for leaf in range(1, 13)]), "not gentle"),
+        (
+            quiver(1, 4, [(0, 1), (1, 2), (2, 3), (3, 0)], [(0, 1), (1, 2), (2, 3), (3, 0)]),
+            "length 4, expected 3",
+        ),
+    ],
+    ids=["twelve-leaf-star", "full-relation-four-cycle"],
+)
+def test_reduce_rejects_unrealizable_quiver(runner, tmp_path, monkeypatch, q, problem):
+    for name in ("canonical_form", "canonical_key", "iso_quivers"):
+        monkeypatch.setattr(mcw.normalform, name, _never)
+    src = tmp_path / "q.json"
+    src.write_text(dumps(quiver_to_json(q)) + "\n")
+    start = time.perf_counter()
+    result = invoke(runner, "reduce", "--in", str(src))
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 2
+    assert problem in result.output
+
+
+@pytest.mark.parametrize("command", ["quiver", "invariants", "reduce"])
+def test_crossing_dissection_is_rejected(runner, tmp_path, command):
+    src = write_dissection(tmp_path / "t.json", 2, 1, [(0, 2), (1, 3)])
+    result = invoke(runner, command, "--in", src)
+    assert result.exit_code == 2
+    assert "d(0,2) crosses d(1,3)" in result.output
 
 
 def test_reduce_component_range(runner, tmp_path):

@@ -87,6 +87,18 @@ def test_shape_errors():
         matrix_from_json({"size": 2, "rows": [[1, 0], [0]]})
 
 
+def test_dissection_loader_rejects_malformed_diagonals():
+    with pytest.raises(SerializeError, match=r"d\(0,2\) crosses d\(1,3\)"):
+        dissection_from_json({"n": 2, "m": 1, "diagonals": [[0, 2], [1, 3]]})
+    with pytest.raises(SerializeError, match=r"d\(0,2\) is not 2-allowable"):
+        dissection_from_json({"n": 3, "m": 2, "diagonals": [[0, 2]]})
+    with pytest.raises(SerializeError, match="out of range"):
+        dissection_from_json({"n": 2, "m": 1, "diagonals": [[0, 7]]})
+    # Non-crossing partial dissections stay loadable.
+    partial = dissection_from_json({"n": 4, "m": 2, "diagonals": [[0, 3], [6, 9]]})
+    assert len(partial.diagonals) == 2
+
+
 def test_semantic_errors_come_from_the_constructors():
     # Shape is fine but the content is not; the domain validation runs.
     with pytest.raises(AlgebraError):
