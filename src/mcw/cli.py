@@ -103,8 +103,24 @@ def _load_object(path: str) -> Dissection | QuiverWithRelations:
     raise SerializeError("expected a dissection or quiver JSON object")
 
 
-def _as_quiver(obj: Dissection | QuiverWithRelations) -> QuiverWithRelations:
-    return quiver_of(obj) if isinstance(obj, Dissection) else obj
+def _components(path: str) -> list[QuiverWithRelations]:
+    """Connected components of a dissection or quiver file.
+
+    A dissection's quiver is realizable by construction.  Quiver JSON is
+    screened component by component: the invariants and the reduction are
+    defined on the realizable class, and the canonical form's search grows
+    factorially on non-gentle input.
+    """
+
+    obj = _load_object(path)
+    if isinstance(obj, Dissection):
+        return [c.quiver for c in components(quiver_of(obj))]
+    comps = [c.quiver for c in components(obj)]
+    for k, comp in enumerate(comps):
+        report = realizability_report(comp)
+        if report.problems:
+            _fail(2, f"{path}: component {k} is not realizable: {report.problems[0]}")
+    return comps
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -128,6 +144,7 @@ _in_opt = click.option(
     "--in", "infile", type=click.Path(exists=True, dir_okay=False), required=True
 )
 _out_opt = click.option("--out", type=click.Path(dir_okay=False), default=None)
+_CAP = click.IntRange(min=0)
 
 
 @click.group()
@@ -138,15 +155,21 @@ def main() -> None:
 @main.command("enumerate")
 @click.option("--n", type=int, required=True)
 @click.option("--m", type=int, required=True)
-@click.option("--cap", type=int, default=None, help="Refuse larger enumerations.")
+@click.option(
+    "--cap",
+    type=_CAP,
+    default=10**6,
+    show_default=True,
+    help="Refuse larger enumerations.",
+)
 @_out_opt
-def enumerate_cmd(n: int, m: int, cap: int | None, out: str | None) -> None:
+def enumerate_cmd(n: int, m: int, cap: int, out: str | None) -> None:
     """List all dissections of the (m(n+1)+2)-gon, one JSON object per line."""
 
     def work() -> None:
         params = PolygonParams(n, m)
         ts = sorted(
-            enumerate_dissections(params, cap=cap or 10**6),
+            enumerate_dissections(params, cap=cap),
             key=lambda t: t.diagonals,
         )
         lines = [dumps(dissection_to_json(t)) for t in ts]
@@ -184,10 +207,9 @@ def invariants_cmd(infile: str, out: str | None) -> None:
     """Derived invariant of each component, one JSON object per line."""
 
     def work() -> None:
-        q = _as_quiver(_load_object(infile))
         lines = [
-            dumps(invariant_to_json(derived_invariant(c.quiver)))
-            for c in components(q)
+            dumps(invariant_to_json(derived_invariant(comp)))
+            for comp in _components(infile)
         ]
         _emit("\n".join(lines) + "\n", out)
 
@@ -232,7 +254,7 @@ def mutate_cmd(infile: str, move_spec: str, out: str | None) -> None:
 @click.option("--component", "comp_idx", type=int, default=0, show_default=True)
 @click.option(
     "--cap",
-    type=int,
+    type=_CAP,
     default=None,
     envvar="MCW_CAP",
     help="Step cap override (also read from MCW_CAP).",
@@ -242,17 +264,10 @@ def reduce_cmd(infile: str, comp_idx: int, cap: int | None, out: str | None) -> 
     """Reduce one component to its normal form and print the trace."""
 
     def work() -> None:
-        q = _as_quiver(_load_object(infile))
-        comps = components(q)
+        comps = _components(infile)
         if not 0 <= comp_idx < len(comps):
             _fail(2, f"component {comp_idx} out of range; quiver has {len(comps)}")
-        comp = comps[comp_idx].quiver
-        # Reduction is defined on the realizable class, and the canonical
-        # form's search grows factorially on non-gentle input.
-        report = realizability_report(comp)
-        if report.problems:
-            _fail(2, f"component {comp_idx} is not realizable: {report.problems[0]}")
-        trace = reduce_component(comp)
+        trace = reduce_component(comps[comp_idx])
         if cap is not None and len(trace.steps) > cap:
             _fail(3, f"reduction used {len(trace.steps)} steps, cap {cap}")
         _emit(dumps(trace_to_json(trace)) + "\n", out)
@@ -270,15 +285,14 @@ def equiv_cmd(left: str, right: str, out: str | None) -> None:
     def work() -> None:
         sides = {}
         for name, path in (("left", left), ("right", right)):
-            q = _as_quiver(_load_object(path))
-            comps = components(q)
+            comps = _components(path)
             if len(comps) != 1:
                 _fail(
                     2,
                     f"{name} input has {len(comps)} components; "
                     "equivalence compares connected algebras",
                 )
-            sides[name] = comps[0].quiver
+            sides[name] = comps[0]
         if sides["left"].m != sides["right"].m:
             _fail(2, f'levels differ: {sides["left"].m} vs {sides["right"].m}')
         answer = derived_equivalent(sides["left"], sides["right"])
@@ -295,15 +309,15 @@ def equiv_cmd(left: str, right: str, out: str | None) -> None:
 @main.command("census")
 @click.option("--n", type=int, required=True)
 @click.option("--m", type=int, required=True)
-@click.option("--cap", type=int, default=None)
+@click.option("--cap", type=_CAP, default=10**6, show_default=True)
 @_out_opt
-def census_cmd(n: int, m: int, cap: int | None, out: str | None) -> None:
+def census_cmd(n: int, m: int, cap: int, out: str | None) -> None:
     """Component counts of every (s, r) class across all dissections."""
 
     def work() -> None:
         params = PolygonParams(n, m)
         tally: Counter[tuple[int, int]] = Counter()
-        for t in enumerate_dissections(params, cap=cap or 10**6):
+        for t in enumerate_dissections(params, cap=cap):
             for comp in components(quiver_of(t)):
                 inv = derived_invariant(comp.quiver)
                 tally[(inv.s, inv.r)] += 1

@@ -4,14 +4,19 @@ The Cartan matrix of a bound quiver counts relation-free paths between
 vertices.  Its Smith normal form, together with the vertex count and the
 number of fully-relational cycles, is what the rest of the package uses to
 recognise derived equivalence.  The normal form is computed over the
-integers with explicit unimodular transforms so callers can audit
-``u @ m @ v == d`` directly.
+integers with explicit unimodular transforms, and every computation checks
+``u @ m @ v == d`` before it returns: ``smith_normal_form`` hands the
+transforms to the caller, and ``snf_diagonal`` keeps only its diagonal.
+Both run the one audited core, ``_smith``.  ``snf_diagonal`` memoizes its
+result in a bounded ``functools.lru_cache`` keyed by the immutable matrix,
+so a matrix met again while it is cached is not recomputed or re-audited.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 from typing import Mapping, Sequence
 
 from .algebra import QuiverWithRelations, full_relation_cycles
@@ -28,7 +33,7 @@ class IntMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+        rows = tuple(tuple(map(int, row)) for row in self.rows)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise HomologyError("matrix must be square")
@@ -45,23 +50,14 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.size != other.size:
             raise HomologyError("size mismatch in matrix product")
-        n = self.size
-        return IntMatrix(
-            tuple(
-                tuple(
-                    sum(self.rows[i][k] * other.rows[k][j] for k in range(n))
-                    for j in range(n)
-                )
-                for i in range(n)
-            )
-        )
+        return IntMatrix(tuple(map(tuple, _product(self.rows, other.rows))))
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.rows))) if self.rows else IntMatrix(())
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+        return IntMatrix(tuple(map(tuple, _identity(n))))
 
     @staticmethod
     def diagonal(entries: Sequence[int]) -> "IntMatrix":
@@ -73,27 +69,41 @@ class IntMatrix:
         )
 
 
+def _product(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Plain list product of two square integer matrices of one size."""
+
+    cols = list(zip(*y))
+    return [[sum(map(mul, row, col)) for col in cols] for row in x]
+
+
 def determinant(m: IntMatrix) -> int:
-    """Exact integer determinant (fraction-free row reduction)."""
+    """Exact integer determinant by Bareiss fraction-free elimination.
+
+    After step k every entry of the trailing block is a (k+1)-minor of
+    ``m``, so the division by the previous pivot is exact (Bareiss,
+    "Sylvester's identity and multistep integer-preserving Gaussian
+    elimination", Math. Comp. 1968).
+    """
 
     n = m.size
-    if n == 0:
-        return 1
-    a = [[Fraction(x) for x in row] for row in m.rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        for r in range(col + 1, n):
-            factor = a[r][col] / a[col][col]
-            a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    assert det.denominator == 1
-    return int(det)
+    a = [list(row) for row in m.rows]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        for i in range(k + 1, n):
+            row = a[i]
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * pivot_row[j]) // prev
+        prev = pivot
+    return sign * a[n - 1][n - 1] if n else 1
 
 
 def cartan_matrix(q: QuiverWithRelations) -> IntMatrix:
@@ -140,29 +150,39 @@ class SmithNormalForm:
         return tuple(self.d.rows[i][i] for i in range(self.d.size))
 
 
-def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
-    """Smith normal form over the integers.
+def _identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _smith(
+    rows: Sequence[Sequence[int]],
+) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """Audited Smith normal form of a square matrix given as rows: (d, u, v).
 
     Classic elimination: repeatedly move the smallest nonzero entry of the
-    working block to the pivot, clear its row and column with integer row
+    working block to the pivot (the scan stops at the first unit, which is
+    as small as an entry gets), clear its row and column with integer row
     and column operations, and fix up divisibility afterwards.  All row
-    operations are mirrored on ``u`` and all column operations on ``v``.
+    operations are mirrored on ``u`` and all column operations on ``v``,
+    and ``u @ m @ v == d`` is checked before returning.
     """
 
-    n = m.size
-    a = [list(row) for row in m.rows]
-    u = [list(row) for row in IntMatrix.identity(n).rows]
-    v = [list(row) for row in IntMatrix.identity(n).rows]
+    n = len(rows)
+    a = [list(row) for row in rows]
+    u = _identity(n)
+    v = _identity(n)
 
     def swap_rows(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+        if i != j:
+            a[i], a[j] = a[j], a[i]
+            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i: int, j: int) -> None:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        if i != j:
+            for row in a:
+                row[i], row[j] = row[j], row[i]
+            for row in v:
+                row[i], row[j] = row[j], row[i]
 
     def add_row(dst: int, src: int, k: int) -> None:
         a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
@@ -178,19 +198,28 @@ def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
 
+    def smallest(t: int) -> tuple[int, int] | None:
+        """Position of the first entry of least absolute value in the block."""
+
+        best = None
+        best_abs = 0
+        for i in range(t, n):
+            row = a[i]
+            for j in range(t, n):
+                x = row[j]
+                if x and (best is None or abs(x) < best_abs):
+                    best, best_abs = (i, j), abs(x)
+                    if best_abs == 1:
+                        return best
+        return best
+
     for t in range(n):
         while True:
-            entries = [
-                (abs(a[i][j]), i, j)
-                for i in range(t, n)
-                for j in range(t, n)
-                if a[i][j]
-            ]
-            if not entries:
+            pivot = smallest(t)
+            if pivot is None:
                 break
-            _, pi, pj = min(entries)
-            swap_rows(t, pi)
-            swap_cols(t, pj)
+            swap_rows(t, pivot[0])
+            swap_cols(t, pivot[1])
             for i in range(t + 1, n):
                 if a[i][t]:
                     add_row(i, t, -(a[i][t] // a[t][t]))
@@ -235,15 +264,35 @@ def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
                 negate_row(t + 1)
             changed = True
 
-    d = IntMatrix(tuple(tuple(row) for row in a))
-    u_m = IntMatrix(tuple(tuple(row) for row in u))
-    v_m = IntMatrix(tuple(tuple(row) for row in v))
-    if u_m @ m @ v_m != d:
+    if _product(_product(u, rows), v) != a:
         raise HomologyError("transform bookkeeping broke: u @ m @ v != d")
-    return SmithNormalForm(d=d, u=u_m, v=v_m)
+    return a, u, v
 
 
+def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
+    """Smith normal form over the integers, with its audited transforms."""
+
+    d, u, v = _smith(m.rows)
+    return SmithNormalForm(
+        d=IntMatrix(tuple(map(tuple, d))),
+        u=IntMatrix(tuple(map(tuple, u))),
+        v=IntMatrix(tuple(map(tuple, v))),
+    )
+
+
+# The bound keeps the memo's resident size near 0.2 MB.  With 4096 entries,
+# `mcw census --n 7 --m 1` (1,000 distinct Cartan matrices among 1,430
+# components) peaked about 0.6 MB higher than with 256, and ran no faster.
+@lru_cache(maxsize=256)
 def snf_diagonal(m: IntMatrix) -> tuple[int, ...]:
+    """Diagonal of the audited Smith normal form.
+
+    Memoized per distinct matrix: ``IntMatrix`` is immutable and the result
+    is a tuple, so every caller of one matrix shares one audited answer.
+    A miss goes through ``smith_normal_form``, so per-layer timings see one
+    Smith computation per audit.
+    """
+
     return smith_normal_form(m).diagonal
 
 

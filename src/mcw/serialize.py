@@ -35,11 +35,27 @@ def _require(obj: Any, *keys: str) -> None:
         raise SerializeError(f"missing keys: {', '.join(missing)}")
 
 
+def _is_int(value: Any) -> bool:
+    # JSON booleans load as bool, a subclass of int; they are not integers here.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_field(obj: Mapping[str, Any], key: str) -> int:
+    """The integer at ``obj[key]``; strings, floats and booleans are refused."""
+
+    value = obj[key]
+    if not _is_int(value):
+        raise SerializeError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _int_pairs(value: Any, what: str) -> list[tuple[int, int]]:
     try:
-        pairs = [(int(a), int(b)) for a, b in value]
+        pairs = [(a, b) for a, b in value]
     except (TypeError, ValueError) as exc:
         raise SerializeError(f"{what} must be a list of integer pairs") from exc
+    if not all(_is_int(x) for pair in pairs for x in pair):
+        raise SerializeError(f"{what} must be a list of integer pairs")
     return pairs
 
 
@@ -58,7 +74,9 @@ def dissection_from_json(obj: Any) -> Dissection:
     """
     _require(obj, "n", "m", "diagonals")
     t = dissection(
-        int(obj["n"]), int(obj["m"]), _int_pairs(obj["diagonals"], "diagonals")
+        _int_field(obj, "n"),
+        _int_field(obj, "m"),
+        _int_pairs(obj["diagonals"], "diagonals"),
     )
     report = validate_dissection(t)
     if report.problem in ("allowability", "crossing"):
@@ -80,8 +98,8 @@ def quiver_from_json(obj: Any) -> QuiverWithRelations:
     # Arrows are serialized in id order, which is the constructor's
     # normalized order, so relation indices survive the round trip.
     return quiver(
-        int(obj["m"]),
-        int(obj["vertices"]),
+        _int_field(obj, "m"),
+        _int_field(obj, "vertices"),
         _int_pairs(obj["arrows"], "arrows"),
         _int_pairs(obj["relations"], "relations"),
     )
@@ -97,7 +115,7 @@ def matrix_from_json(obj: Any) -> IntMatrix:
         mat = IntMatrix(tuple(tuple(int(x) for x in row) for row in obj["rows"]))
     except (TypeError, ValueError) as exc:
         raise SerializeError("rows must be a square list of integer lists") from exc
-    if mat.size != int(obj["size"]):
+    if mat.size != _int_field(obj, "size"):
         raise SerializeError(f"size {obj['size']} does not match {mat.size} rows")
     return mat
 
@@ -115,8 +133,8 @@ def invariant_from_json(obj: Any) -> DerivedInvariant:
     _require(obj, "s", "r", "snf", "parity")
     odd, even = (int(x) for x in obj["parity"])
     return DerivedInvariant(
-        int(obj["s"]),
-        int(obj["r"]),
+        _int_field(obj, "s"),
+        _int_field(obj, "r"),
         tuple(int(x) for x in obj["snf"]),
         (odd, even),
     )

@@ -65,6 +65,27 @@ def test_enumerate_cap(runner):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize("command", ["enumerate", "census"])
+def test_cap_zero_is_enforced(runner, command):
+    result = invoke(runner, command, "--n", "3", "--m", "1", "--cap", "0")
+    assert result.exit_code == 3
+    assert "exceed the cap of 0" in result.output
+
+
+@pytest.mark.parametrize("command", ["enumerate", "census", "reduce"])
+def test_negative_cap_is_a_usage_error(runner, tmp_path, command):
+    if command == "reduce":
+        src = write_dissection(tmp_path / "t.json", 3, 1, [(0, 2), (2, 5), (3, 5)])
+        args = ["reduce", "--in", src]
+    else:
+        args = [command, "--n", "3", "--m", "1"]
+    result = invoke(runner, *args, "--cap", "-1")
+    assert result.exit_code == 2
+    assert "-1 is not in the range x>=0" in result.output
+    if command == "reduce":
+        assert invoke(runner, *args, env={"MCW_CAP": "-1"}).exit_code == 2
+
+
 def test_quiver_json_and_dot(runner, tmp_path):
     src = write_dissection(tmp_path / "t.json", 3, 1, [(0, 2), (2, 4), (0, 4)])
     result = invoke(runner, "quiver", "--in", src)
@@ -75,6 +96,16 @@ def test_quiver_json_and_dot(runner, tmp_path):
     dot = invoke(runner, "quiver", "--in", src, "--format", "dot")
     assert dot.exit_code == 0
     assert dot.output.startswith("digraph")
+
+
+@pytest.mark.parametrize("field, bad", [("n", "x"), ("m", 1.5), ("n", True)])
+def test_quiver_rejects_non_integer_fields(runner, tmp_path, field, bad):
+    doc = {"n": 2, "m": 1, "diagonals": [], field: bad}
+    src = tmp_path / "t.json"
+    src.write_text(json.dumps(doc))
+    result = invoke(runner, "quiver", "--in", str(src))
+    assert result.exit_code == 2
+    assert f"{field} must be an integer" in result.output
 
 
 def test_quiver_rejects_malformed_file(runner, tmp_path):
@@ -157,7 +188,7 @@ def _never(*args):
     raise AssertionError("canonical-form work on unrealizable input")
 
 
-@pytest.mark.parametrize(
+unrealizable = pytest.mark.parametrize(
     "q, problem",
     [
         (quiver(1, 13, [(0, leaf) for leaf in range(1, 13)]), "not gentle"),
@@ -168,6 +199,9 @@ def _never(*args):
     ],
     ids=["twelve-leaf-star", "full-relation-four-cycle"],
 )
+
+
+@unrealizable
 def test_reduce_rejects_unrealizable_quiver(runner, tmp_path, monkeypatch, q, problem):
     for name in ("canonical_form", "canonical_key", "iso_quivers"):
         monkeypatch.setattr(mcw.normalform, name, _never)
@@ -177,6 +211,18 @@ def test_reduce_rejects_unrealizable_quiver(runner, tmp_path, monkeypatch, q, pr
     result = invoke(runner, "reduce", "--in", str(src))
     assert time.perf_counter() - start < 1.0
     assert result.exit_code == 2
+    assert problem in result.output
+
+
+@unrealizable
+@pytest.mark.parametrize("command", ["invariants", "equiv"])
+def test_invariants_and_equiv_reject_unrealizable_quiver(runner, tmp_path, command, q, problem):
+    src = tmp_path / "q.json"
+    src.write_text(dumps(quiver_to_json(q)) + "\n")
+    args = ["equiv", str(src), str(src)] if command == "equiv" else [command, "--in", str(src)]
+    result = invoke(runner, *args)
+    assert result.exit_code == 2
+    assert "component 0 is not realizable" in result.output
     assert problem in result.output
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mcw.homology
 from conftest import all_dissections, small_range
 from mcw.algebra import quiver, quiver_of
 from mcw.geometry import dissection
@@ -203,3 +204,74 @@ def test_happel_two_term_complex_a2():
 def test_intmatrix_rejects_ragged():
     with pytest.raises(HomologyError):
         IntMatrix(((1, 2), (3,)))
+
+
+def _with_dependent_last_row(rows):
+    return rows[:-1] + [[x - 3 * y for x, y in zip(rows[0], rows[1])]]
+
+
+_sized = st.integers(1, 8).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-12, 12), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+)
+# Random (mostly non-Cartan, with negative entries), singular by a dependent
+# row, and zero matrices, up to size 8.
+up_to_eight = st.one_of(
+    _sized,
+    _sized.filter(lambda rows: len(rows) >= 2).map(_with_dependent_last_row),
+    st.integers(1, 8).map(lambda n: [[0] * n for _ in range(n)]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(up_to_eight)
+def test_snf_up_to_size_eight_agrees_with_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    theirs = sympy_snf(sympy.Matrix(rows))
+    reference = sorted(abs(int(theirs[i, i])) for i in range(theirs.rows))
+    m = IntMatrix(tuple(tuple(r) for r in rows))
+    assert sorted(abs(x) for x in smith_normal_form(m).diagonal) == reference
+    assert sorted(abs(x) for x in snf_diagonal(m)) == reference
+
+
+@settings(max_examples=150, deadline=None)
+@given(up_to_eight)
+def test_bareiss_determinant_agrees_with_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    m = IntMatrix(tuple(tuple(r) for r in rows))
+    assert determinant(m) == int(sympy.Matrix(rows).det())
+
+
+@pytest.mark.parametrize("compute", [smith_normal_form, snf_diagonal])
+def test_snf_audit_catches_corrupted_transforms(monkeypatch, compute):
+    real = mcw.homology._identity
+    calls = []
+
+    def corrupt_first(n):
+        # The core builds u first, then v: only u starts off.
+        eye = real(n)
+        if not calls:
+            eye[0][0] = -1
+        calls.append(n)
+        return eye
+
+    monkeypatch.setattr(mcw.homology, "_identity", corrupt_first)
+    snf_diagonal.cache_clear()
+    with pytest.raises(HomologyError, match="u @ m @ v != d"):
+        compute(IntMatrix(((1, 1), (0, 1))))
+    assert calls == [2, 2]
+
+
+def test_snf_memo_hit_returns_the_cold_value():
+    rows = ((2, 4, 4), (-6, 6, 12), (10, -4, -16))
+    snf_diagonal.cache_clear()
+    cold = snf_diagonal(IntMatrix(rows))
+    hits = snf_diagonal.cache_info().hits
+    warm = snf_diagonal(IntMatrix(rows))
+    assert snf_diagonal.cache_info().hits == hits + 1
+    assert warm == cold == smith_normal_form(IntMatrix(rows)).diagonal == (2, 6, 12)

@@ -112,3 +112,47 @@ def test_quiver_relation_indices_survive_unsorted_input():
     q = quiver(1, 3, [(1, 2), (0, 1)], [(1, 0)])
     back = quiver_from_json(quiver_to_json(q))
     assert back.relation_triples() == q.relation_triples() == {(0, 1, 2)}
+
+
+@pytest.mark.parametrize("bad", ["x", "2", 2.0, True, None, [2]])
+@pytest.mark.parametrize(
+    "load, doc, field",
+    [
+        (dissection_from_json, {"n": 2, "m": 1, "diagonals": []}, "n"),
+        (dissection_from_json, {"n": 2, "m": 1, "diagonals": []}, "m"),
+        (quiver_from_json, {"m": 1, "vertices": 2, "arrows": [], "relations": []}, "m"),
+        (
+            quiver_from_json,
+            {"m": 1, "vertices": 2, "arrows": [], "relations": []},
+            "vertices",
+        ),
+        (matrix_from_json, {"size": 1, "rows": [[1]]}, "size"),
+        (invariant_from_json, {"s": 1, "r": 0, "snf": [1], "parity": [0, 0]}, "s"),
+    ],
+    ids=[
+        "dissection-n",
+        "dissection-m",
+        "quiver-m",
+        "quiver-vertices",
+        "matrix-size",
+        "invariant-s",
+    ],
+)
+def test_scalar_fields_must_be_integers(load, doc, field, bad):
+    with pytest.raises(SerializeError, match=f"^{field} must be an integer"):
+        load({**doc, field: bad})
+
+
+@pytest.mark.parametrize("bad", [2.9, "2", True])
+@pytest.mark.parametrize(
+    "load, doc, key",
+    [
+        (dissection_from_json, {"n": 2, "m": 1, "diagonals": [[0, 2]]}, "diagonals"),
+        (quiver_from_json, {"m": 1, "vertices": 3, "arrows": [[0, 2]], "relations": []}, "arrows"),
+    ],
+    ids=["diagonals", "arrows"],
+)
+def test_pair_entries_must_be_integers(load, doc, key, bad):
+    # A float endpoint used to be truncated: [0, 2.9] loaded as d(0,2).
+    with pytest.raises(SerializeError, match=f"^{key} must be a list of integer pairs"):
+        load({**doc, key: [[0, bad]]})
