@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
 
 from .geometry import Diagonal, Dissection, faces
@@ -83,6 +83,17 @@ class QuiverWithRelations:
         for a in self.arrows:
             table[a.target].append(a)
         return {v: tuple(arrs) for v, arrs in table.items()}
+
+    @cached_property
+    def component_count(self) -> int:
+        """Number of connected components, counted by union-find without
+        building them; computed once per quiver value."""
+        return sum(1 for v, root in enumerate(_component_roots(self)) if v == root)
+
+    @cached_property
+    def full_cycle_count(self) -> int:
+        """Number of full-relation cycles, computed once per quiver value."""
+        return full_relation_cycles(self).full_count
 
     def arrow_pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset((a.source, a.target) for a in self.arrows)
@@ -195,9 +206,9 @@ class Component:
     vertices: tuple[int, ...]
 
 
-def components(q: QuiverWithRelations) -> list[Component]:
-    """Connected components of the underlying undirected graph, ordered by
-    smallest parent vertex."""
+def _component_roots(q: QuiverWithRelations) -> list[int]:
+    """Union-find over the arrows: entry v is the smallest vertex of v's
+    connected component."""
     parent = list(range(q.vertex_count))
 
     def find(x: int) -> int:
@@ -210,10 +221,16 @@ def components(q: QuiverWithRelations) -> list[Component]:
         ra, rb = find(a.source), find(a.target)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
+    return [find(v) for v in range(q.vertex_count)]
 
+
+def components(q: QuiverWithRelations) -> list[Component]:
+    """Connected components of the underlying undirected graph, ordered by
+    smallest parent vertex."""
+    roots = _component_roots(q)
     groups: dict[int, list[int]] = {}
-    for v in range(q.vertex_count):
-        groups.setdefault(find(v), []).append(v)
+    for v, root in enumerate(roots):
+        groups.setdefault(root, []).append(v)
 
     out: list[Component] = []
     for root in sorted(groups):
@@ -428,7 +445,20 @@ def canonical_form(q: QuiverWithRelations) -> tuple[tuple, tuple[int, ...]]:
 
 def opposite(q: QuiverWithRelations) -> QuiverWithRelations:
     """The opposite quiver: arrows reversed (ids kept), relation pairs
-    swapped, labels preserved."""
+    swapped, labels preserved.
+
+    Memoized, so the minus moves out of one state share one opposite.  The
+    labels are part of the key because quiver equality ignores them.
+    """
+    return _opposite(q, q.vertex_labels)
+
+
+# One state's opposite is looked up once per minus move out of it; a few
+# entries keep it while its successors' opposites come and go.
+@lru_cache(maxsize=8)
+def _opposite(
+    q: QuiverWithRelations, labels: tuple[Diagonal, ...] | None
+) -> QuiverWithRelations:
     arrows = tuple(Arrow(a.id, a.target, a.source) for a in q.arrows)
     relations = frozenset((second, first) for first, second in q.relations)
-    return QuiverWithRelations(q.m, q.vertex_count, arrows, relations, q.vertex_labels)
+    return QuiverWithRelations(q.m, q.vertex_count, arrows, relations, labels)

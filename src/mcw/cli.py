@@ -135,8 +135,8 @@ def _parse_move(spec: str) -> tuple[Diagonal, int]:
     if match is None:
         _fail(2, f'move {spec!r} does not match "d(a,b):+1"')
     a, b, k = (int(g) for g in match.groups())
-    if k == 0:
-        _fail(2, "rotation count must be nonzero")
+    if k not in (1, -1):
+        _fail(2, f"move {spec!r}: rotation count must be +1 or -1, got {k}")
     return diagonal(a, b), k
 
 
@@ -267,9 +267,7 @@ def reduce_cmd(infile: str, comp_idx: int, cap: int | None, out: str | None) -> 
         comps = _components(infile)
         if not 0 <= comp_idx < len(comps):
             _fail(2, f"component {comp_idx} out of range; quiver has {len(comps)}")
-        trace = reduce_component(comps[comp_idx])
-        if cap is not None and len(trace.steps) > cap:
-            _fail(3, f"reduction used {len(trace.steps)} steps, cap {cap}")
+        trace = reduce_component(comps[comp_idx], cap)
         _emit(dumps(trace_to_json(trace)) + "\n", out)
 
     _guarded(work)

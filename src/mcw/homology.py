@@ -10,6 +10,8 @@ transforms to the caller, and ``snf_diagonal`` keeps only its diagonal.
 Both run the one audited core, ``_smith``.  ``snf_diagonal`` memoizes its
 result in a bounded ``functools.lru_cache`` keyed by the immutable matrix,
 so a matrix met again while it is cached is not recomputed or re-audited.
+``cartan_matrix`` has a small memo of its own, keyed by the quiver value,
+so the tilting moves out of one state count its paths once.
 """
 
 from __future__ import annotations
@@ -106,6 +108,10 @@ def determinant(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1] if n else 1
 
 
+# Every move out of a state reads the state's entry, which keeps it recent
+# while the moves' results come and go.  Quiver equality ignores vertex
+# labels, and so does the count.
+@lru_cache(maxsize=8)
 def cartan_matrix(q: QuiverWithRelations) -> IntMatrix:
     """Count relation-free paths between vertices.
 
@@ -113,7 +119,8 @@ def cartan_matrix(q: QuiverWithRelations) -> IntMatrix:
     not pass through any relation, including the length-zero path when
     i == j.  Quivers with a relation-free cycle have no finite count and
     are reported as an error; the depth guard is one more than the number
-    of arrows, which no repetition-free path can exceed.
+    of arrows, which no repetition-free path can exceed.  Memoized per
+    quiver value, so the moves out of one state share one count.
     """
 
     n = q.vertex_count
@@ -368,19 +375,37 @@ def happel_hom_dims(complexes: Sequence[Complex], cartan: IntMatrix) -> IntMatri
     Each complex is a map from cohomological degree to the multiset of
     vertices whose projectives appear there.  Entry (i, j) is the
     alternating sum over degree pairs of relation-free path counts, one
-    term per (summand of complex i, summand of complex j) pair.
+    term per (summand of complex i, summand of complex j) pair.  Between
+    two stalks ``{0: [u]}`` and ``{0: [v]}`` that sum is the single term
+    ``cartan[u, v]``, which is read off directly; the sum is formed only in
+    the rows and columns of the other complexes, so a move's prediction
+    costs a copy of its state's Cartan matrix plus one row and one column.
     """
 
-    n = len(complexes)
-    out = [[0] * n for _ in range(n)]
-    for i, ti in enumerate(complexes):
-        for j, tj in enumerate(complexes):
-            total = 0
-            for r, us in ti.items():
-                for s, vs in tj.items():
-                    sign = -1 if (r - s) % 2 else 1
-                    total += sign * sum(
-                        cartan[u, v] for u in us for v in vs
-                    )
-            out[i][j] = total
-    return IntMatrix(tuple(tuple(row) for row in out))
+    rows = cartan.rows
+
+    def entry(ti: Complex, tj: Complex) -> int:
+        total = 0
+        for r, us in ti.items():
+            for s, vs in tj.items():
+                sign = -1 if (r - s) % 2 else 1
+                total += sign * sum(rows[u][v] for u in us for v in vs)
+        return total
+
+    stalks = [
+        t[0][0] if len(t) == 1 and 0 in t and len(t[0]) == 1 else None
+        for t in complexes
+    ]
+    out = []
+    for ti, u in zip(complexes, stalks):
+        if u is None:
+            out.append(tuple(entry(ti, tj) for tj in complexes))
+        else:
+            row = rows[u]
+            out.append(
+                tuple(
+                    entry(ti, tj) if v is None else row[v]
+                    for tj, v in zip(complexes, stalks)
+                )
+            )
+    return IntMatrix(tuple(out))

@@ -14,11 +14,19 @@ dissection-realizable presentations.
 Rejected moves raise :class:`MoveRejected`; internal consistency failures
 (a move that passed its preconditions but broke an invariant that the
 theory guarantees) raise :class:`MutationError`.
+
+Every check runs on every move, but what a check reads off the state being
+moved is computed once per state, not once per move: its component count
+and full-cycle count are cached on the quiver value, its Cartan matrix and
+its opposite quiver come from small memos in ``homology`` and ``algebra``.
+``preserves_invariant`` likewise computes each dissection's component
+partition and full-cycle count once, in a memo keyed by its diagonals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .algebra import (
@@ -32,7 +40,7 @@ from .algebra import (
     opposite,
     quiver_of,
 )
-from .geometry import Diagonal, Dissection, apply_move
+from .geometry import Diagonal, Dissection, PolygonParams, apply_move
 from .homology import (
     DerivedInvariant,
     HomologyError,
@@ -222,9 +230,9 @@ def _check_acceptance(
     gentle = is_gentle(new)
     if not gentle.ok:
         raise MoveRejected(f"result not gentle: {gentle.problem}")
-    if len(components(new)) != len(components(old)):
+    if new.component_count != old.component_count:
         raise MoveRejected("move changes the number of components")
-    if full_relation_cycles(new).full_count != full_relation_cycles(old).full_count:
+    if new.full_cycle_count != old.full_cycle_count:
         raise MoveRejected("move changes the number of full-relation cycles")
     return new
 
@@ -348,26 +356,34 @@ def preserves_invariant(t: Dissection, d: Diagonal, k: int) -> bool:
     """Whether moving ``d`` keeps the component partition (with the moved
     diagonal identified with its image) and the full-relation cycle count."""
 
-    q1 = quiver_of(t)
-    t2, q2 = geometric_mutation(t, d, k)
+    t2 = apply_move(t, d, k)
     replaced = set(t2.diagonals) - set(t.diagonals)
     image = replaced.pop() if replaced else d
+    parts1, full1 = _dissection_profile(t.params, t.diagonals)
+    parts2, full2 = _dissection_profile(t2.params, t2.diagonals)
+    renamed = {frozenset(d if x == image else x for x in part) for part in parts2}
+    return parts1 == renamed and full1 == full2
 
-    def partition(q: QuiverWithRelations, rename: dict) -> set[frozenset]:
-        assert q.vertex_labels is not None
-        return {
-            frozenset(
-                rename.get(q.vertex_labels[v], q.vertex_labels[v])
-                for v in comp.vertices
-            )
-            for comp in components(q)
-        }
 
-    if partition(q1, {}) != partition(q2, {image: d}):
-        return False
-    return (
-        full_relation_cycles(q1).full_count == full_relation_cycles(q2).full_count
+# ``mcw check`` asks about every (dissection, diagonal, +-1) of a cell, so
+# each dissection comes up about 4n times, on the unmoved side 2n times in a
+# row.  256 entries hold every cell of `mcw check --n 4 --m 2` (the largest
+# has 55 dissections).  The key is the polygon and the diagonals, not the
+# Dissection, so an entry does not keep a moved dissection and its cell-walk
+# cache alive: keyed by Dissection, 64 entries peaked as high as 256 do here.
+@lru_cache(maxsize=256)
+def _dissection_profile(
+    params: PolygonParams, diagonals: tuple[Diagonal, ...]
+) -> tuple[frozenset[frozenset[Diagonal]], int]:
+    """The components of the dissection's quiver as sets of diagonals, and
+    its number of full-relation cycles."""
+
+    q = quiver_of(Dissection(params, diagonals))
+    assert q.vertex_labels is not None
+    parts = frozenset(
+        frozenset(q.vertex_labels[v] for v in comp.vertices) for comp in components(q)
     )
+    return parts, q.full_cycle_count
 
 
 def remove_relation_chain(
@@ -444,7 +460,7 @@ def remove_relation_chain(
     gentle = is_gentle(new)
     if not gentle.ok:
         raise MoveRejected(f"result not gentle: {gentle.problem}")
-    if len(components(new)) != len(components(q)):
+    if new.component_count != q.component_count:
         raise MutationError("chain removal changed the component count")
     if snf_diagonal(cartan_matrix(new)) != snf_diagonal(cartan_matrix(q)):
         raise MutationError("chain removal changed the Cartan class")

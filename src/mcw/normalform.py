@@ -8,11 +8,16 @@ invariant-checked move sequence from a dissection component to it, and
 ``derived_equivalent`` compares two components by their (s, r) data.
 
 The reduction is a breadth-first search over the three accepted move kinds
-(plus, minus, rel_rem) with isomorphism-class deduplication.  Search
-results are memoized per canonical class and replayed through the
-relabeling witness, so sweeping many components stays cheap.  Intermediate
-states may leave the dissection-realizable class; moves that fail their
-internal cross-checks on such states are simply not taken as edges.
+(plus, minus, rel_rem) with isomorphism-class deduplication.  A successor
+that exactly repeats, labels included, a quiver the search has already
+generated is recognised by a compact fingerprint and skipped before
+canonical labeling.  The step cap is the search's depth bound, so a
+reduction longer than the cap stops the search with ``CapExceeded``
+instead of being found and refused afterwards.  Search results are
+memoized per canonical class and replayed through the relabeling witness,
+so sweeping many components stays cheap.  Intermediate states may leave the
+dissection-realizable class; moves that fail their internal cross-checks on
+such states are simply not taken as edges.
 """
 
 from __future__ import annotations
@@ -217,27 +222,54 @@ _SCRIPTS: dict[tuple, tuple[tuple[str, tuple[int, ...]], ...]] = {}
 _STATE_BUDGET = 100_000
 
 
+def _fingerprint(q: QuiverWithRelations) -> str:
+    """The labeled quiver as a string: arrow count, the (source, target) of
+    each arrow in stored order, then the sorted relation pairs, one
+    character per number.  Arrows are stored sorted, so two states of one
+    search (one vertex count) with the same fingerprint are the same
+    quiver.  Below 256 vertices and arrows each character takes one byte."""
+
+    flat = [len(q.arrows)]
+    flat.extend(v for a in q.arrows for v in (a.source, a.target))
+    flat.extend(x for pair in sorted(q.relations) for x in pair)
+    return "".join(map(chr, flat))
+
+
 def _search_script(
     q: QuiverWithRelations, target_key: tuple, cap: int
 ) -> list[tuple[str, tuple[int, ...]]]:
-    """Shortest accepted-move path from q to the target isomorphism class.
+    """Shortest accepted-move path of at most ``cap`` steps from q to the
+    target isomorphism class.
 
     Breadth-first with one labeled representative kept per canonical class;
     paths stay valid because successors are always generated from the
-    stored representative.
+    stored representative.  A successor that repeats a labeled quiver the
+    search has already generated is skipped by its fingerprint before
+    canonical labeling: its class is already in ``seen``.  States at depth
+    ``cap`` are not expanded; if any was pruned and the target was not
+    reached, the search raises ``CapExceeded``.
     """
 
     if canonical_key(q) == target_key:
         return []
     seen = {canonical_key(q)}
+    generated = {_fingerprint(q)}
+    expanded = 0
+    pruned = False
     queue: deque[
         tuple[QuiverWithRelations, list[tuple[str, tuple[int, ...]]]]
     ] = deque([(q, [])])
     while queue:
         state, path = queue.popleft()
         if len(path) >= cap:
+            pruned = True
             continue
+        expanded += 1
         for kind, site, nxt in _successors(state):
+            fingerprint = _fingerprint(nxt)
+            if fingerprint in generated:
+                continue
+            generated.add(fingerprint)
             key = canonical_key(nxt)
             if key in seen:
                 continue
@@ -251,31 +283,44 @@ def _search_script(
                 f"reduction search found {len(seen)} states, "
                 f"over the budget of {_STATE_BUDGET}"
             )
+    if pruned:
+        raise CapExceeded(
+            f"reduction needs more than the cap of {cap} steps; "
+            f"{expanded} states expanded"
+        )
     raise NormalFormError(
-        "no accepted move sequence reaches the normal form within "
-        f"{cap} steps; this contradicts the classification theorem"
+        "no accepted move sequence reaches the normal form; "
+        "this contradicts the classification theorem"
     )
 
 
-def reduce_component(q: QuiverWithRelations) -> ReductionTrace:
+def reduce_component(q: QuiverWithRelations, cap: int | None = None) -> ReductionTrace:
     """Reduce one connected component to its normal form.
 
     The move script is resolved per canonical class: a fresh breadth-first
     search the first time a class is seen, a replay through the relabeling
-    witness afterwards.  Every step is wrapped in a MoveRecord, which
-    enforces (s, r, snf) preservation; the final state is iso-matched to
-    build_normal_form.
+    witness afterwards.  ``cap`` bounds the number of steps, on top of
+    ``step_cap``; the search does not look past it, and a memoized script
+    longer than it is refused before replay, both with ``CapExceeded``.
+    Every step is wrapped in a MoveRecord, which enforces (s, r, snf)
+    preservation; the final state is iso-matched to build_normal_form.
     """
 
     inv = derived_invariant(q)
     target = build_normal_form(NormalFormSpec(inv.s, inv.r, q.m))
-    cap = step_cap(inv.s, q.m)
+    limit = step_cap(inv.s, q.m)
+    if cap is not None:
+        limit = min(limit, cap)
     key, perm = canonical_form(q)
     memo_key = (q.m, key)
     if memo_key not in _SCRIPTS:
-        script = _search_script(q, canonical_key(target), cap)
+        script = _search_script(q, canonical_key(target), limit)
         _SCRIPTS[memo_key] = tuple(
             (kind, tuple(perm[v] for v in site)) for kind, site in script
+        )
+    if len(_SCRIPTS[memo_key]) > limit:
+        raise CapExceeded(
+            f"reduction needs {len(_SCRIPTS[memo_key])} steps, over the cap of {limit}"
         )
     unperm = {canon: v for v, canon in enumerate(perm)}
 
@@ -291,8 +336,6 @@ def reduce_component(q: QuiverWithRelations) -> ReductionTrace:
             ) from exc
         steps.append(record_move(kind, site, state, moved))
         state = moved
-    if len(steps) > cap:
-        raise CapExceeded(f"reduction used {len(steps)} steps, cap {cap}")
     witness = iso_quivers(state, target)
     if witness is None:
         raise NormalFormError("reduction terminated off the normal form")

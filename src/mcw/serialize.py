@@ -12,7 +12,7 @@ from typing import Any, Mapping
 
 from .algebra import QuiverWithRelations, quiver
 from .geometry import Dissection, dissection, validate_dissection
-from .homology import DerivedInvariant, IntMatrix
+from .homology import DerivedInvariant, HomologyError, IntMatrix
 from .mutation import MoveRecord
 from .normalform import ReductionTrace
 
@@ -57,6 +57,12 @@ def _int_pairs(value: Any, what: str) -> list[tuple[int, int]]:
     if not all(_is_int(x) for pair in pairs for x in pair):
         raise SerializeError(f"{what} must be a list of integer pairs")
     return pairs
+
+
+def _int_list(value: Any, what: str) -> list[int]:
+    if not isinstance(value, (list, tuple)) or not all(_is_int(x) for x in value):
+        raise SerializeError(f"{what} must be a list of integers, got {value!r}")
+    return value
 
 
 def dissection_to_json(t: Dissection) -> dict[str, Any]:
@@ -111,10 +117,13 @@ def matrix_to_json(mat: IntMatrix) -> dict[str, Any]:
 
 def matrix_from_json(obj: Any) -> IntMatrix:
     _require(obj, "size", "rows")
+    rows = obj["rows"]
+    if not isinstance(rows, (list, tuple)):
+        raise SerializeError(f"rows must be a list of integer lists, got {rows!r}")
     try:
-        mat = IntMatrix(tuple(tuple(int(x) for x in row) for row in obj["rows"]))
-    except (TypeError, ValueError) as exc:
-        raise SerializeError("rows must be a square list of integer lists") from exc
+        mat = IntMatrix(tuple(tuple(_int_list(row, "each row")) for row in rows))
+    except HomologyError as exc:
+        raise SerializeError(f"rows must form a square matrix: {exc}") from exc
     if mat.size != _int_field(obj, "size"):
         raise SerializeError(f"size {obj['size']} does not match {mat.size} rows")
     return mat
@@ -131,12 +140,14 @@ def invariant_to_json(inv: DerivedInvariant) -> dict[str, Any]:
 
 def invariant_from_json(obj: Any) -> DerivedInvariant:
     _require(obj, "s", "r", "snf", "parity")
-    odd, even = (int(x) for x in obj["parity"])
+    parity = _int_list(obj["parity"], "parity")
+    if len(parity) != 2:
+        raise SerializeError(f"parity must be an (odd, even) pair, got {parity!r}")
     return DerivedInvariant(
         _int_field(obj, "s"),
         _int_field(obj, "r"),
-        tuple(int(x) for x in obj["snf"]),
-        (odd, even),
+        tuple(_int_list(obj["snf"], "snf")),
+        (parity[0], parity[1]),
     )
 
 
@@ -153,7 +164,7 @@ def move_from_json(obj: Any) -> MoveRecord:
     _require(obj, "kind", "site", "before", "after")
     return MoveRecord(
         str(obj["kind"]),
-        tuple(int(v) for v in obj["site"]),
+        tuple(_int_list(obj["site"], "site")),
         invariant_from_json(obj["before"]),
         invariant_from_json(obj["after"]),
     )
@@ -172,5 +183,5 @@ def trace_from_json(obj: Any) -> ReductionTrace:
     return ReductionTrace(
         tuple(move_from_json(rec) for rec in obj["steps"]),
         quiver_from_json(obj["final"]),
-        tuple(int(v) for v in obj["iso"]),
+        tuple(_int_list(obj["iso"], "iso")),
     )

@@ -12,6 +12,7 @@ from networkx.algorithms.isomorphism import DiGraphMatcher
 from conftest import all_dissections, small_range
 from mcw.algebra import (
     AlgebraError,
+    QuiverWithRelations,
     canonical_form,
     canonical_key,
     components,
@@ -223,6 +224,33 @@ def test_opposite_involution():
     q = quiver_of(dissection(3, 2, [(0, 3), (3, 6), (6, 9)]))
     assert opposite(opposite(q)) == q
     assert opposite(q).arrow_pairs() == {(1, 2), (0, 1)}
+
+
+def test_opposite_keeps_each_inputs_labels():
+    q = quiver_of(dissection(3, 2, [(0, 3), (3, 6), (6, 9)]))
+    turned = QuiverWithRelations(
+        q.m, q.vertex_count, q.arrows, q.relations, q.vertex_labels[::-1]
+    )
+    bare = quiver(q.m, q.vertex_count, [(a.source, a.target) for a in q.arrows], q.relations)
+    # Equal as quivers, so a memo keyed by the quiver alone would mix them up.
+    assert q == turned == bare
+    assert q.vertex_labels != turned.vertex_labels
+    for p in (q, turned, bare, q, turned, bare):
+        back = opposite(p)
+        assert back.vertex_labels == p.vertex_labels
+        assert back.arrow_pairs() == {(t, s) for s, t in p.arrow_pairs()}
+
+
+def test_component_count_matches_components():
+    # The union-find count, also on partial dissections with several
+    # components and on the components themselves.
+    for n, m in [(5, 1), (4, 2), (3, 3)]:
+        for t in all_dissections(n, m):
+            for keep in (t.diagonals, t.diagonals[::2], t.diagonals[1:]):
+                q = quiver_of(dissection(n, m, list(keep)))
+                comps = components(q)
+                assert q.component_count == len(comps)
+                assert all(c.quiver.component_count == 1 for c in comps)
 
 
 def test_constructor_rejects_malformed():

@@ -174,6 +174,42 @@ def test_reduce_state_budget_exits_3(runner, tmp_path, monkeypatch):
     assert "over the budget of 1" in result.output
 
 
+BRIDGED_TRIANGLES = [(0, 2), (2, 4), (0, 4), (5, 7), (7, 9), (5, 9), (4, 9)]
+
+
+def test_reduce_cap_stops_the_search(runner, tmp_path, monkeypatch):
+    # Two full triangles joined by a bridge (s=7, as in the benchmark's panel):
+    # five moves from the normal form, with more than 20 classes on the way.
+    src = write_dissection(tmp_path / "t.json", 7, 1, BRIDGED_TRIANGLES)
+    monkeypatch.setattr(mcw.normalform, "_SCRIPTS", {})
+    monkeypatch.setattr(mcw.normalform, "_STATE_BUDGET", 20)
+    full = invoke(runner, "reduce", "--in", src)
+    assert full.exit_code == 3
+    assert "over the budget of 20" in full.output
+    capped = invoke(runner, "reduce", "--in", src, "--cap", "1")
+    assert capped.exit_code == 3
+    assert "more than the cap of 1 steps; 1 states expanded" in capped.output
+
+
+def test_reduce_cap_refuses_a_longer_memoized_script(runner, tmp_path, monkeypatch):
+    src = write_dissection(tmp_path / "t.json", 7, 1, BRIDGED_TRIANGLES)
+    monkeypatch.setattr(mcw.normalform, "_SCRIPTS", {})
+    assert len(json.loads(invoke(runner, "reduce", "--in", src).output)["steps"]) == 5
+    assert len(mcw.normalform._SCRIPTS) == 1
+    capped = invoke(runner, "reduce", "--in", src, "--cap", "4")
+    assert capped.exit_code == 3
+    assert "needs 5 steps, over the cap of 4" in capped.output
+    assert invoke(runner, "reduce", "--in", src, "--cap", "5").exit_code == 0
+
+
+@pytest.mark.parametrize("spec", ["d(0,2):+2", "d(0,2):-3"])
+def test_mutate_rejects_multi_step_rotation(runner, tmp_path, spec):
+    src = write_dissection(tmp_path / "t.json", 2, 1, [(0, 2), (0, 3)])
+    result = invoke(runner, "mutate", "--in", src, "--move", spec)
+    assert result.exit_code == 2
+    assert f"move {spec!r}: rotation count must be +1 or -1" in result.output
+
+
 @pytest.mark.parametrize("s", [18, 40])
 def test_reduce_large_fan_is_its_own_normal_form(runner, tmp_path, s):
     src = write_dissection(tmp_path / "fan.json", s, 1, [(0, j) for j in range(2, s + 2)])

@@ -275,3 +275,68 @@ def test_snf_memo_hit_returns_the_cold_value():
     warm = snf_diagonal(IntMatrix(rows))
     assert snf_diagonal.cache_info().hits == hits + 1
     assert warm == cold == smith_normal_form(IntMatrix(rows)).diagonal == (2, 6, 12)
+
+
+def generic_hom_dims(complexes, cartan):
+    """The alternating sum of the Euler form, term by term, in every entry."""
+
+    n = len(complexes)
+    return IntMatrix(
+        tuple(
+            tuple(
+                sum(
+                    (-1 if (r - s) % 2 else 1) * cartan[u, v]
+                    for r, us in complexes[i].items()
+                    for s, vs in complexes[j].items()
+                    for u in us
+                    for v in vs
+                )
+                for j in range(n)
+            )
+            for i in range(n)
+        )
+    )
+
+
+@st.composite
+def complex_families(draw):
+    """A square integer matrix and a family of complexes over its vertices:
+    stalks at their own or another vertex, two-term complexes, and complexes
+    spread over several degrees and vertices."""
+
+    n = draw(st.integers(1, 7))
+    vertex = st.integers(0, n - 1)
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+    shapes = [
+        st.builds(lambda v: {0: [v]}, vertex),
+        st.builds(lambda us, v: {0: us, 1: [v]}, st.lists(vertex, min_size=1, max_size=2), vertex),
+        st.dictionaries(
+            st.integers(-2, 3), st.lists(vertex, min_size=1, max_size=3), min_size=1, max_size=4
+        ),
+    ]
+    family = [
+        {0: [i]} if draw(st.booleans()) else draw(st.one_of(shapes)) for i in range(n)
+    ]
+    return family, IntMatrix(tuple(map(tuple, rows)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(complex_families())
+def test_happel_row_wise_prediction_matches_the_generic_sum(family):
+    complexes, cartan = family
+    assert happel_hom_dims(complexes, cartan) == generic_hom_dims(complexes, cartan)
+
+
+def test_cartan_memo_ignores_labels_and_returns_the_cold_value():
+    labelled = quiver_of(dissection(3, 1, [(0, 2), (2, 4), (0, 4)]))
+    bare = quiver(1, 3, [(a.source, a.target) for a in labelled.arrows], labelled.relations)
+    assert bare == labelled and bare.vertex_labels is None
+    cartan_matrix.cache_clear()
+    cold = cartan_matrix(bare)
+    assert cartan_matrix(labelled) is cold
+    assert cartan_matrix.cache_info().hits == 1
+    assert cold == brute_force_cartan(labelled)

@@ -3,17 +3,22 @@ reduction search, tail utilities, and the equivalence decision."""
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
+
+import mcw.normalform
 
 from conftest import all_dissections, small_range
 from mcw.algebra import (
+    canonical_key,
     components,
     full_relation_cycles,
     iso_quivers,
     quiver,
     quiver_of,
 )
-from mcw.geometry import dissection
+from mcw.geometry import CapExceeded, dissection
 from mcw.homology import derived_invariant
 from mcw.mutation import apply_mutation, is_realizable
 from mcw.normalform import (
@@ -25,6 +30,10 @@ from mcw.normalform import (
     derived_equivalent,
     linearize_tail,
     reduce,
+    _fingerprint,
+    _search_script,
+    _successors,
+    reduce_component,
     remove_tail_relation,
     step_cap,
 )
@@ -236,6 +245,76 @@ def test_reduce_is_deterministic():
     first = reduce(t, 0)
     second = reduce(t, 0)
     assert first == second
+
+
+def reference_search(q, target_key, cap):
+    """The reduction search without the exact-repeat skip: every successor
+    goes through canonical labeling."""
+
+    if canonical_key(q) == target_key:
+        return []
+    seen = {canonical_key(q)}
+    queue = deque([(q, [])])
+    while queue:
+        state, path = queue.popleft()
+        if len(path) >= cap:
+            continue
+        for kind, site, nxt in _successors(state):
+            key = canonical_key(nxt)
+            if key in seen:
+                continue
+            step = path + [(kind, site)]
+            if key == target_key:
+                return step
+            seen.add(key)
+            queue.append((nxt, step))
+    raise AssertionError("reference search found no script")
+
+
+def test_repeat_skip_keeps_every_search_script():
+    inputs = {
+        comp.quiver
+        for n, m in [(5, 1), (4, 2), (3, 3)]
+        for t in all_dissections(n, m)
+        for comp in components(quiver_of(t))
+    }
+    for q in sorted(inputs, key=repr):
+        inv = derived_invariant(q)
+        target = canonical_key(build_normal_form(NormalFormSpec(inv.s, inv.r, q.m)))
+        cap = step_cap(inv.s, q.m)
+        assert _search_script(q, target, cap) == reference_search(q, target, cap)
+
+
+def test_fingerprint_tells_labeled_quivers_apart():
+    chain = quiver(1, 3, [(0, 1), (1, 2)])
+    # Arrows are stored sorted, and vertex labels are not part of a quiver.
+    assert _fingerprint(chain) == _fingerprint(quiver(1, 3, [(1, 2), (0, 1)]))
+    labelled = components(quiver_of(dissection(3, 1, [(0, 2), (0, 3), (0, 4)])))[0].quiver
+    assert labelled == chain
+    assert _fingerprint(labelled) == _fingerprint(chain)
+    others = [
+        quiver(1, 3, [(0, 1), (1, 2)], [(0, 1)]),
+        quiver(1, 3, [(1, 0), (1, 2)]),
+        quiver(1, 3, [(0, 1)]),
+        quiver(1, 3, [(0, 1), (0, 2)]),
+    ]
+    assert len({_fingerprint(q) for q in [chain, *others]}) == 5
+    # Indices past one byte stay distinct.
+    wide = [quiver(1, 300, [(0, 299)]), quiver(1, 300, [(0, 298)]), quiver(1, 300, [(43, 0)])]
+    assert len({_fingerprint(q) for q in wide}) == 3
+
+
+def test_search_stops_at_the_cap(monkeypatch):
+    # Two moves from its normal form; a cap of one prunes the second level.
+    q = components(quiver_of(dissection(4, 1, [(0, 2), (0, 3), (3, 6), (4, 6)])))[0].quiver
+    monkeypatch.setattr(mcw.normalform, "_SCRIPTS", {})
+    with pytest.raises(CapExceeded, match="more than the cap of 1 steps; 1 states expanded"):
+        reduce_component(q, cap=1)
+    assert mcw.normalform._SCRIPTS == {}, "a capped failure must not be memoized"
+    assert len(reduce_component(q, cap=2).steps) == 2
+    # The memoized two-step script is refused under a smaller cap before replay.
+    with pytest.raises(CapExceeded, match="needs 2 steps, over the cap of 1"):
+        reduce_component(q, cap=1)
 
 
 # --- tail utilities ----------------------------------------------------------

@@ -156,3 +156,42 @@ def test_pair_entries_must_be_integers(load, doc, key, bad):
     # A float endpoint used to be truncated: [0, 2.9] loaded as d(0,2).
     with pytest.raises(SerializeError, match=f"^{key} must be a list of integer pairs"):
         load({**doc, key: [[0, bad]]})
+
+
+def test_matrix_entries_must_be_integers():
+    # [[1.9]] used to load as ((1,),).
+    for rows in ([[1.9]], [["1"]], [[True]], [1], "11"):
+        with pytest.raises(SerializeError, match="must be a list of integer"):
+            matrix_from_json({"size": 1, "rows": rows})
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("parity", [0, 0, 1]),
+        ("parity", [0]),
+        ("parity", [0, 1.5]),
+        ("parity", "01"),
+        ("snf", [1, 1.0]),
+        ("snf", ["1"]),
+    ],
+)
+def test_invariant_lists_must_hold_integers(field, bad):
+    doc = invariant_to_json(derived_invariant(quiver_of(dissection(2, 1, [(0, 2), (0, 3)]))))
+    with pytest.raises(SerializeError, match=f"^{field} must be"):
+        invariant_from_json({**doc, field: bad})
+
+
+@pytest.mark.parametrize("bad", [[0.5], ["0"], [True], 0])
+def test_move_site_must_be_an_integer_list(bad):
+    q = quiver_of(dissection(2, 1, [(0, 2), (0, 3)]))
+    rec = move_to_json(record_move("plus", (0,), q, tilting_mutation_plus(q, 0)))
+    with pytest.raises(SerializeError, match="^site must be a list of integers"):
+        move_from_json({**rec, "site": bad})
+
+
+@pytest.mark.parametrize("bad", [[0.5, 1, 2], ["0", 1, 2], [True, 1, 2], 0])
+def test_trace_iso_must_be_an_integer_list(bad):
+    trace = trace_to_json(reduce(dissection(3, 1, [(0, 2), (2, 5), (3, 5)]), 0))
+    with pytest.raises(SerializeError, match="^iso must be a list of integers"):
+        trace_from_json({**trace, "iso": bad})
