@@ -12,8 +12,9 @@ import random
 import re
 import sys
 from collections import Counter, defaultdict
-from pathlib import Path
-from typing import Any, Mapping, NoReturn
+from contextlib import contextmanager
+from itertools import chain
+from typing import Any, Iterator, Mapping, NoReturn, TextIO
 
 import click
 
@@ -123,11 +124,22 @@ def _components(path: str) -> list[QuiverWithRelations]:
     return comps
 
 
-def _emit(text: str, out: str | None) -> None:
+@contextmanager
+def _output(out: str | None) -> Iterator[TextIO]:
+    """The text stream a command writes to: standard output or the --out file."""
     if out is None:
-        click.echo(text, nl=False)
+        # sys.stdout itself: click's stdout wrapper is line-buffered, which
+        # would flush once per line of a streamed listing.
+        yield sys.stdout
+        sys.stdout.flush()
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as fh:
+            yield fh
+
+
+def _emit(text: str, out: str | None) -> None:
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _parse_move(spec: str) -> tuple[Diagonal, int]:
@@ -167,13 +179,12 @@ def enumerate_cmd(n: int, m: int, cap: int, out: str | None) -> None:
     """List all dissections of the (m(n+1)+2)-gon, one JSON object per line."""
 
     def work() -> None:
-        params = PolygonParams(n, m)
-        ts = sorted(
-            enumerate_dissections(params, cap=cap),
-            key=lambda t: t.diagonals,
-        )
-        lines = [dumps(dissection_to_json(t)) for t in ts]
-        _emit("\n".join(lines) + "\n", out)
+        ts = enumerate_dissections(PolygonParams(n, m), cap=cap)
+        # The cap is checked on the first pull, so a refused enumeration
+        # writes nothing and leaves no --out file behind.
+        first = next(ts)
+        with _output(out) as fh:
+            fh.writelines(dumps(dissection_to_json(t)) + "\n" for t in chain((first,), ts))
 
     _guarded(work)
 

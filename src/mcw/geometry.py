@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterator
 
 
@@ -23,29 +24,32 @@ class CapExceeded(RuntimeError):
     """An enumeration or reduction exceeded its configured cap."""
 
 
-@dataclass(frozen=True, order=True)
-class Diagonal:
-    """A chord d(a, b) of the N-gon, endpoints normalized so a < b."""
+class Diagonal(tuple):
+    """A chord d(a, b) of the N-gon, endpoints normalized so a < b.
 
-    a: int
-    b: int
+    A Diagonal is the tuple (a, b): ordering, equality and hashing are the
+    tuple's, so it compares equal to, and hashes like, the plain (a, b).
+    """
 
-    def __post_init__(self) -> None:
-        if self.a == self.b:
-            raise GeometryError(f"degenerate chord d({self.a},{self.b})")
-        if self.a > self.b:
-            lo, hi = self.b, self.a
-            object.__setattr__(self, "a", lo)
-            object.__setattr__(self, "b", hi)
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int) -> Diagonal:
+        if a == b:
+            raise GeometryError(f"degenerate chord d({a},{b})")
+        return tuple.__new__(cls, (a, b) if a < b else (b, a))
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        return tuple(self)
+
+    a = property(itemgetter(0), doc="The smaller endpoint.")
+    b = property(itemgetter(1), doc="The larger endpoint.")
 
     def __repr__(self) -> str:  # d(0,3) reads like the domain notation
-        return f"d({self.a},{self.b})"
+        return f"d({self[0]},{self[1]})"
 
 
 def diagonal(a: int, b: int) -> Diagonal:
     """Build a normalized Diagonal from endpoints in either order."""
-    if a > b:
-        a, b = b, a
     return Diagonal(a, b)
 
 
@@ -65,10 +69,14 @@ class PolygonParams:
         return (self.n + 1) * self.m + 2
 
 
+def _out_of_range(d: Diagonal, N: int) -> GeometryError:
+    return GeometryError(f"{d} out of range for a {N}-gon")
+
+
 def _check_chord(d: Diagonal, p: PolygonParams) -> None:
     N = p.N
     if not (0 <= d.a < d.b < N):
-        raise GeometryError(f"{d} out of range for an {N}-gon")
+        raise _out_of_range(d, N)
     if d.b - d.a < 2 or (d.a + N) - d.b < 2:
         raise GeometryError(f"{d} joins adjacent vertices of the {N}-gon")
 
@@ -98,22 +106,29 @@ class Dissection:
 
     Maximal dissections (|diagonals| = n) are the main objects; partial sets
     are representable so that cell/component computations can be exercised on
-    them, and validate_dissection reports maximality separately.
+    them, and validate_dissection reports maximality separately.  Construction
+    refuses a diagonal with an endpoint outside 0..N-1, on which the cell walk
+    would never end; crossing and allowability are validate_dissection's.
     """
 
     params: PolygonParams
     diagonals: tuple[Diagonal, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "diagonals", tuple(sorted(set(self.diagonals))))
+        diags = tuple(sorted(set(self.diagonals)))
+        N = self.params.N
+        # Sorted, so diags[0] has the smallest first endpoint.
+        if diags and (diags[0][0] < 0 or max(map(itemgetter(1), diags)) >= N):
+            raise _out_of_range(next(d for d in diags if d[0] < 0 or d[1] >= N), N)
+        object.__setattr__(self, "diagonals", diags)
 
     @cached_property
     def _neighbors(self) -> dict[int, tuple[int, ...]]:
         """Per-vertex chord neighbors, used by the cell walk."""
         nbrs: dict[int, list[int]] = {}
-        for d in self.diagonals:
-            nbrs.setdefault(d.a, []).append(d.b)
-            nbrs.setdefault(d.b, []).append(d.a)
+        for a, b in self.diagonals:
+            nbrs.setdefault(a, []).append(b)
+            nbrs.setdefault(b, []).append(a)
         return {v: tuple(ws) for v, ws in nbrs.items()}
 
     def __repr__(self) -> str:
@@ -193,9 +208,9 @@ def _cells(t: Dissection) -> list[tuple[int, ...]]:
     # Every cell either borders a chord or is the whole polygon, so walking
     # both sides of every chord plus the cell behind edge (N-1, 0) covers all.
     record(_cell_corners(t, 0, N - 1))
-    for d in t.diagonals:
-        record(_cell_corners(t, d.a, d.b))
-        record(_cell_corners(t, d.b, d.a))
+    for a, b in t.diagonals:
+        record(_cell_corners(t, a, b))
+        record(_cell_corners(t, b, a))
     cells.sort()
     return cells
 
@@ -213,8 +228,8 @@ def faces(t: Dissection) -> list[Face]:
         for i, u in enumerate(corners):
             v = corners[(i + 1) % len(corners)]
             sides.append((u, v))
-            lo, hi = (u, v) if u < v else (v, u)
-            tags.append(index.get(Diagonal(lo, hi)))
+            # A Diagonal hashes and compares as its plain (a, b) tuple.
+            tags.append(index.get((u, v) if u < v else (v, u)))
         out.append(Face(corners, tuple(sides), tuple(tags)))
     return out
 
@@ -309,9 +324,9 @@ def enumerate_dissections(p: PolygonParams, cap: int | None = 10**6) -> Iterator
             for tail in sub_products(arcs, i + 1):
                 yield head + tail
 
-    results = [Dissection(p, diags) for diags in regions(0, N - 1)]
-    results.sort(key=lambda t: t.diagonals)
-    yield from results
+    # One sort of the plain diagonal tuples; the dissections are built lazily.
+    for diags in sorted(tuple(sorted(ds)) for ds in regions(0, N - 1)):
+        yield Dissection(p, diags)
 
 
 def _union_cycle(t: Dissection, d: Diagonal) -> tuple[int, ...]:

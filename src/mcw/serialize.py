@@ -11,7 +11,7 @@ import json
 from typing import Any, Mapping
 
 from .algebra import QuiverWithRelations, quiver
-from .geometry import Dissection, dissection, validate_dissection
+from .geometry import Dissection, GeometryError, dissection, validate_dissection
 from .homology import DerivedInvariant, HomologyError, IntMatrix
 from .mutation import MoveRecord
 from .normalform import ReductionTrace
@@ -21,10 +21,13 @@ class SerializeError(ValueError):
     """A JSON document does not match the expected shape."""
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(", ", ": "))
+
+
 def dumps(payload: Mapping[str, Any]) -> str:
     """One stable text form: sorted keys, no trailing spaces."""
 
-    return json.dumps(payload, sort_keys=True, separators=(", ", ": "))
+    return _ENCODER.encode(payload)
 
 
 def _require(obj: Any, *keys: str) -> None:
@@ -69,7 +72,7 @@ def dissection_to_json(t: Dissection) -> dict[str, Any]:
     return {
         "n": t.params.n,
         "m": t.params.m,
-        "diagonals": [[d.a, d.b] for d in t.diagonals],
+        "diagonals": list(map(list, t.diagonals)),
     }
 
 
@@ -79,11 +82,12 @@ def dissection_from_json(obj: Any) -> Dissection:
     Non-crossing partial dissections are accepted, as ``Dissection`` allows.
     """
     _require(obj, "n", "m", "diagonals")
-    t = dissection(
-        _int_field(obj, "n"),
-        _int_field(obj, "m"),
-        _int_pairs(obj["diagonals"], "diagonals"),
-    )
+    n, m = _int_field(obj, "n"), _int_field(obj, "m")
+    chords = _int_pairs(obj["diagonals"], "diagonals")
+    try:
+        t = dissection(n, m, chords)
+    except GeometryError as exc:
+        raise SerializeError(f"invalid dissection: {exc}") from exc
     report = validate_dissection(t)
     if report.problem in ("allowability", "crossing"):
         raise SerializeError(f"invalid dissection: {report.detail}")

@@ -8,14 +8,16 @@ which these tests pin against the oracle.
 
 from __future__ import annotations
 
+import pickle
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, pairwise
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_dissections, small_range
+from mcw import geometry
 from mcw.geometry import (
     CapExceeded,
     Diagonal,
@@ -130,6 +132,35 @@ def test_diagonal_normalizes_endpoints():
     assert Diagonal(5, 2) == Diagonal(2, 5)
 
 
+def test_diagonal_is_its_endpoint_tuple():
+    d = Diagonal(5, 2)
+    assert (d.a, d.b) == (2, 5)
+    assert repr(d) == str(d) == "d(2,5)"
+    assert d == (2, 5) and hash(d) == hash((2, 5))
+    assert {(2, 5): "chord"}[d] == "chord"
+
+
+def test_diagonal_order_is_endpoint_order():
+    chords = [Diagonal(b, a) for a, b in combinations(range(14), 2)]
+    for x in chords:
+        for y in chords:
+            assert (x < y) == ((x.a, x.b) < (y.a, y.b))
+            assert (x == y) == ((x.a, x.b) == (y.a, y.b))
+
+
+def test_diagonal_is_immutable_and_pickles():
+    d = Diagonal(7, 3)
+    with pytest.raises(GeometryError, match=r"degenerate chord d\(4,4\)"):
+        Diagonal(4, 4)
+    with pytest.raises(AttributeError):
+        d.a = 0
+    with pytest.raises(AttributeError):
+        d.label = "x"
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(d, protocol))
+        assert type(back) is Diagonal and back == d and repr(back) == "d(3,7)"
+
+
 # ------------------------------------------------------------------- crossing
 
 
@@ -175,6 +206,21 @@ def test_validate_spec_examples():
     bad_chord = Dissection(PolygonParams(2, 2), (Diagonal(0, 2), Diagonal(0, 5)))
     res = validate_dissection(bad_chord)
     assert not res.ok and res.problem == "allowability"
+
+
+def test_dissection_refuses_chords_outside_the_polygon(monkeypatch):
+    # The cell walk on such a chord never ends, so construction must refuse
+    # it before any face is computed.
+    def unreachable(*args):
+        raise AssertionError("faces reached")
+
+    monkeypatch.setattr(geometry, "faces", unreachable)
+    monkeypatch.setattr(geometry, "_cells", unreachable)
+    with pytest.raises(GeometryError, match=r"^d\(7,10\) out of range for a 10-gon$"):
+        dissection(3, 2, [(0, 3), (3, 6), (7, 10)])
+    with pytest.raises(GeometryError, match=r"d\(-1,3\) out of range"):
+        dissection(3, 2, [(3, -1)])
+    assert len(dissection(3, 2, [(0, 3), (3, 6), (6, 9)]).diagonals) == 3
 
 
 # ---------------------------------------------------------------------- faces
@@ -243,6 +289,19 @@ def test_enumeration_is_sorted_and_valid():
     ts = all_dissections(3, 2)
     assert ts == sorted(ts, key=lambda t: t.diagonals)
     assert all(validate_dissection(t).ok for t in ts)
+
+
+@pytest.mark.parametrize(
+    "n,m",
+    [(n, m) for m in range(1, 7) for n in range(1, 12) if (n + 1) * m + 2 <= 14],
+)
+def test_enumeration_streams_in_strict_order(n, m):
+    count = 0
+    stream = enumerate_dissections(PolygonParams(n, m), cap=None)
+    for x, y in pairwise(stream):
+        assert x.diagonals < y.diagonals
+        count += 1
+    assert count + 1 == fuss_catalan(n, m)
 
 
 def test_enumeration_cap():

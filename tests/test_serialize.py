@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from conftest import all_dissections
@@ -30,6 +32,19 @@ from mcw.serialize import (
 
 def test_dumps_is_key_sorted():
     assert dumps({"b": 1, "a": [2, 3]}) == '{"a": [2, 3], "b": 1}'
+
+
+def test_dumps_and_dissection_json_keep_their_text():
+    # The shared encoder writes what json.dumps writes with the same options,
+    # and a dissection's diagonals serialize as plain integer pairs.
+    t = dissection(3, 2, [(3, 0), (6, 3), (6, 9)])
+    doc = dissection_to_json(t)
+    assert doc["diagonals"] == [[0, 3], [3, 6], [6, 9]]
+    assert all(type(pair) is list for pair in doc["diagonals"])
+    nested = {"z": {"y": [1, {"b": None, "a": "é"}]}, "x": 1.5, "w": True, **doc}
+    for payload in (doc, nested):
+        assert dumps(payload) == json.dumps(payload, sort_keys=True, separators=(", ", ": "))
+    assert dumps(doc) == '{"diagonals": [[0, 3], [3, 6], [6, 9]], "m": 2, "n": 3}'
 
 
 def test_dissection_round_trip_exhaustive():
@@ -97,6 +112,15 @@ def test_dissection_loader_rejects_malformed_diagonals():
     # Non-crossing partial dissections stay loadable.
     partial = dissection_from_json({"n": 4, "m": 2, "diagonals": [[0, 3], [6, 9]]})
     assert len(partial.diagonals) == 2
+
+
+def test_dissection_loader_reports_constructor_refusals():
+    with pytest.raises(
+        SerializeError, match=r"^invalid dissection: d\(7,10\) out of range for a 10-gon$"
+    ):
+        dissection_from_json({"n": 3, "m": 2, "diagonals": [[0, 3], [3, 6], [7, 10]]})
+    with pytest.raises(SerializeError, match=r"degenerate chord d\(3,3\)"):
+        dissection_from_json({"n": 2, "m": 1, "diagonals": [[3, 3]]})
 
 
 def test_semantic_errors_come_from_the_constructors():
