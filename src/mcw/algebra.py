@@ -399,6 +399,10 @@ def canonical_key(q: QuiverWithRelations) -> tuple:
     return canonical_form(q)[0]
 
 
+# A reduction labels its input and its target to test for the zero-step
+# exit, then labels the final quiver and the target again to build the
+# witness; a few entries serve both.
+@lru_cache(maxsize=8)
 def canonical_form(q: QuiverWithRelations) -> tuple[tuple, tuple[int, ...]]:
     """(canonical key, relabeling) where relabeling[v] is the canonical index
     of vertex v and the key is (vertex count, sorted relabeled arrows,

@@ -1,13 +1,16 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 invariant or oracle failure, 2 invalid input,
-3 cap exceeded.  Every command is deterministic for fixed inputs and flags;
-randomized spot checks take an explicit --seed.
+3 cap exceeded.  A reader that closes standard output early (``mcw ... |
+head``) ends the command quietly with exit 0.  Every command is
+deterministic for fixed inputs and flags; randomized spot checks take an
+explicit --seed.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
 import sys
@@ -77,11 +80,23 @@ def _fail(code: int, message: str) -> NoReturn:
     sys.exit(code)
 
 
+def _closed_pipe() -> NoReturn:
+    """Standard output lost its reader: exit 0 without a message.  Output
+    still buffered goes to the null device, so the flush at shutdown cannot
+    fail again."""
+
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    sys.exit(0)
+
+
 def _guarded(work):
     """Run one command body, mapping domain errors to exit codes."""
 
     try:
         return work()
+    except BrokenPipeError:
+        _closed_pipe()
     except CapExceeded as exc:
         _fail(3, str(exc))
     except (NormalFormError, MutationError, HomologyError) as exc:

@@ -356,44 +356,3 @@ def apply_move(t: Dissection, d: Diagonal, k: int) -> Dissection:
     new_d = diagonal(a, b)
     diags = tuple(new_d if x == d else x for x in t.diagonals)
     return Dissection(t.params, diags)
-
-
-def rotation_targets(t: Dissection, d: Diagonal) -> list[Diagonal]:
-    """The m distinct rotations d_1 ... d_m of d inside its union 2(m+1)-gon.
-
-    Implemented by candidate generation + validation, per the documented
-    design decision: every chord of the union region is tried as a
-    substitute for d and kept iff the substitution validates; the survivors
-    are returned in rotation-orbit order.  apply_move's closed-form shift is
-    property-tested against this.
-    """
-    if d not in t.diagonals:
-        raise GeometryError(f"{d} is not in the dissection")
-    cycle = _union_cycle(t, d)
-    size = len(cycle)
-    rest = tuple(x for x in t.diagonals if x != d)
-    valid: dict[Diagonal, int] = {}
-    for i in range(size):
-        for j in range(i + 1, size):
-            cand = diagonal(cycle[i], cycle[j])
-            if cand == d or cand in valid:
-                continue
-            try:
-                trial = Dissection(t.params, rest + (cand,))
-            except GeometryError:
-                continue
-            if len(trial.diagonals) != len(t.diagonals):
-                continue
-            if validate_dissection(trial).ok:
-                valid[cand] = 0
-    half = size // 2
-    ordered: list[Diagonal] = []
-    for k in range(1, half):
-        target = diagonal(cycle[k % size], cycle[(half + k) % size])
-        if target in valid:
-            ordered.append(target)
-    if len(ordered) != len(valid) or len(ordered) != t.params.m:
-        raise GeometryError(
-            f"rotation orbit of {d} is malformed: {sorted(valid)} vs {ordered}"
-        )
-    return ordered

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -35,11 +36,18 @@ class IntMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(map(int, row)) for row in self.rows)
+        rows = self.rows
+        if type(rows) is not tuple or any(type(row) is not tuple for row in rows):
+            rows = tuple(map(tuple, rows))
+            object.__setattr__(self, "rows", rows)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise HomologyError("matrix must be square")
-        object.__setattr__(self, "rows", rows)
+        if set(map(type, chain.from_iterable(rows))) - {int}:
+            bad = next(x for row in rows for x in row if type(x) is not int)
+            raise HomologyError(
+                f"matrix entries must be int, got {bad!r} ({type(bad).__name__})"
+            )
 
     @property
     def size(self) -> int:
@@ -53,13 +61,6 @@ class IntMatrix:
         if self.size != other.size:
             raise HomologyError("size mismatch in matrix product")
         return IntMatrix(tuple(map(tuple, _product(self.rows, other.rows))))
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.rows))) if self.rows else IntMatrix(())
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(tuple(map(tuple, _identity(n))))
 
     @staticmethod
     def diagonal(entries: Sequence[int]) -> "IntMatrix":

@@ -3,33 +3,45 @@
 A connected component with s vertices and r full-relation (m+2)-cycles is
 derived equivalent to exactly one normal form: r cycles chained through
 single connector vertices followed by a linearly oriented relation-free
-tail.  ``build_normal_form`` constructs that quiver, ``reduce`` finds an
-invariant-checked move sequence from a dissection component to it, and
-``derived_equivalent`` compares two components by their (s, r) data.
+tail.  ``build_normal_form`` constructs that quiver, ``reduce_component``
+moves a component onto it, and ``derived_equivalent`` compares two
+components by their (s, r) data.
 
-The reduction is a breadth-first search over the three accepted move kinds
-(plus, minus, rel_rem) with isomorphism-class deduplication.  A successor
-that exactly repeats, labels included, a quiver the search has already
-generated is recognised by a compact fingerprint and skipped before
-canonical labeling.  The step cap is the search's depth bound, so a
-reduction longer than the cap stops the search with ``CapExceeded``
-instead of being found and refused afterwards.  Search results are
-memoized per canonical class and replayed through the relabeling witness,
-so sweeping many components stays cheap.  Intermediate states may leave the
-dissection-realizable class; moves that fail their internal cross-checks on
-such states are simply not taken as edges.
+The reduction follows the classification proof (Murphy, arXiv:0807.3840,
+generalizing Buan & Vatne, arXiv:math/0701612) in three phases.  Each step
+is one accepted move whose site is read off the current quiver; nothing
+searches over states and nothing is memoized between calls.
+
+1. ``relations``: off-cycle relations are cleared leaf-inward.  A run whose
+   interior vertices carry no other arrow goes whole by ``rel_rem``; any
+   other run is drained at an end whose far side holds no further run,
+   which hands its last relation outward until it leaves at a leaf
+   (``remove_tail_relation``).
+2. ``chain``: rooted at a cycle with at most one cycle-bearing side, the
+   cycles slide along the single arrows between them until neighbours share
+   a vertex, the tree of cycles is compacted into a chain, the remaining
+   arrows are moved onto one side of the root, and the connectors are
+   turned to the positions ``classify_vertices`` names.
+3. ``tail``: the tail is oriented away from the last connector
+   (``linearize_tail``); with r = 0 the whole tree is a path, oriented from
+   one of its leaves.
+
+The steps are planned in the cell picture described above ``_blocks``.
+Every step goes through ``apply_mutation`` and ``record_move``, so each one
+passes the acceptance, Happel and Smith-form checks of its move kind, and
+the final quiver must be isomorphic to ``build_normal_form``.  The step bound is ``step_cap``, or a
+smaller ``cap``; it is checked before each step and raises
+``CapExceeded``.  The moves need not be the shortest script.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .algebra import (
     Cycle,
     QuiverWithRelations,
-    canonical_form,
     canonical_key,
     components,
     full_relation_cycles,
@@ -44,10 +56,8 @@ from .mutation import (
     MoveRejected,
     MutationError,
     apply_mutation,
+    realizability_report,
     record_move,
-    remove_relation_chain,
-    tilting_mutation_minus,
-    tilting_mutation_plus,
 )
 
 
@@ -150,10 +160,14 @@ def classify_vertices(cycle: Cycle, m: int) -> dict[int, str]:
     return roles
 
 
+PHASES = ("relations", "chain", "tail")
+
+
 @dataclass(frozen=True)
 class ReductionTrace:
     """An accepted move sequence ending at the normal form.
 
+    ``phases[i]`` names the proof phase that took ``steps[i]``;
     ``iso_witness[v]`` is the normal-form vertex corresponding to vertex v
     of ``final``.
     """
@@ -161,6 +175,16 @@ class ReductionTrace:
     steps: tuple[MoveRecord, ...]
     final: QuiverWithRelations
     iso_witness: tuple[int, ...]
+    phases: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.phases) != len(self.steps):
+            raise NormalFormError(
+                f"{len(self.steps)} steps but {len(self.phases)} phase labels"
+            )
+        unknown = set(self.phases) - set(PHASES)
+        if unknown:
+            raise NormalFormError(f"unknown phase labels {sorted(unknown)}")
 
 
 def step_cap(s: int, m: int) -> int:
@@ -187,159 +211,464 @@ def _candidate_chains(q: QuiverWithRelations) -> Iterator[tuple[int, ...]]:
             yield tuple(verts[:end])
 
 
-def _successors(
-    q: QuiverWithRelations, sites: Sequence[int] | None = None
-) -> Iterator[tuple[str, tuple[int, ...], QuiverWithRelations]]:
-    """Accepted moves out of q in deterministic order.
+# --- the cell picture ----------------------------------------------------------
+#
+# A realizable component is a tree of blocks: its arrows split into
+# full-relation (m+2)-cycles and maximal runs of consecutive relations, and
+# every vertex lies in at most two blocks.  Read each block as a cell of a
+# dissection, an (m+2)-gon whose sides are the block's vertices in arrow
+# order followed by boundary sides; a vertex in one block borders a cell of
+# boundary sides only.  A plus or minus move at v then turns v one step
+# inside the union of its two cells: each cell hands the side next to v to
+# the other, which takes it on the far side of v.  Turning forward (+1)
+# hands over the side after v in arrow order, turning back (-1) the side
+# before it.  Where v joins a cycle to a single arrow v - f, the turn that
+# hands the arrow's f to the cycle slides the cycle one vertex along the
+# arrows, and the cycle's neighbour of v moves out onto the arrow.  The
+# phases plan their steps in this picture.
 
-    Cross-check failures (MutationError) are treated like rejections here:
-    the guarantees behind those checks assume a realizable algebra, and the
-    search may stand on states outside that class.
-    """
+_Cell = tuple[bool, tuple[int, ...]]
 
-    vertices = range(q.vertex_count) if sites is None else sites
-    for v in vertices:
-        for kind, fn in (
-            ("plus", tilting_mutation_plus),
-            ("minus", tilting_mutation_minus),
-        ):
+
+def _blocks(q: QuiverWithRelations) -> list[_Cell]:
+    """``(True, cycle)`` per full-relation cycle, vertices in arrow order
+    from the smallest, and ``(False, run)`` per maximal relation run of one
+    or more arrows, vertices in arrow order."""
+
+    after = dict(q.relations)
+    before = {second: first for first, second in q.relations}
+    arrow = q.arrow_by_id
+    seen: set[int] = set()
+    cells: list[_Cell] = []
+    for a in q.arrows:
+        if a.id in seen:
+            continue
+        start = a.id
+        while start in before:
+            start = before[start]
+            if start == a.id:
+                break
+        run = [start]
+        while run[-1] in after and after[run[-1]] != start:
+            run.append(after[run[-1]])
+        seen.update(run)
+        if run[-1] in after:
+            cyc = [arrow[x].source for x in run]
+            low = cyc.index(min(cyc))
+            cells.append((True, tuple(cyc[low:] + cyc[:low])))
+        else:
+            cells.append(
+                (False, (arrow[run[0]].source,) + tuple(arrow[x].target for x in run))
+            )
+    return cells
+
+
+class _Shape:
+    """The cells of one quiver and the vertices on their sides."""
+
+    def __init__(self, q: QuiverWithRelations):
+        self.cells = _blocks(q)
+        self.where: dict[int, list[int]] = {v: [] for v in range(q.vertex_count)}
+        for i, (_, vs) in enumerate(self.cells):
+            for v in vs:
+                self.where[v].append(i)
+
+    def other(self, v: int, cell: int | None) -> int | None:
+        """The cell across v from ``cell``; None when that side is boundary."""
+        return next((j for j in self.where[v] if j != cell), None)
+
+    def cycle(self, v: int, avoid: int | None = None) -> int | None:
+        """A full cell with side v other than ``avoid``."""
+        return next(
+            (j for j in self.where[v] if j != avoid and self.cells[j][0]), None
+        )
+
+    def slot(self, cell: int, entry: int, p: int) -> int:
+        """The vertex p places after ``entry`` around a full cell."""
+        vs = self.cells[cell][1]
+        return vs[(vs.index(entry) + p) % len(vs)]
+
+    def beyond(self, cell: int | None, v: int) -> tuple[list[int], int | None]:
+        """The single-arrow path from side v of ``cell`` outward, and the full
+        cell it reaches (None when it ends at a leaf)."""
+        path, c = [v], cell
+        while True:
+            j = self.other(path[-1], c)
+            if j is None:
+                return path, None
+            full, vs = self.cells[j]
+            if full:
+                return path, j
+            path.append(vs[0] if vs[1] == path[-1] else vs[1])
+            c = j
+
+
+class _Reduction:
+    """A reduction in progress: the current quiver, the accepted steps with
+    the phase that took each, and the step bound, checked before each step.
+
+    ``anchor`` is the side of the root cycle that carries the tail; a turn
+    that hands it over passes the role to the turned vertex."""
+
+    def __init__(self, q: QuiverWithRelations, limit: int):
+        self.state = q
+        self.limit = limit
+        self.steps: list[MoveRecord] = []
+        self.phases: list[str] = []
+        self.anchor = -1
+
+    def _check_cap(self) -> None:
+        if len(self.steps) >= self.limit:
+            raise CapExceeded(
+                f"reduction needs more than the cap of {self.limit} steps"
+            )
+
+    def _take(self, kind: str, site: Sequence[int], phase: str) -> None:
+        self._check_cap()
+        try:
+            moved = apply_mutation(self.state, kind, site)
+        except (MoveRejected, MutationError) as exc:
+            raise NormalFormError(
+                f"{phase} phase: {kind} at {tuple(site)} refused: {exc}"
+            ) from exc
+        self._accept(kind, site, moved, phase)
+
+    def _accept(
+        self, kind: str, site: Sequence[int], moved: QuiverWithRelations, phase: str
+    ) -> None:
+        self.steps.append(record_move(kind, site, self.state, moved))
+        self.phases.append(phase)
+        self.state = moved
+
+    def turn(self, v: int, d: int, phase: str) -> None:
+        """Turn v one step in direction d: minus turns it forward and plus
+        back; where that kind is refused, the other one gives the turn."""
+        self._check_cap()
+        shape = _Shape(self.state)
+        handed = [shape.slot(i, v, d) for i in shape.where[v] if shape.cells[i][0]]
+        for kind in ("minus", "plus") if d == 1 else ("plus", "minus"):
             try:
-                moved = fn(q, v)
+                moved = apply_mutation(self.state, kind, (v,))
             except (MoveRejected, MutationError):
                 continue
-            if moved != q:
-                yield kind, (v,), moved
-    for chain in _candidate_chains(q):
-        if sites is not None and not set(chain) <= set(sites):
-            continue
-        try:
-            yield "rel_rem", chain, remove_relation_chain(q, chain)
-        except (MoveRejected, MutationError):
-            continue
-
-
-_SCRIPTS: dict[tuple, tuple[tuple[str, tuple[int, ...]], ...]] = {}
-_STATE_BUDGET = 100_000
-
-
-def _fingerprint(q: QuiverWithRelations) -> str:
-    """The labeled quiver as a string: arrow count, the (source, target) of
-    each arrow in stored order, then the sorted relation pairs, one
-    character per number.  Arrows are stored sorted, so two states of one
-    search (one vertex count) with the same fingerprint are the same
-    quiver.  Below 256 vertices and arrows each character takes one byte."""
-
-    flat = [len(q.arrows)]
-    flat.extend(v for a in q.arrows for v in (a.source, a.target))
-    flat.extend(x for pair in sorted(q.relations) for x in pair)
-    return "".join(map(chr, flat))
-
-
-def _search_script(
-    q: QuiverWithRelations, target_key: tuple, cap: int
-) -> list[tuple[str, tuple[int, ...]]]:
-    """Shortest accepted-move path of at most ``cap`` steps from q to the
-    target isomorphism class.
-
-    Breadth-first with one labeled representative kept per canonical class;
-    paths stay valid because successors are always generated from the
-    stored representative.  A successor that repeats a labeled quiver the
-    search has already generated is skipped by its fingerprint before
-    canonical labeling: its class is already in ``seen``.  States at depth
-    ``cap`` are not expanded; if any was pruned and the target was not
-    reached, the search raises ``CapExceeded``.
-    """
-
-    if canonical_key(q) == target_key:
-        return []
-    seen = {canonical_key(q)}
-    generated = {_fingerprint(q)}
-    expanded = 0
-    pruned = False
-    queue: deque[
-        tuple[QuiverWithRelations, list[tuple[str, tuple[int, ...]]]]
-    ] = deque([(q, [])])
-    while queue:
-        state, path = queue.popleft()
-        if len(path) >= cap:
-            pruned = True
-            continue
-        expanded += 1
-        for kind, site, nxt in _successors(state):
-            fingerprint = _fingerprint(nxt)
-            if fingerprint in generated:
-                continue
-            generated.add(fingerprint)
-            key = canonical_key(nxt)
-            if key in seen:
-                continue
-            step = path + [(kind, site)]
-            if key == target_key:
-                return step
-            seen.add(key)
-            queue.append((nxt, step))
-        if len(seen) > _STATE_BUDGET:
-            raise CapExceeded(
-                f"reduction search found {len(seen)} states, "
-                f"over the budget of {_STATE_BUDGET}"
-            )
-    if pruned:
-        raise CapExceeded(
-            f"reduction needs more than the cap of {cap} steps; "
-            f"{expanded} states expanded"
+            self._accept(kind, (v,), moved, phase)
+            if self.anchor in handed:
+                self.anchor = v
+            return
+        raise NormalFormError(
+            f"{phase} phase: no accepted move turns {v} by {d:+d}; "
+            "this contradicts the classification theorem"
         )
-    raise NormalFormError(
-        "no accepted move sequence reaches the normal form; "
-        "this contradicts the classification theorem"
-    )
+
+    # --- phase 1: relations off the cycles --------------------------------
+
+    def clear_relations(self) -> None:
+        """Remove every off-cycle relation, leaf-inward: a run whose interior
+        vertices carry nothing else goes whole by rel_rem, and any other run
+        is drained toward a leaf."""
+        while True:
+            run = self._bare_run()
+            if run is not None:
+                self._take("rel_rem", run, "relations")
+            elif any(not full and len(vs) > 2 for full, vs in _blocks(self.state)):
+                self.drop_relation()
+            else:
+                return
+
+    def _bare_run(self) -> tuple[int, ...] | None:
+        q = self.state
+        firsts = {first for first, _ in q.relations}
+        arrow_id = {(a.source, a.target): a.id for a in q.arrows}
+        for chain in _candidate_chains(q):
+            if arrow_id[chain[-2], chain[-1]] in firsts:
+                continue
+            if all(len(q.in_arrows[v]) + len(q.out_arrows[v]) == 2 for v in chain[1:-1]):
+                return chain
+        return None
+
+    def drop_relation(self) -> None:
+        """Drain runs until one relation has left the quiver.
+
+        Each step turns the end of a run whose far side holds no other run,
+        handing its last relation outward; the relation leaves when it
+        reaches a leaf."""
+        want = len(self.state.relations) - 1
+        while len(self.state.relations) > want:
+            shape = _Shape(self.state)
+            run, end = self._drain_site(shape)
+            self.turn(end, -1 if end == run[-1] else 1, "relations")
+
+    @staticmethod
+    def _drain_site(shape: _Shape) -> tuple[tuple[int, ...], int]:
+        runs = [
+            (i, vs) for i, (full, vs) in enumerate(shape.cells) if not full and len(vs) > 2
+        ]
+        for i, vs in runs:
+            for end in (vs[-1], vs[0]):
+                stack, seen, clear = [(shape.other(end, i), end)], set(), True
+                while stack and clear:
+                    c, via = stack.pop()
+                    if c is None or c in seen:
+                        continue
+                    seen.add(c)
+                    full, cvs = shape.cells[c]
+                    clear = full or len(cvs) < 3
+                    stack += [(shape.other(v, c), v) for v in cvs if v != via]
+                if clear:
+                    return vs, end
+        raise NormalFormError("no relation run has a run-free side")
+
+    # --- phase 2: the chain of cycles --------------------------------------
+
+    def build_chain(self) -> None:
+        self._choose_root()
+        self._close_bridges()
+        self._compact()
+        self._gather_arrows()
+        self._place_connectors()
+
+    def _choose_root(self) -> None:
+        """Root at a cycle with one cycle-bearing side at most; its side with
+        the longest pendant path is the anchor, where the tail will grow."""
+        shape = _Shape(self.state)
+        best = None
+        for i, (full, vs) in enumerate(shape.cells):
+            if not full:
+                continue
+            ends = [(shape.beyond(i, v), v) for v in vs]
+            if sum(far is not None for (_, far), _ in ends) > 1:
+                continue
+            for (path, far), v in ends:
+                if far is None and (best is None or len(path) > best[0]):
+                    best = (len(path), v)
+        self.anchor = best[1]
+
+    def _close_bridges(self) -> None:
+        """Slide each cycle along the arrows between it and the cycles nearer
+        the root until the two share a vertex; the arrows pass to the far
+        side of the sliding cycle."""
+        while True:
+            shape = _Shape(self.state)
+            order, bridge = [shape.cycle(self.anchor)], None
+            for c in order:
+                for v in shape.cells[c][1]:
+                    path, far = shape.beyond(c, v)
+                    if far is None or far in order:
+                        continue
+                    if len(path) == 1:
+                        order.append(far)
+                    elif bridge is None:
+                        bridge = (path[-1], far)
+            if bridge is None:
+                return
+            w, far = bridge
+            link = shape.cells[shape.other(w, far)][1]
+            self.turn(w, 1 if link[0] == w else -1, "chain")
+
+    def _cycle_tree(self, shape: _Shape) -> list[tuple[int, int, int]]:
+        """(cell, entry side, depth) per cycle, from the root outward."""
+        tree = [(shape.cycle(self.anchor), self.anchor, 0)]
+        for c, entry, depth in tree:
+            for v in shape.cells[c][1]:
+                child = shape.cycle(v, avoid=c) if v != entry else None
+                if child is not None:
+                    tree.append((child, v, depth + 1))
+        return tree
+
+    def _compact(self) -> None:
+        """Make the tree of cycles a chain: each cycle keeps its one child
+        on the side right after its entry.  The deepest cycle out of shape
+        turns its last child back one side at a time; the side handed over
+        (a sibling, a pendant path or a leaf) moves into the child."""
+        m = self.state.m
+        while True:
+            shape = _Shape(self.state)
+            todo = None
+            for c, entry, depth in self._cycle_tree(shape):
+                kids = [
+                    p
+                    for p in range(1, m + 2)
+                    if shape.cycle(shape.slot(c, entry, p), avoid=c) is not None
+                ]
+                if kids and kids != [1] and (todo is None or depth >= todo[0]):
+                    todo = (depth, shape.slot(c, entry, kids[-1]))
+            if todo is None:
+                return
+            self.turn(todo[1], -1, "chain")
+
+    def _chain(self, shape: _Shape) -> list[tuple[int, int]]:
+        """(cell, entry side) along the chain from the root."""
+        chain = [(shape.cycle(self.anchor), self.anchor)]
+        while True:
+            c, entry = chain[-1]
+            nxt = None
+            for v in shape.cells[c][1]:
+                if v != entry:
+                    path, far = shape.beyond(c, v)
+                    if far is not None:
+                        nxt = (far, path[-1])
+            if nxt is None:
+                return chain
+            chain.append(nxt)
+
+    def _gather_arrows(self) -> None:
+        """Move every single arrow off the chain onto the root's anchor side,
+        deepest cycle first: each cycle's pendant paths slide round to the
+        side before its entry and then through it, and the parent cycle pulls
+        them off the bridge this makes."""
+        m = self.state.m
+        n = len(self._chain(_Shape(self.state)))
+        for i in range(n - 1, -1, -1):
+            for p in range(1 if i == n - 1 else 2, m + 2):
+                self._shift_pendant(i, p)
+            while i:
+                shape = _Shape(self.state)
+                c, entry = self._chain(shape)[i - 1]
+                y = shape.slot(c, entry, 1)
+                link = shape.other(y, c)
+                if shape.cells[link][0]:
+                    break
+                self.turn(y, 1 if shape.cells[link][1][0] == y else -1, "chain")
+
+    def _shift_pendant(self, i: int, p: int) -> None:
+        """Slide the pendant path on side p of chain cycle i to side p + 1."""
+        shape = _Shape(self.state)
+        c, entry = self._chain(shape)[i]
+        x = shape.slot(c, entry, p)
+        path, far = shape.beyond(c, x)
+        if far is not None or len(path) == 1:
+            return
+        self.orient(x, shape.cells[c], "chain")
+        for _ in path[1:]:
+            shape = _Shape(self.state)
+            c, entry = self._chain(shape)[i]
+            self.turn(shape.slot(c, entry, p), 1, "chain")
+
+    def _place_connectors(self) -> None:
+        """Turn each connector until every cycle's exit (toward the root, or
+        the tail on the root) is the connector ``classify_vertices`` names
+        for its entry (the connector on the deeper side).  Fixed from the
+        root outward; a turn blocked by the next cycle's own connectors first
+        makes room one cycle deeper."""
+        m = self.state.m
+        conn = connector_position(m)
+        shape = _Shape(self.state)
+        n = len(self._chain(shape))
+        has_tail = len(shape.beyond(shape.cycle(self.anchor), self.anchor)[0]) > 1
+
+        def gap(i: int) -> tuple[int, int]:
+            """How far cycle i's exit lies past its prescribed connector, and
+            the connector to its deeper neighbour."""
+            shape = _Shape(self.state)
+            chain = self._chain(shape)
+            (c, exit_), entry = chain[i], chain[i + 1][1]
+            vs = shape.cells[c][1]
+            order = vs[vs.index(entry) :] + vs[: vs.index(entry)]
+            arrow_id = {(a.source, a.target): a.id for a in self.state.arrows}
+            cycle = Cycle(
+                tuple(arrow_id[a, b] for a, b in zip(order, order[1:] + order[:1])),
+                order,
+                True,
+            )
+            roles = classify_vertices(cycle, m)
+            target = next(v for v in order[1:] if roles[v] == "connector")
+            return order.index(exit_) - order.index(target), entry
+
+        def shift(i: int, d: int) -> None:
+            # Turning the next connector must not carry it onto the next
+            # cycle's own deeper connector: that one moves first.
+            if i + 2 < n and gap(i + 1)[0] + conn == (m + 1 if d == 1 else 1):
+                shift(i + 1, d)
+            self.turn(gap(i)[1], d, "chain")
+
+        for i in range(0 if has_tail else 1, n - 1):
+            while (off := gap(i)[0]) != 0:
+                shift(i, 1 if off > 0 else -1)
+
+    # --- phase 3: the tail -------------------------------------------------
+
+    def orient(
+        self, x: int, near: _Cell | None, phase: str, either: bool = False
+    ) -> None:
+        """Point the pendant path at x (beyond cell ``near``) away from x, or
+        with ``either`` make it a directed path one way or the other.
+
+        From the far end inward, a stretch that disagrees with the arrow
+        before it is reversed whole; a linear path [x, u1, ..., uk] toward x
+        reverses by minus at u1, ..., uk in turn, away from x by plus."""
+        path = self._pendant(x, near)
+        for j in range(len(path) - 3, -1, -1):
+            sub = self._away(path[j + 1], path[j + 2])
+            if sub != self._away(path[j], path[j + 1]):
+                self._reverse(path[j + 1 :], sub, phase)
+                path = self._pendant(x, near)
+        if len(path) > 1 and not self._away(path[0], path[1]) and not either:
+            self._reverse(path, False, phase)
+            path = self._pendant(x, near)
+        ways = {self._away(a, b) for a, b in zip(path, path[1:])}
+        if len(ways) > 1 or ways == {False} and not either:
+            raise NormalFormError(f"{phase} phase: path at {x} did not orient")
+
+    def _pendant(self, x: int, near: _Cell | None) -> list[int]:
+        shape = _Shape(self.state)
+        cell = shape.cells.index(near) if near is not None else None
+        return shape.beyond(cell, x)[0]
+
+    def _away(self, a: int, b: int) -> bool:
+        return (a, b) in self.state.arrow_pairs()
+
+    def _reverse(self, path: list[int], away: bool, phase: str) -> None:
+        for v in path[1:]:
+            self._take("plus" if away else "minus", (v,), phase)
+
+    def orient_tree(self) -> None:
+        """r = 0: the relation-free tree is a path; make it a directed path
+        from whichever end needs fewer moves."""
+        shape = _Shape(self.state)
+        leaves = [v for v, cells in shape.where.items() if len(cells) == 1]
+        if leaves:
+            start = min(leaves, key=lambda v: self._cost(shape.beyond(None, v)[0]))
+            self.orient(start, None, "tail", either=True)
+
+    def _cost(self, path: list[int]) -> int:
+        """Moves ``orient`` spends reversing stretches of ``path``."""
+        ways = [self._away(a, b) for a, b in zip(path, path[1:])]
+        return sum(len(ways) - j - 1 for j in range(len(ways) - 1) if ways[j] != ways[j + 1])
 
 
 def reduce_component(q: QuiverWithRelations, cap: int | None = None) -> ReductionTrace:
     """Reduce one connected component to its normal form.
 
-    The move script is resolved per canonical class: a fresh breadth-first
-    search the first time a class is seen, a replay through the relabeling
-    witness afterwards.  ``cap`` bounds the number of steps, on top of
-    ``step_cap``; the search does not look past it, and a memoized script
-    longer than it is refused before replay, both with ``CapExceeded``.
-    Every step is wrapped in a MoveRecord, which enforces (s, r, snf)
-    preservation; the final state is iso-matched to build_normal_form.
+    The input must pass ``realizability_report``, which is checked before
+    any canonical labeling.  A component already isomorphic to its normal
+    form takes no step.  Otherwise the three phases run (see the module
+    docstring); ``cap`` bounds the number of steps on top of ``step_cap``
+    and is checked before each step (``CapExceeded``).  Every step is
+    wrapped in a MoveRecord, which enforces (s, r, snf) preservation; the
+    final state is iso-matched to build_normal_form.
     """
 
+    report = realizability_report(q)
+    if report.problems:
+        raise NormalFormError(f"component is not realizable: {report.problems[0]}")
+    if q.component_count != 1:
+        raise NormalFormError(f"expected one component, got {q.component_count}")
     inv = derived_invariant(q)
     target = build_normal_form(NormalFormSpec(inv.s, inv.r, q.m))
-    limit = step_cap(inv.s, q.m)
-    if cap is not None:
-        limit = min(limit, cap)
-    key, perm = canonical_form(q)
-    memo_key = (q.m, key)
-    if memo_key not in _SCRIPTS:
-        script = _search_script(q, canonical_key(target), limit)
-        _SCRIPTS[memo_key] = tuple(
-            (kind, tuple(perm[v] for v in site)) for kind, site in script
-        )
-    if len(_SCRIPTS[memo_key]) > limit:
-        raise CapExceeded(
-            f"reduction needs {len(_SCRIPTS[memo_key])} steps, over the cap of {limit}"
-        )
-    unperm = {canon: v for v, canon in enumerate(perm)}
-
-    steps: list[MoveRecord] = []
-    state = q
-    for kind, canon_site in _SCRIPTS[memo_key]:
-        site = tuple(unperm[c] for c in canon_site)
-        try:
-            moved = apply_mutation(state, kind, site)
-        except (MoveRejected, MutationError) as exc:
-            raise NormalFormError(
-                f"memoized script replay failed at {kind} {site}: {exc}"
-            ) from exc
-        steps.append(record_move(kind, site, state, moved))
-        state = moved
-    witness = iso_quivers(state, target)
+    limit = step_cap(inv.s, q.m) if cap is None else min(cap, step_cap(inv.s, q.m))
+    red = _Reduction(q, limit)
+    if canonical_key(q) != canonical_key(target):
+        red.clear_relations()
+        if inv.r:
+            red.build_chain()
+            shape = _Shape(red.state)
+            red.orient(red.anchor, shape.cells[shape.cycle(red.anchor)], "tail")
+        else:
+            red.orient_tree()
+    witness = iso_quivers(red.state, target)
     if witness is None:
         raise NormalFormError("reduction terminated off the normal form")
-    return ReductionTrace(tuple(steps), state, witness)
+    return ReductionTrace(tuple(red.steps), red.state, witness, tuple(red.phases))
 
 
 def reduce(t: Dissection, component: int = 0) -> ReductionTrace:
@@ -360,15 +689,15 @@ def _tail_arrow(q: QuiverWithRelations, a: int, b: int):
     return hits[0]
 
 
-def linearize_tail(
-    q: QuiverWithRelations, tail: Sequence[int]
-) -> list[MoveRecord]:
-    """Moves reorienting a relation-free path away from its first vertex.
+def linearize_tail(q: QuiverWithRelations, tail: Sequence[int]) -> list[MoveRecord]:
+    """The tail phase on one relation-free path hanging at ``tail[0]``.
 
-    ``tail[0]`` is the protected attachment endpoint and is never mutated;
-    every other tail vertex must carry no arrows besides the path's own.
-    Returns the accepted plus/minus sequence after which every tail arrow
-    points from tail[i] to tail[i+1]; empty if already uniform.
+    ``tail[0]`` is the protected attachment and is never mutated; every
+    other tail vertex must carry no arrows besides the path's own.  Returns
+    the accepted moves after which the path is a directed path leaving
+    ``tail[0]``; reversing a stretch re-orders its vertices, so the result
+    is a path from ``tail[0]`` through the same vertices, not necessarily in
+    the order given.  Empty if the path already leaves ``tail[0]``.
     """
 
     path = list(tail)
@@ -384,26 +713,23 @@ def linearize_tail(
         incident = {a.id for a in q.in_arrows[v]} | {a.id for a in q.out_arrows[v]}
         if incident - ids:
             raise NormalFormError(f"tail vertex {v} has arrows off the path")
-
-    def uniform(state: QuiverWithRelations) -> bool:
-        pairs = state.arrow_pairs()
-        if any(
-            (a, b) not in pairs for a, b in zip(path, path[1:])
-        ):
-            return False
-        by_pair = {(x.source, x.target): x.id for x in state.arrows}
-        tail_ids = {by_pair[(a, b)] for a, b in zip(path, path[1:])}
-        return not any(f in tail_ids or s in tail_ids for f, s in state.relations)
-
-    return _local_sweep(q, path[1:], uniform, cap=step_cap(len(path), q.m))
+    near = next(
+        (cell for cell in _blocks(q) if path[0] in cell[1] and path[1] not in cell[1]),
+        None,
+    )
+    red = _Reduction(q, step_cap(len(path), q.m))
+    red.orient(path[0], near, "tail")
+    return red.steps
 
 
 def remove_tail_relation(q: QuiverWithRelations, endpoint: int) -> list[MoveRecord]:
-    """Moves eliminating the relation nearest to a cycle-free leaf.
+    """The relations phase's leaf-inward step, from a cycle-free leaf.
 
-    Searches over accepted moves at the branch's non-cycle vertices until
-    the total relation count drops by one; returns the empty list when the
-    branch is already relation-free.
+    Returns the empty list when the leaf's branch (the vertices reachable
+    from it without entering a cycle) carries no relation.  Otherwise runs
+    are drained, each at an end whose far side holds no other run, until
+    the quiver has one relation fewer; the relation leaves at a leaf of a
+    relation-free side, which need not be ``endpoint`` itself.
     """
 
     on_cycle = {
@@ -434,37 +760,9 @@ def remove_tail_relation(q: QuiverWithRelations, endpoint: int) -> list[MoveReco
     }
     if not any(f in branch_arrows for f, _ in q.relations):
         return []
-
-    want = len(q.relations) - 1
-
-    def one_fewer(state: QuiverWithRelations) -> bool:
-        return len(state.relations) == want
-
-    return _local_sweep(q, sorted(branch), one_fewer, cap=step_cap(len(branch), q.m))
-
-
-def _local_sweep(q, sites, done, cap: int) -> list[MoveRecord]:
-    """Breadth-first search over moves at the given sites; returns records."""
-
-    if done(q):
-        return []
-    seen = {q}
-    queue: deque[tuple[QuiverWithRelations, list]] = deque([(q, [])])
-    while queue:
-        state, path = queue.popleft()
-        if len(path) >= cap:
-            continue
-        for kind, site, nxt in _successors(state, sites):
-            if nxt in seen:
-                continue
-            step = path + [(state, kind, site, nxt)]
-            if done(nxt):
-                return [record_move(k, s, b, a) for b, k, s, a in step]
-            seen.add(nxt)
-            queue.append((nxt, step))
-        if len(seen) > 50_000:
-            break
-    raise NormalFormError("local sweep could not reach its goal")
+    red = _Reduction(q, step_cap(q.vertex_count, q.m))
+    red.drop_relation()
+    return red.steps
 
 
 def derived_equivalent(a: QuiverWithRelations, b: QuiverWithRelations) -> bool:

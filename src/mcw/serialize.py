@@ -14,7 +14,7 @@ from .algebra import QuiverWithRelations, quiver
 from .geometry import Dissection, GeometryError, dissection, validate_dissection
 from .homology import DerivedInvariant, HomologyError, IntMatrix
 from .mutation import MoveRecord
-from .normalform import ReductionTrace
+from .normalform import PHASES, ReductionTrace
 
 
 class SerializeError(ValueError):
@@ -176,7 +176,10 @@ def move_from_json(obj: Any) -> MoveRecord:
 
 def trace_to_json(trace: ReductionTrace) -> dict[str, Any]:
     return {
-        "steps": [move_to_json(rec) for rec in trace.steps],
+        "steps": [
+            {**move_to_json(rec), "phase": phase}
+            for rec, phase in zip(trace.steps, trace.phases)
+        ],
         "final": quiver_to_json(trace.final),
         "iso": list(trace.iso_witness),
     }
@@ -184,8 +187,15 @@ def trace_to_json(trace: ReductionTrace) -> dict[str, Any]:
 
 def trace_from_json(obj: Any) -> ReductionTrace:
     _require(obj, "steps", "final", "iso")
+    if not isinstance(obj["steps"], list):
+        raise SerializeError("steps must be a list")
+    for rec in obj["steps"]:
+        _require(rec, "phase")
+        if rec["phase"] not in PHASES:
+            raise SerializeError(f"unknown phase {rec['phase']!r}")
     return ReductionTrace(
         tuple(move_from_json(rec) for rec in obj["steps"]),
         quiver_from_json(obj["final"]),
         tuple(_int_list(obj["iso"], "iso")),
+        tuple(rec["phase"] for rec in obj["steps"]),
     )

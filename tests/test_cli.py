@@ -7,12 +7,17 @@ documented exit codes: 0 ok, 1 invariant failure, 2 bad input, 3 cap.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import mcw.algebra
 import mcw.normalform
 from mcw.algebra import quiver
 from mcw.cli import main
@@ -23,6 +28,7 @@ from mcw.serialize import (
     dissection_to_json,
     dumps,
     quiver_to_json,
+    trace_from_json,
 )
 
 
@@ -206,42 +212,53 @@ def test_reduce_cap_flag_and_env(runner, tmp_path):
     assert via_env.exit_code == 3
 
 
-def test_reduce_state_budget_exits_3(runner, tmp_path, monkeypatch):
-    monkeypatch.setattr(mcw.normalform, "_SCRIPTS", {})
-    monkeypatch.setattr(mcw.normalform, "_STATE_BUDGET", 1)
-    # Two moves from its normal form, so the search must expand a second state.
-    src = write_dissection(tmp_path / "t.json", 4, 1, [(0, 2), (0, 3), (3, 6), (4, 6)])
-    result = invoke(runner, "reduce", "--in", src)
-    assert result.exit_code == 3
-    assert "over the budget of 1" in result.output
-
-
 BRIDGED_TRIANGLES = [(0, 2), (2, 4), (0, 4), (5, 7), (7, 9), (5, 9), (4, 9)]
 
 
-def test_reduce_cap_stops_the_search(runner, tmp_path, monkeypatch):
-    # Two full triangles joined by a bridge (s=7, as in the benchmark's panel):
-    # five moves from the normal form, with more than 20 classes on the way.
+def test_reduce_trace_labels_every_step_with_its_phase(runner, tmp_path):
     src = write_dissection(tmp_path / "t.json", 7, 1, BRIDGED_TRIANGLES)
-    monkeypatch.setattr(mcw.normalform, "_SCRIPTS", {})
-    monkeypatch.setattr(mcw.normalform, "_STATE_BUDGET", 20)
-    full = invoke(runner, "reduce", "--in", src)
-    assert full.exit_code == 3
-    assert "over the budget of 20" in full.output
+    trace = json.loads(invoke(runner, "reduce", "--in", src).output)
+    phases = [step["phase"] for step in trace["steps"]]
+    assert "chain" in phases
+    assert set(phases) <= {"relations", "chain", "tail"}
+    assert trace_from_json(trace).phases == tuple(phases)
+
+
+def test_reduce_cap_stops_the_search(runner, tmp_path):
+    # Two full triangles joined by a bridge (s=7, as in the benchmark's
+    # panel): the cap is checked before each step of the reduction.
+    src = write_dissection(tmp_path / "t.json", 7, 1, BRIDGED_TRIANGLES)
     capped = invoke(runner, "reduce", "--in", src, "--cap", "1")
     assert capped.exit_code == 3
-    assert "more than the cap of 1 steps; 1 states expanded" in capped.output
+    assert "more than the cap of 1 steps" in capped.output
 
 
-def test_reduce_cap_refuses_a_longer_memoized_script(runner, tmp_path, monkeypatch):
+def test_reduce_cap_refuses_a_longer_script(runner, tmp_path):
     src = write_dissection(tmp_path / "t.json", 7, 1, BRIDGED_TRIANGLES)
-    monkeypatch.setattr(mcw.normalform, "_SCRIPTS", {})
-    assert len(json.loads(invoke(runner, "reduce", "--in", src).output)["steps"]) == 5
-    assert len(mcw.normalform._SCRIPTS) == 1
-    capped = invoke(runner, "reduce", "--in", src, "--cap", "4")
+    needed = len(json.loads(invoke(runner, "reduce", "--in", src).output)["steps"])
+    capped = invoke(runner, "reduce", "--in", src, "--cap", str(needed - 1))
     assert capped.exit_code == 3
-    assert "needs 5 steps, over the cap of 4" in capped.output
-    assert invoke(runner, "reduce", "--in", src, "--cap", "5").exit_code == 0
+    assert f"more than the cap of {needed - 1} steps" in capped.output
+    assert invoke(runner, "reduce", "--in", src, "--cap", str(needed)).exit_code == 0
+
+
+def test_enumerate_into_a_closed_pipe_exits_0():
+    # The reader takes one line and closes the pipe while the command is
+    # still writing; the exit-code table keeps 1 for oracle failures.
+    src = Path(mcw.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mcw.cli", "enumerate", "--n", "9", "--m", "1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0
+    assert json.loads(first)["n"] == 9
+    assert err == b""
 
 
 @pytest.mark.parametrize("spec", ["d(0,2):+2", "d(0,2):-3"])
@@ -281,7 +298,8 @@ unrealizable = pytest.mark.parametrize(
 
 @unrealizable
 def test_reduce_rejects_unrealizable_quiver(runner, tmp_path, monkeypatch, q, problem):
-    for name in ("canonical_form", "canonical_key", "iso_quivers"):
+    monkeypatch.setattr(mcw.algebra, "canonical_form", _never)
+    for name in ("canonical_key", "iso_quivers"):
         monkeypatch.setattr(mcw.normalform, name, _never)
     src = tmp_path / "q.json"
     src.write_text(dumps(quiver_to_json(q)) + "\n")

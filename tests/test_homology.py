@@ -147,7 +147,7 @@ def test_snf_agrees_with_sympy(rows):
 def test_determinant_small_cases():
     assert determinant(IntMatrix(((2,),))) == 2
     assert determinant(IntMatrix(((1, 2), (3, 4)))) == -2
-    assert determinant(IntMatrix.identity(4)) == 1
+    assert determinant(IntMatrix.diagonal([1] * 4)) == 1
     assert determinant(IntMatrix.diagonal((3, 0, 5))) == 0
 
 
@@ -204,6 +204,19 @@ def test_happel_two_term_complex_a2():
 def test_intmatrix_rejects_ragged():
     with pytest.raises(HomologyError):
         IntMatrix(((1, 2), (3,)))
+
+
+@pytest.mark.parametrize("entry", [1.9, 2.0, True])
+def test_intmatrix_refuses_entries_that_are_not_int(entry):
+    # A float used to be truncated by int() and a bool read as 0 or 1.
+    with pytest.raises(HomologyError, match="must be int"):
+        IntMatrix(((1, 0), (0, entry)))
+
+
+def test_intmatrix_keeps_int_rows_as_given():
+    rows = ((1, 2), (3, 4))
+    assert IntMatrix(rows).rows is rows
+    assert IntMatrix([[1, 2], [3, 4]]).rows == rows
 
 
 def _with_dependent_last_row(rows):

@@ -1,17 +1,19 @@
 """Normal-form layer tests: construction, vertex classification, the
-reduction search, tail utilities, and the equivalence decision."""
+three reduction phases, the step cap, reductions well past exhaustive
+sizes, and the equivalence decision."""
 
 from __future__ import annotations
 
-from collections import deque
+import random
+import time
 
 import pytest
 
+import mcw.algebra
 import mcw.normalform
 
 from conftest import all_dissections, small_range
 from mcw.algebra import (
-    canonical_key,
     components,
     full_relation_cycles,
     iso_quivers,
@@ -20,8 +22,9 @@ from mcw.algebra import (
 )
 from mcw.geometry import CapExceeded, dissection
 from mcw.homology import derived_invariant
-from mcw.mutation import apply_mutation, is_realizable
+from mcw.mutation import apply_mutation, is_realizable, record_move
 from mcw.normalform import (
+    PHASES,
     NormalFormError,
     NormalFormSpec,
     build_normal_form,
@@ -30,9 +33,6 @@ from mcw.normalform import (
     derived_equivalent,
     linearize_tail,
     reduce,
-    _fingerprint,
-    _search_script,
-    _successors,
     reduce_component,
     remove_tail_relation,
     step_cap,
@@ -43,6 +43,15 @@ def replay(q, records):
     for rec in records:
         q = apply_mutation(q, rec.kind, rec.site)
     return q
+
+
+def directed_path_from(q, start):
+    """The vertices of q as one directed path leaving ``start``, or None."""
+    path = [start]
+    while len(q.out_arrows[path[-1]]) == 1 and len(path) <= q.vertex_count:
+        path.append(q.out_arrows[path[-1]][0].target)
+    whole = len(path) == q.vertex_count == len(set(path)) == len(q.arrows) + 1
+    return path if whole and not q.out_arrows[path[-1]] else None
 
 
 # --- construction ------------------------------------------------------------
@@ -247,74 +256,183 @@ def test_reduce_is_deterministic():
     assert first == second
 
 
-def reference_search(q, target_key, cap):
-    """The reduction search without the exact-repeat skip: every successor
-    goes through canonical labeling."""
-
-    if canonical_key(q) == target_key:
-        return []
-    seen = {canonical_key(q)}
-    queue = deque([(q, [])])
-    while queue:
-        state, path = queue.popleft()
-        if len(path) >= cap:
-            continue
-        for kind, site, nxt in _successors(state):
-            key = canonical_key(nxt)
-            if key in seen:
-                continue
-            step = path + [(kind, site)]
-            if key == target_key:
-                return step
-            seen.add(key)
-            queue.append((nxt, step))
-    raise AssertionError("reference search found no script")
+def test_cap_is_checked_before_each_step():
+    # Two triangles joined by a bridge: the chain phase takes several steps.
+    t = dissection(7, 1, [(0, 2), (2, 4), (0, 4), (5, 7), (7, 9), (5, 9), (4, 9)])
+    q = components(quiver_of(t))[0].quiver
+    needed = len(reduce_component(q).steps)
+    assert needed > 1
+    with pytest.raises(CapExceeded, match=f"more than the cap of {needed - 1} steps"):
+        reduce_component(q, cap=needed - 1)
+    assert len(reduce_component(q, cap=needed).steps) == needed
+    with pytest.raises(CapExceeded, match="more than the cap of 0 steps"):
+        reduce_component(q, cap=0)
 
 
-def test_repeat_skip_keeps_every_search_script():
-    inputs = {
-        comp.quiver
-        for n, m in [(5, 1), (4, 2), (3, 3)]
-        for t in all_dissections(n, m)
-        for comp in components(quiver_of(t))
-    }
-    for q in sorted(inputs, key=repr):
-        inv = derived_invariant(q)
-        target = canonical_key(build_normal_form(NormalFormSpec(inv.s, inv.r, q.m)))
-        cap = step_cap(inv.s, q.m)
-        assert _search_script(q, target, cap) == reference_search(q, target, cap)
-
-
-def test_fingerprint_tells_labeled_quivers_apart():
-    chain = quiver(1, 3, [(0, 1), (1, 2)])
-    # Arrows are stored sorted, and vertex labels are not part of a quiver.
-    assert _fingerprint(chain) == _fingerprint(quiver(1, 3, [(1, 2), (0, 1)]))
-    labelled = components(quiver_of(dissection(3, 1, [(0, 2), (0, 3), (0, 4)])))[0].quiver
-    assert labelled == chain
-    assert _fingerprint(labelled) == _fingerprint(chain)
-    others = [
-        quiver(1, 3, [(0, 1), (1, 2)], [(0, 1)]),
-        quiver(1, 3, [(1, 0), (1, 2)]),
-        quiver(1, 3, [(0, 1)]),
-        quiver(1, 3, [(0, 1), (0, 2)]),
-    ]
-    assert len({_fingerprint(q) for q in [chain, *others]}) == 5
-    # Indices past one byte stay distinct.
-    wide = [quiver(1, 300, [(0, 299)]), quiver(1, 300, [(0, 298)]), quiver(1, 300, [(43, 0)])]
-    assert len({_fingerprint(q) for q in wide}) == 3
-
-
-def test_search_stops_at_the_cap(monkeypatch):
-    # Two moves from its normal form; a cap of one prunes the second level.
+def test_search_stops_at_the_cap():
+    # A cap below the reduction's length stops it before the step that would
+    # pass the cap; nothing is remembered between calls, so a completed
+    # reduction does not change what a later capped call does.
     q = components(quiver_of(dissection(4, 1, [(0, 2), (0, 3), (3, 6), (4, 6)])))[0].quiver
-    monkeypatch.setattr(mcw.normalform, "_SCRIPTS", {})
-    with pytest.raises(CapExceeded, match="more than the cap of 1 steps; 1 states expanded"):
+    with pytest.raises(CapExceeded, match="more than the cap of 1 steps"):
         reduce_component(q, cap=1)
-    assert mcw.normalform._SCRIPTS == {}, "a capped failure must not be memoized"
-    assert len(reduce_component(q, cap=2).steps) == 2
-    # The memoized two-step script is refused under a smaller cap before replay.
-    with pytest.raises(CapExceeded, match="needs 2 steps, over the cap of 1"):
+    needed = len(reduce_component(q).steps)
+    assert needed >= 2
+    assert len(reduce_component(q, cap=needed).steps) == needed
+    with pytest.raises(CapExceeded, match="more than the cap of 1 steps"):
         reduce_component(q, cap=1)
+
+
+def test_normal_form_input_needs_no_cap():
+    nf = build_normal_form(NormalFormSpec(9, 2, 2))
+    trace = reduce_component(nf, cap=0)
+    assert trace.steps == () and trace.phases == ()
+
+
+# --- the three phases ----------------------------------------------------------
+
+
+def phases_in_order(trace):
+    ranks = [PHASES.index(p) for p in trace.phases]
+    return ranks == sorted(ranks)
+
+
+def test_relations_phase_removes_a_bare_run_whole():
+    # A 2-run whose middle vertex carries nothing else goes in one rel_rem.
+    q = quiver(2, 3, [(0, 1), (1, 2)], [(0, 1)])
+    trace = reduce_component(q)
+    assert trace.steps[0].kind == "rel_rem"
+    assert trace.steps[0].site == (0, 1, 2)
+    assert trace.phases[0] == "relations"
+    assert set(trace.phases) <= {"relations", "tail"}
+
+
+def test_relations_phase_drains_a_run_with_an_attached_vertex():
+    # 0 -> 1 -> 2 with a relation and 3 -> 1 attached in the middle: the run
+    # is not bare, so its relation is handed out to a leaf by plus/minus.
+    q = quiver(2, 4, [(0, 1), (1, 2), (3, 1)], [(0, 1)])
+    trace = reduce_component(q)
+    first = [rec for rec, p in zip(trace.steps, trace.phases) if p == "relations"]
+    assert first and all(rec.kind in ("plus", "minus") for rec in first)
+    state = replay(q, first)
+    assert state.relations == frozenset()
+    assert phases_in_order(trace)
+
+
+def test_chain_phase_brings_bridged_cycles_together():
+    t = dissection(7, 1, [(0, 2), (2, 4), (0, 4), (5, 7), (7, 9), (5, 9), (4, 9)])
+    q = components(quiver_of(t))[0].quiver
+    trace = reduce_component(q)
+    chain = [rec for rec, p in zip(trace.steps, trace.phases) if p == "chain"]
+    assert chain
+    state = replay(q, chain)
+    cycles = [set(c.vertices) for c in full_relation_cycles(state).cycles if c.full_relations]
+    assert len(cycles) == 2 and len(cycles[0] & cycles[1]) == 1
+    assert phases_in_order(trace)
+
+
+def test_tail_phase_alone_orients_a_tree():
+    t = dissection(3, 1, [(0, 2), (2, 5), (3, 5)])
+    trace = reduce(t, 0)
+    assert trace.steps and set(trace.phases) == {"tail"}
+
+
+def test_every_phase_label_is_known_and_ordered():
+    for n, m in small_range(5, 3):
+        for t in all_dissections(n, m):
+            for comp in components(quiver_of(t)):
+                trace = reduce_component(comp.quiver)
+                assert len(trace.phases) == len(trace.steps)
+                assert phases_in_order(trace), (t, trace.phases)
+
+
+def test_reduction_refuses_unrealizable_input_before_labeling(monkeypatch):
+    def never(q):
+        raise AssertionError("canonical labeling reached")
+
+    monkeypatch.setattr(mcw.algebra, "canonical_form", never)
+    monkeypatch.setattr(mcw.normalform, "canonical_key", never)
+    star = quiver(1, 13, [(0, k) for k in range(1, 13)])
+    start = time.perf_counter()
+    with pytest.raises(NormalFormError, match="not realizable: not gentle"):
+        reduce_component(star)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_reduction_refuses_a_disconnected_quiver():
+    with pytest.raises(NormalFormError, match="one component"):
+        reduce_component(quiver(1, 3, [(0, 1)]))
+
+
+# --- reductions past exhaustive sizes ------------------------------------------
+
+
+def random_dissection(rng, n, m):
+    """A random maximal dissection of the (m(n+1)+2)-gon into (m+2)-gons, by
+    the splitting scheme of the benchmark's generator: each step picks the
+    cell on the closing side of a sub-polygon, whose m+1 gaps are 1 mod m
+    and sum to the arc.  Returns the sorted diagonals."""
+    size = m * (n + 1) + 2
+    diagonals = []
+    stack = [tuple(range(size))]
+    while stack:
+        poly = stack.pop()
+        spare = (len(poly) - m - 2) // m
+        cuts = sorted(rng.randint(0, spare) for _ in range(m))
+        corners = [0]
+        for lo, hi in zip([0] + cuts, cuts + [spare]):
+            corners.append(corners[-1] + 1 + m * (hi - lo))
+        for i, j in zip(corners, corners[1:]):
+            if j - i >= 2:
+                diagonals.append((poly[i], poly[j]))
+                stack.append(poly[i : j + 1])
+    return sorted(diagonals)
+
+
+def largest_component(n, m, seed):
+    t = dissection(n, m, random_dissection(random.Random(seed), n, m))
+    return max((c.quiver for c in components(quiver_of(t))), key=lambda q: q.vertex_count)
+
+
+def check_trace(q, trace):
+    """Replay every step, re-derive its MoveRecord, and match the end."""
+    state = q
+    for rec in trace.steps:
+        moved = apply_mutation(state, rec.kind, rec.site)
+        again = record_move(rec.kind, rec.site, state, moved)
+        assert again == rec and again.invariant_after.snf == rec.invariant_after.snf
+        state = moved
+    assert state == trace.final
+    inv = derived_invariant(q)
+    target = build_normal_form(NormalFormSpec(inv.s, inv.r, q.m))
+    assert iso_quivers(state, target) is not None
+
+
+@pytest.mark.parametrize(
+    "n,m,seed,size",
+    [(20, 1, 0, 20), (40, 1, 0, 40), (30, 2, 0, 20), (60, 2, 1, 40)],
+)
+def test_reduce_sampled_components_past_exhaustive_sizes(n, m, seed, size):
+    q = largest_component(n, m, seed)
+    assert q.vertex_count >= size
+    start = time.perf_counter()
+    trace = reduce_component(q)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 30.0, elapsed
+    assert len(trace.steps) <= step_cap(q.vertex_count, m)
+    check_trace(q, trace)
+
+
+def test_reduce_sampled_tree_at_s10():
+    # An r = 0 component at s = 10: the breadth-first search this reduction
+    # replaced ran for over a minute on such trees.
+    q = largest_component(10, 1, 75)
+    assert derived_invariant(q).r == 0 and q.vertex_count == 10
+    start = time.perf_counter()
+    trace = reduce_component(q)
+    assert time.perf_counter() - start < 5.0
+    assert set(trace.phases) <= {"tail"}
+    check_trace(q, trace)
 
 
 # --- tail utilities ----------------------------------------------------------
@@ -331,7 +449,9 @@ def test_linearize_tail_alternating_a4():
     assert moves, "expected a non-empty reorientation"
     assert all(mv.site != (0,) for mv in moves), "protected endpoint mutated"
     final = replay(q, moves)
-    assert final.arrow_pairs() == {(0, 1), (1, 2), (2, 3)}
+    # Reversing a stretch re-orders its vertices; the result is a directed
+    # path out of the protected endpoint through all four.
+    assert directed_path_from(final, 0) is not None
     assert final.relations == frozenset()
 
 

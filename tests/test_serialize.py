@@ -89,6 +89,18 @@ def test_trace_round_trip():
     assert trace_from_json(trace_to_json(trace)) == trace
 
 
+def test_trace_json_labels_each_step_with_its_phase():
+    trace = reduce(dissection(3, 1, [(0, 2), (2, 5), (3, 5)]), 0)
+    doc = trace_to_json(trace)
+    assert [step["phase"] for step in doc["steps"]] == list(trace.phases)
+    renamed = [{**doc["steps"][0], "phase": "sweep"}] + doc["steps"][1:]
+    with pytest.raises(SerializeError, match="unknown phase 'sweep'"):
+        trace_from_json({**doc, "steps": renamed})
+    unlabeled = [{k: v for k, v in step.items() if k != "phase"} for step in doc["steps"]]
+    with pytest.raises(SerializeError, match="missing keys: phase"):
+        trace_from_json({**doc, "steps": unlabeled})
+
+
 def test_shape_errors():
     with pytest.raises(SerializeError, match="missing keys"):
         dissection_from_json({"n": 2, "m": 1})
