@@ -14,7 +14,7 @@ import os
 import random
 import re
 import sys
-from collections import Counter, defaultdict
+from collections import defaultdict
 from contextlib import contextmanager
 from itertools import chain
 from typing import Any, Iterator, Mapping, NoReturn, TextIO
@@ -31,10 +31,12 @@ from .algebra import (
 )
 from .geometry import (
     CapExceeded,
+    CensusError,
     Diagonal,
     Dissection,
     GeometryError,
     PolygonParams,
+    census_counts,
     diagonal,
     enumerate_dissections,
     fuss_catalan,
@@ -99,7 +101,7 @@ def _guarded(work):
         _closed_pipe()
     except CapExceeded as exc:
         _fail(3, str(exc))
-    except (NormalFormError, MutationError, HomologyError) as exc:
+    except (NormalFormError, MutationError, HomologyError, CensusError) as exc:
         _fail(1, str(exc))
     except (GeometryError, AlgebraError, SerializeError, json.JSONDecodeError) as exc:
         _fail(2, str(exc))
@@ -339,16 +341,8 @@ def census_cmd(n: int, m: int, cap: int, out: str | None) -> None:
     """Component counts of every (s, r) class across all dissections."""
 
     def work() -> None:
-        params = PolygonParams(n, m)
-        tally: Counter[tuple[int, int]] = Counter()
-        for t in enumerate_dissections(params, cap=cap):
-            for comp in components(quiver_of(t)):
-                inv = derived_invariant(comp.quiver)
-                tally[(inv.s, inv.r)] += 1
-        lines = [
-            dumps({"s": s, "r": r, "count": count})
-            for (s, r), count in sorted(tally.items())
-        ]
+        tally = census_counts(PolygonParams(n, m), cap=cap)
+        lines = [dumps({"s": s, "r": r, "count": count}) for (s, r), count in tally.items()]
         _emit("\n".join(lines) + "\n", out)
 
     _guarded(work)
@@ -382,11 +376,12 @@ def _check_cell(n: int, m: int, rng: random.Random, samples: int) -> str:
 
     classes: defaultdict[tuple[int, int], set] = defaultdict(set)
     for t in ts:
-        q = quiver_of(t)
-        report = realizability_report(q)
-        if report.problems:
-            raise MutationError(f"n={n} m={m} {t!r}: {report.problems[0]}")
-        for comp in components(q):
+        for comp in components(quiver_of(t)):
+            # reduce_component screens the component's realizability first.
+            try:
+                final = reduce_component(comp.quiver).final
+            except NormalFormError as exc:
+                raise MutationError(f"n={n} m={m} {t!r}: {exc}") from exc
             inv = derived_invariant(comp.quiver)
             cartan = cartan_matrix(comp.quiver)
             if snf_diagonal(cartan) != snf_diagonal(bh_diagonal(comp.quiver)):
@@ -394,7 +389,7 @@ def _check_cell(n: int, m: int, rng: random.Random, samples: int) -> str:
             odd, _ = cycle_parity_counts(comp.quiver)
             if determinant(cartan) not in (0, 2**odd):
                 raise HomologyError(f"n={n} m={m} {t!r}: Cartan determinant")
-            classes[(inv.s, inv.r)].add(canonical_form(reduce_component(comp.quiver).final)[0])
+            classes[(inv.s, inv.r)].add(canonical_form(final)[0])
 
     for pair, keys in classes.items():
         if len(keys) != 1:

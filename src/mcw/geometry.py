@@ -24,6 +24,10 @@ class CapExceeded(RuntimeError):
     """An enumeration or reduction exceeded its configured cap."""
 
 
+class CensusError(RuntimeError):
+    """A census failed one of its counting identities."""
+
+
 class Diagonal(tuple):
     """A chord d(a, b) of the N-gon, endpoints normalized so a < b.
 
@@ -267,6 +271,13 @@ def fuss_catalan(n: int, m: int) -> int:
     return math.comb((m + 1) * (n + 1), n) // (n + 1)
 
 
+def _capped_total(p: PolygonParams, cap: int | None) -> int:
+    total = fuss_catalan(p.n, p.m)
+    if cap is not None and total > cap:
+        raise CapExceeded(f"{total} dissections exceed the cap of {cap}")
+    return total
+
+
 def enumerate_dissections(p: PolygonParams, cap: int | None = 10**6) -> Iterator[Dissection]:
     """Yield every maximal dissection exactly once, in lexicographic order on
     the sorted diagonal tuple.
@@ -274,9 +285,7 @@ def enumerate_dissections(p: PolygonParams, cap: int | None = 10**6) -> Iterator
     Refuses parameter ranges whose Fuss-Catalan count exceeds `cap`
     (pass cap=None to disable the guard).
     """
-    total = fuss_catalan(p.n, p.m)
-    if cap is not None and total > cap:
-        raise CapExceeded(f"{total} dissections exceed the cap of {cap}")
+    _capped_total(p, cap)
     N, m = p.N, p.m
 
     def regions(lo: int, hi: int) -> Iterator[tuple[Diagonal, ...]]:
@@ -327,6 +336,152 @@ def enumerate_dissections(p: PolygonParams, cap: int | None = 10**6) -> Iterator
     # One sort of the plain diagonal tuples; the dissections are built lazily.
     for diags in sorted(tuple(sorted(ds)) for ds in regions(0, N - 1)):
         yield Dissection(p, diags)
+
+
+class _Runs:
+    """Partial cells in one state of the fold (leading, middle or trailing),
+    summed over the sub-dissections below their diagonal sides.
+
+    ``count`` is how many there are.  The other fields map a component key
+    s*K + r to how often it occurs among them: ``lead`` for the merged
+    leading run of diagonal sides, ``run`` for the run being built, and
+    ``closed`` for the components that can grow no further.
+    """
+
+    __slots__ = ("count", "lead", "run", "closed")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.lead: dict[int, int] = {}
+        self.run: dict[int, int] = {}
+        self.closed: dict[int, int] = {}
+
+
+def _add(dst: dict[int, int], src: dict[int, int], k: int = 1, shift: int = 0) -> None:
+    for key, v in src.items():
+        key += shift
+        dst[key] = dst.get(key, 0) + k * v
+
+
+def _convolve(dst: dict[int, int], x: dict[int, int], y: dict[int, int]) -> None:
+    """Add to dst every sum of a key of x and a key of y, weighted by the
+    product of their counts: the component that merges the two."""
+    get = dst.get
+    for kx, vx in x.items():
+        for ky, vy in y.items():
+            key = kx + ky
+            dst[key] = get(key, 0) + vx * vy
+
+
+def census_counts(p: PolygonParams, cap: int | None = 10**6) -> dict[tuple[int, int], int]:
+    """Components of each class (s, r) summed over every maximal dissection,
+    counted without building one, as {(s, r): count} in increasing (s, r)
+    order: s is the vertex count, r the number of full (m+2)-cycles.
+
+    Both are local to cells.  Two diagonals are joined iff they are
+    consecutive sides of one cell, and a full cycle is a cell whose m+2
+    sides are all diagonals.  The recursion is enumerate_dissections': the
+    region below a diagonal over an arc of length L (L = 1 mod m) is the
+    cell on that diagonal, whose other m+1 sides split L into gaps, each a
+    boundary edge or the diagonal of a smaller region.  The count of a
+    region depends on L alone.  For each L the DP keeps the number of
+    sub-dissections, the (s, r) of the component that stays open across
+    the diagonal (the diagonal counted), and the components already closed,
+    summed over the sub-dissections.  A cell is folded over its sides left
+    to right: a run of consecutive diagonal sides merges its regions' open
+    components; a run that touches the closing diagonal stays open, any
+    other closes; a cell of diagonals only adds a full cycle.  The root
+    cell lies on the boundary edge (N-1, 0), so all its runs close.
+
+    Refuses (CapExceeded) when FC(n, m) exceeds `cap`, although the work no
+    longer grows with FC.  Raises CensusError unless the dissections
+    counted are fuss_catalan(n, m) and the component sizes sum to n times
+    that, every diagonal being a vertex of exactly one component.
+    """
+    total = _capped_total(p, cap)
+    N, m = p.N, p.m
+    K = p.n + 1  # (s, r) is keyed s*K + r, as r <= s <= n < K
+    # region[L] = (count, open, closed) below a diagonal over an arc of length L
+    region: dict[int, tuple[int, dict[int, int], dict[int, int]]] = {}
+    start = _Runs()
+    start.count, start.lead = 1, {0: 1}
+    # prefix[i][length]: the (leading, middle, trailing) folds over the first
+    # i gaps of a cell, spanning that length of arc.  Leading: every side so
+    # far a diagonal.  Middle: a boundary edge seen, the run being built
+    # closes at the next one.  Trailing: the run being built is the last,
+    # merged with the leading run through the closing diagonal.
+    prefix: list[dict[int, tuple[_Runs, _Runs, _Runs]]] = [{0: (start, _Runs(), _Runs())}]
+    prefix += [{} for _ in range(m)]
+
+    def fold(i: int, length: int) -> tuple[_Runs, _Runs, _Runs]:
+        lead, mid, trail = _Runs(), _Runs(), _Runs()
+        src = prefix[i - 1]
+        # Gap i is a boundary edge: the run being built closes, and a middle
+        # or the trailing run starts.  A trailing run takes no boundary edge.
+        if (x := src.get(length - 1)) is not None:
+            for y in x[:2]:
+                if y.count:
+                    mid.count += y.count
+                    trail.count += y.count
+                    _add(mid.lead, y.lead)
+                    _add(trail.run, y.lead)
+                    mid.run[0] = mid.run.get(0, 0) + y.count
+                    for acc in (mid.closed, trail.closed):
+                        _add(acc, y.closed)
+                        _add(acc, y.run)
+        # Gap i is the diagonal of a region over g: it joins the run.
+        for g in range(m + 1, length - i + 2, m):
+            if (x := src.get(length - g)) is None:
+                continue
+            cc, co, ct = region[g]
+            for y, acc in zip(x, (lead, mid, trail)):
+                if not y.count:
+                    continue
+                acc.count += y.count * cc
+                if acc is lead:
+                    _convolve(acc.lead, y.lead, co)
+                else:
+                    _add(acc.lead, y.lead, cc)
+                    _convolve(acc.run, y.run, co)
+                _add(acc.closed, y.closed, cc)
+                _add(acc.closed, ct, y.count)
+        for acc in (lead, mid, trail):
+            acc.closed.pop(0, None)  # an empty run closes no component
+        return lead, mid, trail
+
+    for length in range(1, N - 1):
+        if length > 1 and (length - 1) % m == 0:
+            lead, _, trail = fold(m + 1, length)
+            opened: dict[int, int] = {}
+            # The closing diagonal joins the open component; when every side
+            # of the cell is a diagonal, the cell is also one more full cycle.
+            _add(opened, lead.lead, shift=K + 1)
+            _add(opened, trail.run, shift=K)
+            closed = dict(lead.closed)
+            _add(closed, trail.closed)
+            region[length] = (lead.count + trail.count, opened, closed)
+        for i in range(1, m + 1):
+            if length >= i and (length - i) % m == 0:
+                prefix[i][length] = fold(i, length)
+
+    # The root cell: its last side is the boundary edge (N-1, 0), so the
+    # leading run closes too, apart from the trailing one.
+    lead, mid, _ = fold(m + 1, N - 1)
+    count = lead.count + mid.count
+    tally: dict[int, int] = {}
+    for acc in (lead, mid):
+        for part in (acc.lead, acc.run, acc.closed):
+            _add(tally, part)
+    tally.pop(0, None)
+    if count != total:
+        raise CensusError(f"counted {count} dissections of the {N}-gon, expected {total}")
+    vertices = sum(key // K * c for key, c in tally.items())
+    if vertices != p.n * total:
+        raise CensusError(
+            f"components of the {N}-gon's dissections hold {vertices} vertices, "
+            f"expected n*FC = {p.n * total}"
+        )
+    return {divmod(key, K): c for key, c in sorted(tally.items())}
 
 
 def _union_cycle(t: Dissection, d: Diagonal) -> tuple[int, ...]:

@@ -18,10 +18,12 @@ import pytest
 from click.testing import CliRunner
 
 import mcw.algebra
+import mcw.cli
+import mcw.geometry
 import mcw.normalform
-from mcw.algebra import quiver
+from mcw.algebra import components, quiver, quiver_of
 from mcw.cli import main
-from mcw.geometry import dissection, fuss_catalan
+from mcw.geometry import PolygonParams, dissection, enumerate_dissections, fuss_catalan
 from mcw.normalform import NormalFormSpec, build_normal_form
 from mcw.serialize import (
     dissection_from_json,
@@ -375,6 +377,59 @@ def test_check_small_grid_passes(runner):
     result = invoke(runner, "check", "--n", "2", "--m", "2", "--samples", "5")
     assert result.exit_code == 0
     assert "all checks passed" in result.output
+
+
+def test_census_counts_without_enumerating(runner, monkeypatch):
+    def enumerating(*args):
+        raise AssertionError("census built a dissection")
+
+    for name in ("enumerate_dissections", "quiver_of", "components", "derived_invariant"):
+        monkeypatch.setattr(mcw.cli, name, enumerating)
+    result = invoke(runner, "census", "--n", "9", "--m", "1")
+    assert result.exit_code == 0
+    rows = [json.loads(line) for line in result.output.splitlines()]
+    assert sum(row["count"] for row in rows) == fuss_catalan(9, 1)
+
+
+def test_census_refuses_a_miscount(runner, monkeypatch):
+    # The counted dissections must equal FC(n, m): an FC off by one is caught.
+    real = mcw.geometry.fuss_catalan
+    monkeypatch.setattr(mcw.geometry, "fuss_catalan", lambda n, m: real(n, m) + 1)
+    result = invoke(runner, "census", "--n", "4", "--m", "2")
+    assert result.exit_code == 1
+    assert f"counted {real(4, 2)} dissections of the 12-gon, expected {real(4, 2) + 1}" in (
+        result.output
+    )
+
+
+@unrealizable
+def test_check_names_the_dissection_of_an_unrealizable_quiver(runner, monkeypatch, q, problem):
+    monkeypatch.setattr(mcw.cli, "quiver_of", lambda t: q)
+    result = invoke(runner, "check", "--n", "1", "--m", "1")
+    assert result.exit_code == 1
+    assert "error: n=1 m=1 Dissection(n=1, m=1, {d(0,2)}): " in result.output
+    assert problem in result.output
+
+
+def test_check_screens_each_component_once(runner, monkeypatch):
+    screened = []
+    real = mcw.normalform.realizability_report
+
+    def counting(q):
+        screened.append(q)
+        return real(q)
+
+    for module in (mcw.cli, mcw.normalform):
+        monkeypatch.setattr(module, "realizability_report", counting)
+    result = invoke(runner, "check", "--n", "3", "--m", "2", "--samples", "0")
+    assert result.exit_code == 0
+    expected = sum(
+        len(components(quiver_of(t)))
+        for m in (1, 2)
+        for n in (1, 2, 3)
+        for t in enumerate_dissections(PolygonParams(n, m))
+    )
+    assert len(screened) == expected
 
 
 def test_render_svg_and_determinism(runner, tmp_path):

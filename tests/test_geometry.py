@@ -9,6 +9,7 @@ which these tests pin against the oracle.
 from __future__ import annotations
 
 import pickle
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, pairwise
 
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import all_dissections, small_range
 from mcw import geometry
+from mcw.algebra import components, quiver_of
 from mcw.geometry import (
     CapExceeded,
     Diagonal,
@@ -25,6 +27,7 @@ from mcw.geometry import (
     GeometryError,
     PolygonParams,
     apply_move,
+    census_counts,
     crosses,
     diagonal,
     dissection,
@@ -34,6 +37,7 @@ from mcw.geometry import (
     is_allowable,
     validate_dissection,
 )
+from mcw.homology import derived_invariant
 
 
 @lru_cache(maxsize=None)
@@ -306,6 +310,64 @@ def test_enumeration_streams_in_strict_order(n, m):
 def test_enumeration_cap():
     with pytest.raises(CapExceeded):
         list(enumerate_dissections(PolygonParams(3, 2), cap=10))
+
+
+# --------------------------------------------------------------------- census
+
+
+def enumerated_census(n: int, m: int) -> dict[tuple[int, int], int]:
+    """The census by enumeration: the derived invariant of every component
+    of every dissection's quiver."""
+    tally: Counter[tuple[int, int]] = Counter()
+    for t in enumerate_dissections(PolygonParams(n, m), cap=None):
+        for comp in components(quiver_of(t)):
+            inv = derived_invariant(comp.quiver)
+            tally[(inv.s, inv.r)] += 1
+    return dict(tally)
+
+
+# Every cell with N <= 14 but 10/1 and 11/1 (58,786 and 208,012 dissections).
+CENSUS_CELLS = [
+    (n, m)
+    for m in range(1, 7)
+    for n in range(1, 12)
+    if (n + 1) * m + 2 <= 14 and (n, m) not in {(10, 1), (11, 1)}
+]
+
+
+@pytest.mark.parametrize("n,m", CENSUS_CELLS)
+def test_census_counts_match_enumeration(n, m):
+    got = census_counts(PolygonParams(n, m), cap=None)
+    assert got == enumerated_census(n, m)
+    assert list(got) == sorted(got)
+
+
+@pytest.mark.parametrize("n,m", [(40, 1), (20, 2), (10, 4)])
+def test_census_counts_identities_beyond_enumeration(monkeypatch, n, m):
+    consulted = []
+
+    def spy(nn: int, mm: int) -> int:
+        consulted.append((nn, mm))
+        return fuss_catalan(nn, mm)
+
+    monkeypatch.setattr(geometry, "fuss_catalan", spy)
+    got = census_counts(PolygonParams(n, m), cap=None)
+    # It returned, so the dissections it counted are the ones consulted.
+    assert consulted == [(n, m)]
+    total = fuss_catalan(n, m)
+    assert sum(s * count for (s, _), count in got.items()) == n * total
+    if m == 1:
+        # A triangulation's quiver is connected, and the triangulations of
+        # the N-gon without an inner triangle number N * 2^(N-5).
+        N = n + 3
+        assert sum(got.values()) == total
+        assert got[(n, 0)] == N * 2 ** (N - 5)
+
+
+def test_census_counts_refuses_over_the_cap():
+    with pytest.raises(CapExceeded, match="14 dissections exceed the cap of 13"):
+        census_counts(PolygonParams(3, 1), cap=13)
+    assert census_counts(PolygonParams(3, 1), cap=14) == {(3, 0): 12, (3, 1): 2}
 
 
 # ---------------------------------------------------------------------- moves
