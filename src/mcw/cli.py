@@ -16,7 +16,7 @@ import re
 import sys
 from collections import defaultdict
 from contextlib import contextmanager
-from itertools import chain
+from itertools import chain, islice
 from typing import Any, Iterator, Mapping, NoReturn, TextIO
 
 import click
@@ -335,13 +335,12 @@ def equiv_cmd(left: str, right: str, out: str | None) -> None:
 @main.command("census")
 @click.option("--n", type=int, required=True)
 @click.option("--m", type=int, required=True)
-@click.option("--cap", type=_CAP, default=10**6, show_default=True)
 @_out_opt
-def census_cmd(n: int, m: int, cap: int, out: str | None) -> None:
+def census_cmd(n: int, m: int, out: str | None) -> None:
     """Component counts of every (s, r) class across all dissections."""
 
     def work() -> None:
-        tally = census_counts(PolygonParams(n, m), cap=cap)
+        tally = census_counts(PolygonParams(n, m))
         lines = [dumps({"s": s, "r": r, "count": count}) for (s, r), count in tally.items()]
         _emit("\n".join(lines) + "\n", out)
 
@@ -398,15 +397,10 @@ def _check_cell(n: int, m: int, rng: random.Random, samples: int) -> str:
             )
 
     checked = 0
-    admissible = [
-        (t, d, k)
-        for t in ts
-        for d in t.diagonals
-        for k in (1, -1)
-        if preserves_invariant(t, d, k)
-    ]
-    rng.shuffle(admissible)
-    for t, d, k in admissible[:samples]:
+    moves = [(t, d, k) for t in ts for d in t.diagonals for k in (1, -1)]
+    rng.shuffle(moves)
+    admissible = (move for move in moves if preserves_invariant(*move))
+    for t, d, k in islice(admissible, samples):
         q = quiver_of(t)
         assert q.vertex_labels is not None
         site = q.vertex_labels.index(d)
@@ -436,10 +430,16 @@ def _check_cell(n: int, m: int, rng: random.Random, samples: int) -> str:
 
 
 @main.command("check")
-@click.option("--n", type=int, required=True, help="Largest n, inclusive.")
-@click.option("--m", type=int, required=True, help="Largest m, inclusive.")
+@click.option("--n", type=click.IntRange(min=1), required=True, help="Largest n, inclusive.")
+@click.option("--m", type=click.IntRange(min=1), required=True, help="Largest m, inclusive.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--samples", type=int, default=20, show_default=True)
+@click.option(
+    "--samples",
+    type=click.IntRange(min=0),
+    default=20,
+    show_default=True,
+    help="Admissible moves checked per cell.",
+)
 def check_cmd(n: int, m: int, seed: int, samples: int) -> None:
     """Run the invariant suite over every cell n' <= n, m' <= m."""
 

@@ -271,13 +271,6 @@ def fuss_catalan(n: int, m: int) -> int:
     return math.comb((m + 1) * (n + 1), n) // (n + 1)
 
 
-def _capped_total(p: PolygonParams, cap: int | None) -> int:
-    total = fuss_catalan(p.n, p.m)
-    if cap is not None and total > cap:
-        raise CapExceeded(f"{total} dissections exceed the cap of {cap}")
-    return total
-
-
 def enumerate_dissections(p: PolygonParams, cap: int | None = 10**6) -> Iterator[Dissection]:
     """Yield every maximal dissection exactly once, in lexicographic order on
     the sorted diagonal tuple.
@@ -285,7 +278,9 @@ def enumerate_dissections(p: PolygonParams, cap: int | None = 10**6) -> Iterator
     Refuses parameter ranges whose Fuss-Catalan count exceeds `cap`
     (pass cap=None to disable the guard).
     """
-    _capped_total(p, cap)
+    total = fuss_catalan(p.n, p.m)
+    if cap is not None and total > cap:
+        raise CapExceeded(f"{total} dissections exceed the cap of {cap}")
     N, m = p.N, p.m
 
     def regions(lo: int, hi: int) -> Iterator[tuple[Diagonal, ...]]:
@@ -373,7 +368,7 @@ def _convolve(dst: dict[int, int], x: dict[int, int], y: dict[int, int]) -> None
             dst[key] = get(key, 0) + vx * vy
 
 
-def census_counts(p: PolygonParams, cap: int | None = 10**6) -> dict[tuple[int, int], int]:
+def census_counts(p: PolygonParams) -> dict[tuple[int, int], int]:
     """Components of each class (s, r) summed over every maximal dissection,
     counted without building one, as {(s, r): count} in increasing (s, r)
     order: s is the vertex count, r the number of full (m+2)-cycles.
@@ -393,12 +388,12 @@ def census_counts(p: PolygonParams, cap: int | None = 10**6) -> dict[tuple[int, 
     other closes; a cell of diagonals only adds a full cycle.  The root
     cell lies on the boundary edge (N-1, 0), so all its runs close.
 
-    Refuses (CapExceeded) when FC(n, m) exceeds `cap`, although the work no
-    longer grows with FC.  Raises CensusError unless the dissections
-    counted are fuss_catalan(n, m) and the component sizes sum to n times
-    that, every diagonal being a vertex of exactly one component.
+    The work grows polynomially in N, not with FC(n, m), so no cap bounds
+    it.  Raises CensusError unless the dissections counted are
+    fuss_catalan(n, m) and the component sizes sum to n times that, every
+    diagonal being a vertex of exactly one component.
     """
-    total = _capped_total(p, cap)
+    total = fuss_catalan(p.n, p.m)
     N, m = p.N, p.m
     K = p.n + 1  # (s, r) is keyed s*K + r, as r <= s <= n < K
     # region[L] = (count, open, closed) below a diagonal over an arc of length L

@@ -11,7 +11,7 @@ Both run the one audited core, ``_smith``.  ``snf_diagonal`` memoizes its
 result in a bounded ``functools.lru_cache`` keyed by the immutable matrix,
 so a matrix met again while it is cached is not recomputed or re-audited.
 ``cartan_matrix`` has a small memo of its own, keyed by the quiver value,
-so the tilting moves out of one state count its paths once.
+so consecutive reduction steps, which share a state, count its paths once.
 """
 
 from __future__ import annotations
@@ -109,9 +109,10 @@ def determinant(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1] if n else 1
 
 
-# Every move out of a state reads the state's entry, which keeps it recent
-# while the moves' results come and go.  Quiver equality ignores vertex
-# labels, and so does the count.
+# A reduction step reads its state's matrix in the move's Happel check and
+# again in its MoveRecord, and the state after one step is the state before
+# the next: on the s = 40 reduction in tests/data, 927 of 1,830 calls hit.
+# Quiver equality ignores vertex labels, and so does the count.
 @lru_cache(maxsize=8)
 def cartan_matrix(q: QuiverWithRelations) -> IntMatrix:
     """Count relation-free paths between vertices.
@@ -121,7 +122,7 @@ def cartan_matrix(q: QuiverWithRelations) -> IntMatrix:
     i == j.  Quivers with a relation-free cycle have no finite count and
     are reported as an error; the depth guard is one more than the number
     of arrows, which no repetition-free path can exceed.  Memoized per
-    quiver value, so the moves out of one state share one count.
+    quiver value.
     """
 
     n = q.vertex_count
@@ -288,9 +289,10 @@ def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
     )
 
 
-# The bound keeps the memo's resident size near 0.2 MB.  With 4096 entries,
-# `mcw census --n 7 --m 1` (1,000 distinct Cartan matrices among 1,430
-# components) peaked about 0.6 MB higher than with 256, and ran no faster.
+# A reduction step's MoveRecord reads the Smith form before and after the
+# move, and the state after one step is the state before the next: 457 of
+# 915 calls hit on the s = 40 reduction in tests/data, and 3,506 of 3,642
+# on `mcw check --n 4 --m 2 --seed 1`, whose 136 distinct matrices all fit.
 @lru_cache(maxsize=256)
 def snf_diagonal(m: IntMatrix) -> tuple[int, ...]:
     """Diagonal of the audited Smith normal form.

@@ -15,18 +15,15 @@ Rejected moves raise :class:`MoveRejected`; internal consistency failures
 (a move that passed its preconditions but broke an invariant that the
 theory guarantees) raise :class:`MutationError`.
 
-Every check runs on every move, but what a check reads off the state being
-moved is computed once per state, not once per move: its component count
-and full-cycle count are cached on the quiver value, its Cartan matrix and
-its opposite quiver come from small memos in ``homology`` and ``algebra``.
-``preserves_invariant`` likewise computes each dissection's component
-partition and full-cycle count once, in a memo keyed by its diagonals.
+Every check runs on every move.  A state's component count and full-cycle
+count are cached on the quiver value, and its Cartan matrix and Smith form
+come from memos in ``homology``, so a reduction step does not recompute
+what the step before it computed for the same state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .algebra import (
@@ -40,7 +37,7 @@ from .algebra import (
     opposite,
     quiver_of,
 )
-from .geometry import Diagonal, Dissection, PolygonParams, apply_move
+from .geometry import Diagonal, Dissection, apply_move
 from .homology import (
     DerivedInvariant,
     HomologyError,
@@ -359,26 +356,17 @@ def preserves_invariant(t: Dissection, d: Diagonal, k: int) -> bool:
     t2 = apply_move(t, d, k)
     replaced = set(t2.diagonals) - set(t.diagonals)
     image = replaced.pop() if replaced else d
-    parts1, full1 = _dissection_profile(t.params, t.diagonals)
-    parts2, full2 = _dissection_profile(t2.params, t2.diagonals)
+    parts1, full1 = _dissection_profile(t)
+    parts2, full2 = _dissection_profile(t2)
     renamed = {frozenset(d if x == image else x for x in part) for part in parts2}
     return parts1 == renamed and full1 == full2
 
 
-# ``mcw check`` asks about every (dissection, diagonal, +-1) of a cell, so
-# each dissection comes up about 4n times, on the unmoved side 2n times in a
-# row.  256 entries hold every cell of `mcw check --n 4 --m 2` (the largest
-# has 55 dissections).  The key is the polygon and the diagonals, not the
-# Dissection, so an entry does not keep a moved dissection and its cell-walk
-# cache alive: keyed by Dissection, 64 entries peaked as high as 256 do here.
-@lru_cache(maxsize=256)
-def _dissection_profile(
-    params: PolygonParams, diagonals: tuple[Diagonal, ...]
-) -> tuple[frozenset[frozenset[Diagonal]], int]:
+def _dissection_profile(t: Dissection) -> tuple[frozenset[frozenset[Diagonal]], int]:
     """The components of the dissection's quiver as sets of diagonals, and
     its number of full-relation cycles."""
 
-    q = quiver_of(Dissection(params, diagonals))
+    q = quiver_of(t)
     assert q.vertex_labels is not None
     parts = frozenset(
         frozenset(q.vertex_labels[v] for v in comp.vertices) for comp in components(q)

@@ -16,15 +16,15 @@ searches over states and nothing is memoized between calls.
    interior vertices carry no other arrow goes whole by ``rel_rem``; any
    other run is drained at an end whose far side holds no further run,
    which hands its last relation outward until it leaves at a leaf
-   (``remove_tail_relation``).
+   (``drop_relation``).
 2. ``chain``: rooted at a cycle with at most one cycle-bearing side, the
    cycles slide along the single arrows between them until neighbours share
    a vertex, the tree of cycles is compacted into a chain, the remaining
    arrows are moved onto one side of the root, and the connectors are
-   turned to the positions ``classify_vertices`` names.
+   turned to the positions ``connector_position`` names.
 3. ``tail``: the tail is oriented away from the last connector
-   (``linearize_tail``); with r = 0 the whole tree is a path, oriented from
-   one of its leaves.
+   (``orient``); with r = 0 the whole tree is a path, oriented from one of
+   its leaves.
 
 The steps are planned in the cell picture described above ``_blocks``.
 Every step goes through ``apply_mutation`` and ``record_move``, so each one
@@ -37,14 +37,13 @@ smaller ``cap``; it is checked before each step and raises
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .algebra import (
     Cycle,
     QuiverWithRelations,
     canonical_key,
     components,
-    full_relation_cycles,
     iso_quivers,
     quiver,
     quiver_of,
@@ -190,25 +189,6 @@ class ReductionTrace:
 def step_cap(s: int, m: int) -> int:
     """Hard bound on reduction length; exceeding it signals a bug."""
     return 50 * s * (m + 2)
-
-
-def _candidate_chains(q: QuiverWithRelations) -> Iterator[tuple[int, ...]]:
-    """Vertex paths eligible for relation-chain removal: each maximal
-    zero-run and its >= 2-arrow prefixes (runs on full cycles never qualify
-    because every cycle relation has a predecessor)."""
-
-    by_id = {a.id: a for a in q.arrows}
-    seconds = {second for _, second in q.relations}
-    for first, second in sorted(r for r in q.relations if r[0] not in seconds):
-        run = [first, second]
-        while True:
-            nxt = [s for f, s in q.relations if f == run[-1]]
-            if not nxt:
-                break
-            run.append(nxt[0])
-        verts = [by_id[run[0]].source] + [by_id[a].target for a in run]
-        for end in range(3, len(verts) + 1):
-            yield tuple(verts[:end])
 
 
 # --- the cell picture ----------------------------------------------------------
@@ -367,24 +347,21 @@ class _Reduction:
         vertices carry nothing else goes whole by rel_rem, and any other run
         is drained toward a leaf."""
         while True:
-            run = self._bare_run()
-            if run is not None:
-                self._take("rel_rem", run, "relations")
-            elif any(not full and len(vs) > 2 for full, vs in _blocks(self.state)):
-                self.drop_relation()
-            else:
+            q = self.state
+            runs = [vs for full, vs in _blocks(q) if not full and len(vs) > 2]
+            if not runs:
                 return
-
-    def _bare_run(self) -> tuple[int, ...] | None:
-        q = self.state
-        firsts = {first for first, _ in q.relations}
-        arrow_id = {(a.source, a.target): a.id for a in q.arrows}
-        for chain in _candidate_chains(q):
-            if arrow_id[chain[-2], chain[-1]] in firsts:
-                continue
-            if all(len(q.in_arrows[v]) + len(q.out_arrows[v]) == 2 for v in chain[1:-1]):
-                return chain
-        return None
+            bare = [
+                vs
+                for vs in runs
+                if all(len(q.in_arrows[v]) + len(q.out_arrows[v]) == 2 for v in vs[1:-1])
+            ]
+            if bare:
+                # Arrow ids follow (source, target), so this is the run
+                # with the smallest first arrow.
+                self._take("rel_rem", min(bare), "relations")
+            else:
+                self.drop_relation()
 
     def drop_relation(self) -> None:
         """Drain runs until one relation has left the quiver.
@@ -546,8 +523,8 @@ class _Reduction:
 
     def _place_connectors(self) -> None:
         """Turn each connector until every cycle's exit (toward the root, or
-        the tail on the root) is the connector ``classify_vertices`` names
-        for its entry (the connector on the deeper side).  Fixed from the
+        the tail on the root) sits ``connector_position`` places after its
+        entry (the connector on the deeper side).  Fixed from the
         root outward; a turn blocked by the next cycle's own connectors first
         makes room one cycle deeper."""
         m = self.state.m
@@ -563,16 +540,7 @@ class _Reduction:
             chain = self._chain(shape)
             (c, exit_), entry = chain[i], chain[i + 1][1]
             vs = shape.cells[c][1]
-            order = vs[vs.index(entry) :] + vs[: vs.index(entry)]
-            arrow_id = {(a.source, a.target): a.id for a in self.state.arrows}
-            cycle = Cycle(
-                tuple(arrow_id[a, b] for a, b in zip(order, order[1:] + order[:1])),
-                order,
-                True,
-            )
-            roles = classify_vertices(cycle, m)
-            target = next(v for v in order[1:] if roles[v] == "connector")
-            return order.index(exit_) - order.index(target), entry
+            return (vs.index(exit_) - vs.index(entry)) % len(vs) - conn, entry
 
         def shift(i: int, d: int) -> None:
             # Turning the next connector must not carry it onto the next
@@ -680,89 +648,6 @@ def reduce(t: Dissection, component: int = 0) -> ReductionTrace:
             f"component {component} out of range; quiver has {len(comps)}"
         )
     return reduce_component(comps[component].quiver)
-
-
-def _tail_arrow(q: QuiverWithRelations, a: int, b: int):
-    hits = [x for x in q.arrows if {x.source, x.target} == {a, b}]
-    if len(hits) != 1:
-        raise NormalFormError(f"tail vertices {a}, {b} are not joined by one arrow")
-    return hits[0]
-
-
-def linearize_tail(q: QuiverWithRelations, tail: Sequence[int]) -> list[MoveRecord]:
-    """The tail phase on one relation-free path hanging at ``tail[0]``.
-
-    ``tail[0]`` is the protected attachment and is never mutated; every
-    other tail vertex must carry no arrows besides the path's own.  Returns
-    the accepted moves after which the path is a directed path leaving
-    ``tail[0]``; reversing a stretch re-orders its vertices, so the result
-    is a path from ``tail[0]`` through the same vertices, not necessarily in
-    the order given.  Empty if the path already leaves ``tail[0]``.
-    """
-
-    path = list(tail)
-    if len(set(path)) != len(path):
-        raise NormalFormError("tail revisits a vertex")
-    if len(path) < 2:
-        return []
-    arrows = [_tail_arrow(q, a, b) for a, b in zip(path, path[1:])]
-    ids = {a.id for a in arrows}
-    if any(f in ids or s in ids for f, s in q.relations):
-        raise NormalFormError("tail carries a relation; remove it first")
-    for v in path[1:]:
-        incident = {a.id for a in q.in_arrows[v]} | {a.id for a in q.out_arrows[v]}
-        if incident - ids:
-            raise NormalFormError(f"tail vertex {v} has arrows off the path")
-    near = next(
-        (cell for cell in _blocks(q) if path[0] in cell[1] and path[1] not in cell[1]),
-        None,
-    )
-    red = _Reduction(q, step_cap(len(path), q.m))
-    red.orient(path[0], near, "tail")
-    return red.steps
-
-
-def remove_tail_relation(q: QuiverWithRelations, endpoint: int) -> list[MoveRecord]:
-    """The relations phase's leaf-inward step, from a cycle-free leaf.
-
-    Returns the empty list when the leaf's branch (the vertices reachable
-    from it without entering a cycle) carries no relation.  Otherwise runs
-    are drained, each at an end whose far side holds no other run, until
-    the quiver has one relation fewer; the relation leaves at a leaf of a
-    relation-free side, which need not be ``endpoint`` itself.
-    """
-
-    on_cycle = {
-        v
-        for cyc in full_relation_cycles(q).cycles
-        if cyc.full_relations
-        for v in cyc.vertices
-    }
-    if endpoint in on_cycle:
-        raise NormalFormError(f"vertex {endpoint} lies on a cycle")
-    degree = len(q.in_arrows[endpoint]) + len(q.out_arrows[endpoint])
-    if degree > 1:
-        raise NormalFormError(f"vertex {endpoint} is not a leaf")
-
-    branch = {endpoint}
-    frontier = [endpoint]
-    while frontier:
-        v = frontier.pop()
-        for a in q.in_arrows[v] + q.out_arrows[v]:
-            for w in (a.source, a.target):
-                if w not in branch and w not in on_cycle:
-                    branch.add(w)
-                    frontier.append(w)
-    branch_arrows = {
-        a.id
-        for v in branch
-        for a in q.in_arrows[v] + q.out_arrows[v]
-    }
-    if not any(f in branch_arrows for f, _ in q.relations):
-        return []
-    red = _Reduction(q, step_cap(q.vertex_count, q.m))
-    red.drop_relation()
-    return red.steps
 
 
 def derived_equivalent(a: QuiverWithRelations, b: QuiverWithRelations) -> bool:

@@ -37,7 +37,6 @@ from mcw.mutation import (
 )
 from mcw.normalform import (
     NormalFormSpec,
-    _candidate_chains,
     build_normal_form,
     derived_equivalent,
     reduce_component,
@@ -320,6 +319,25 @@ def test_criterion_7_partitions_coincide(reduction_sweep):
 
 
 # --- criterion 8: relation-chain removal --------------------------------------
+
+
+def _candidate_chains(q):
+    """Vertex paths eligible for relation-chain removal: each maximal
+    zero-run and its >= 2-arrow prefixes (runs on full cycles never qualify
+    because every cycle relation has a predecessor)."""
+
+    by_id = {a.id: a for a in q.arrows}
+    seconds = {second for _, second in q.relations}
+    for first, second in sorted(r for r in q.relations if r[0] not in seconds):
+        run = [first, second]
+        while True:
+            nxt = [s for f, s in q.relations if f == run[-1]]
+            if not nxt:
+                break
+            run.append(nxt[0])
+        verts = [by_id[run[0]].source] + [by_id[a].target for a in run]
+        for end in range(3, len(verts) + 1):
+            yield tuple(verts[:end])
 
 
 def test_criterion_8_relation_chain_removal():

@@ -115,14 +115,14 @@ def test_enumerate_streams_without_holding_its_output(runner, tmp_path):
     assert peak_mb < MATERIALIZED_PEAK_MB / 2
 
 
-@pytest.mark.parametrize("command", ["enumerate", "census"])
+@pytest.mark.parametrize("command", ["enumerate"])
 def test_cap_zero_is_enforced(runner, command):
     result = invoke(runner, command, "--n", "3", "--m", "1", "--cap", "0")
     assert result.exit_code == 3
     assert "exceed the cap of 0" in result.output
 
 
-@pytest.mark.parametrize("command", ["enumerate", "census", "reduce"])
+@pytest.mark.parametrize("command", ["enumerate", "reduce"])
 def test_negative_cap_is_a_usage_error(runner, tmp_path, command):
     if command == "reduce":
         src = write_dissection(tmp_path / "t.json", 3, 1, [(0, 2), (2, 5), (3, 5)])
@@ -377,6 +377,51 @@ def test_check_small_grid_passes(runner):
     result = invoke(runner, "check", "--n", "2", "--m", "2", "--samples", "5")
     assert result.exit_code == 0
     assert "all checks passed" in result.output
+
+
+def test_census_has_no_cap(runner):
+    result = invoke(runner, "census", "--n", "3", "--m", "1", "--cap", "0")
+    assert result.exit_code == 2
+    assert "No such option" in result.output
+
+
+def test_check_refuses_negative_samples(runner):
+    result = invoke(runner, "check", "--n", "3", "--m", "1", "--samples", "-1")
+    assert result.exit_code == 2
+    assert "-1 is not in the range x>=0" in result.output
+
+
+@pytest.mark.parametrize("n,m", [("0", "1"), ("1", "0")])
+def test_check_refuses_an_empty_grid(runner, n, m):
+    result = invoke(runner, "check", "--n", n, "--m", m)
+    assert result.exit_code == 2
+    assert "0 is not in the range x>=1" in result.output
+    assert "all checks passed" not in result.output
+
+
+@pytest.mark.parametrize("samples", [0, 20])
+def test_check_tests_moves_only_until_the_sample_is_full(runner, monkeypatch, samples):
+    # Every move counts as admissible here, and the algebra side agrees with
+    # geometry, so each cell tests exactly min(samples, moves) of its moves.
+    tested = []
+
+    def admissible(t, d, k):
+        tested.append(t.params)
+        return True
+
+    monkeypatch.setattr(mcw.cli, "preserves_invariant", admissible)
+    monkeypatch.setattr(mcw.cli, "tilting_mutation_plus", lambda q, site: q)
+    monkeypatch.setattr(mcw.cli, "iso_quivers", lambda a, b: ())
+    result = invoke(runner, "check", "--n", "3", "--m", "2", "--samples", str(samples))
+    assert result.exit_code == 0
+    lines = result.output.splitlines()
+    cells = [(n, m) for m in (1, 2) for n in (1, 2, 3)]
+    for (n, m), line in zip(cells, lines):
+        want = min(samples, 2 * n * fuss_catalan(n, m))
+        assert tested.count(PolygonParams(n, m)) == want, (n, m)
+        assert line.endswith(f"{want} sampled moves ok"), line
+    assert len(tested) == sum(min(samples, 2 * n * fuss_catalan(n, m)) for n, m in cells)
+    assert lines[-1] == "all checks passed"
 
 
 def test_census_counts_without_enumerating(runner, monkeypatch):

@@ -337,7 +337,7 @@ CENSUS_CELLS = [
 
 @pytest.mark.parametrize("n,m", CENSUS_CELLS)
 def test_census_counts_match_enumeration(n, m):
-    got = census_counts(PolygonParams(n, m), cap=None)
+    got = census_counts(PolygonParams(n, m))
     assert got == enumerated_census(n, m)
     assert list(got) == sorted(got)
 
@@ -351,7 +351,7 @@ def test_census_counts_identities_beyond_enumeration(monkeypatch, n, m):
         return fuss_catalan(nn, mm)
 
     monkeypatch.setattr(geometry, "fuss_catalan", spy)
-    got = census_counts(PolygonParams(n, m), cap=None)
+    got = census_counts(PolygonParams(n, m))
     # It returned, so the dissections it counted are the ones consulted.
     assert consulted == [(n, m)]
     total = fuss_catalan(n, m)
@@ -362,12 +362,6 @@ def test_census_counts_identities_beyond_enumeration(monkeypatch, n, m):
         N = n + 3
         assert sum(got.values()) == total
         assert got[(n, 0)] == N * 2 ** (N - 5)
-
-
-def test_census_counts_refuses_over_the_cap():
-    with pytest.raises(CapExceeded, match="14 dissections exceed the cap of 13"):
-        census_counts(PolygonParams(3, 1), cap=13)
-    assert census_counts(PolygonParams(3, 1), cap=14) == {(3, 0): 12, (3, 1): 2}
 
 
 # ---------------------------------------------------------------------- moves

@@ -31,10 +31,8 @@ from mcw.normalform import (
     classify_vertices,
     connector_position,
     derived_equivalent,
-    linearize_tail,
     reduce,
     reduce_component,
-    remove_tail_relation,
     step_cap,
 )
 
@@ -435,86 +433,75 @@ def test_reduce_sampled_tree_at_s10():
     check_trace(q, trace)
 
 
-# --- tail utilities ----------------------------------------------------------
+# --- tail and relation clean-up through reduce_component ---------------------
 
 
 def test_linearize_tail_already_uniform():
     q = quiver(2, 3, [(0, 1), (1, 2)])
-    assert linearize_tail(q, (0, 1, 2)) == []
+    trace = reduce_component(q)
+    assert trace.steps == () and trace.final == q
 
 
 def test_linearize_tail_alternating_a4():
     q = quiver(1, 4, [(0, 1), (2, 1), (2, 3)])
-    moves = linearize_tail(q, (0, 1, 2, 3))
-    assert moves, "expected a non-empty reorientation"
-    assert all(mv.site != (0,) for mv in moves), "protected endpoint mutated"
-    final = replay(q, moves)
+    trace = reduce_component(q)
+    assert trace.steps and set(trace.phases) == {"tail"}
     # Reversing a stretch re-orders its vertices; the result is a directed
-    # path out of the protected endpoint through all four.
-    assert directed_path_from(final, 0) is not None
-    assert final.relations == frozenset()
+    # path through all four.
+    assert any(directed_path_from(trace.final, v) for v in range(4))
+    check_trace(q, trace)
+
+    # The same path hanging off a triangle at 0: the tail phase never moves
+    # the attachment or the cycle.
+    hung = quiver(
+        1,
+        6,
+        [(0, 1), (1, 2), (2, 0), (0, 3), (4, 3), (4, 5)],
+        [(0, 1), (1, 2), (2, 0)],
+    )
+    trace = reduce_component(hung)
+    assert trace.steps and set(trace.phases) == {"tail"}
+    assert all(rec.site[0] > 2 for rec in trace.steps), "attachment or cycle moved"
+    check_trace(hung, trace)
 
 
 def test_linearize_tail_wrong_direction_at_free_end():
     q = quiver(2, 3, [(0, 1), (2, 1)])
-    final = replay(q, linearize_tail(q, (0, 1, 2)))
-    assert final.arrow_pairs() == {(0, 1), (1, 2)}
-
-
-def test_linearize_tail_rejects_bad_input():
-    with_rel = quiver(2, 3, [(0, 1), (1, 2)], [(0, 1)])
-    with pytest.raises(NormalFormError, match="relation"):
-        linearize_tail(with_rel, (0, 1, 2))
-    branching = quiver(2, 4, [(0, 1), (1, 2), (1, 3)])
-    with pytest.raises(NormalFormError, match="off the path"):
-        linearize_tail(branching, (0, 1, 2))
-    gap = quiver(2, 3, [(0, 1)])
-    with pytest.raises(NormalFormError, match="not joined"):
-        linearize_tail(gap, (0, 2, 1))
+    trace = reduce_component(q)
+    assert len(trace.steps) == 1 and trace.phases == ("tail",)
+    assert trace.final.arrow_pairs() == {(0, 1), (1, 2)}
+    check_trace(q, trace)
 
 
 def test_remove_tail_relation_single():
     q = quiver(2, 3, [(0, 1), (1, 2)], [(0, 1)])
-    moves = remove_tail_relation(q, 2)
-    assert moves
-    final = replay(q, moves)
-    assert len(final.relations) == len(q.relations) - 1
-    assert derived_invariant(final) == derived_invariant(q)
+    trace = reduce_component(q)
+    dropped = [rec for rec, p in zip(trace.steps, trace.phases) if p == "relations"]
+    assert dropped
+    state = replay(q, dropped)
+    assert len(state.relations) == len(q.relations) - 1
+    assert derived_invariant(state) == derived_invariant(q)
+    check_trace(q, trace)
 
 
 def test_remove_tail_relation_empty_when_clean():
-    q = quiver(2, 3, [(0, 1), (1, 2)])
-    assert remove_tail_relation(q, 2) == []
-
-
-def test_remove_tail_relation_validates_endpoint():
-    q = quiver(2, 3, [(0, 1), (1, 2)], [(0, 1)])
-    with pytest.raises(NormalFormError, match="not a leaf"):
-        remove_tail_relation(q, 1)
-    triangle = build_normal_form(NormalFormSpec(3, 1, 1))
-    with pytest.raises(NormalFormError, match="on a cycle"):
-        remove_tail_relation(triangle, 0)
+    # No relation, so no relations-phase step, whether or not the path
+    # needs turning.
+    for q in (quiver(2, 3, [(0, 1), (1, 2)]), quiver(2, 4, [(0, 1), (2, 1), (2, 3)])):
+        trace = reduce_component(q)
+        assert "relations" not in trace.phases
+        check_trace(q, trace)
 
 
 def test_remove_tail_relation_sweeps_clear_a_chain():
-    state = quiver(
-        4, 5, [(0, 1), (1, 2), (2, 3), (3, 4)], [(0, 1), (1, 2), (2, 3)]
-    )
-    sweeps = 0
-    while state.relations:
-        leaves = [
-            v
-            for v in range(state.vertex_count)
-            if len(state.in_arrows[v]) + len(state.out_arrows[v]) == 1
-        ]
-        moves = next(
-            (mv for mv in map(lambda v: remove_tail_relation(state, v), leaves) if mv),
-            None,
-        )
-        assert moves is not None, state
-        state = replay(state, moves)
-        sweeps += 1
-    assert sweeps == 3
+    # A run of three relations with bare interior vertices leaves in one
+    # rel_rem, before the tail phase orients the path.
+    q = quiver(4, 5, [(0, 1), (1, 2), (2, 3), (3, 4)], [(0, 1), (1, 2), (2, 3)])
+    trace = reduce_component(q)
+    dropped = [rec for rec, p in zip(trace.steps, trace.phases) if p == "relations"]
+    assert [(rec.kind, rec.site) for rec in dropped] == [("rel_rem", (0, 1, 2, 3, 4))]
+    assert replay(q, dropped).relations == frozenset()
+    check_trace(q, trace)
 
 
 # --- equivalence decision ----------------------------------------------------
