@@ -38,6 +38,7 @@ from .geometry import (
     PolygonParams,
     census_counts,
     diagonal,
+    dissection_tuples,
     enumerate_dissections,
     fuss_catalan,
 )
@@ -65,6 +66,7 @@ from .render import RenderError, render
 from .serialize import (
     SerializeError,
     dissection_from_json,
+    dissection_lines,
     dissection_to_json,
     dumps,
     invariant_to_json,
@@ -196,12 +198,20 @@ def enumerate_cmd(n: int, m: int, cap: int, out: str | None) -> None:
     """List all dissections of the (m(n+1)+2)-gon, one JSON object per line."""
 
     def work() -> None:
-        ts = enumerate_dissections(PolygonParams(n, m), cap=cap)
+        p = PolygonParams(n, m)
+        tuples = dissection_tuples(p, cap=cap)
         # The cap is checked on the first pull, so a refused enumeration
         # writes nothing and leaves no --out file behind.
-        first = next(ts)
+        first = next(tuples)
+        lines = dissection_lines(p, chain((first,), tuples))
+        line = next(lines)
+        # The lines are rendered as text; the first must match the encoder's.
+        expected = dumps(dissection_to_json(Dissection(p, first))) + "\n"
+        if line != expected:
+            _fail(1, f"line renderer wrote {line!r}, the JSON encoder {expected!r}")
         with _output(out) as fh:
-            fh.writelines(dumps(dissection_to_json(t)) + "\n" for t in chain((first,), ts))
+            fh.write(line)
+            fh.writelines(lines)
 
     _guarded(work)
 

@@ -10,8 +10,11 @@ by a polygon rotation are distinct objects.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, product
 from operator import itemgetter
 from typing import Iterator
 
@@ -271,29 +274,19 @@ def fuss_catalan(n: int, m: int) -> int:
     return math.comb((m + 1) * (n + 1), n) // (n + 1)
 
 
-def enumerate_dissections(p: PolygonParams, cap: int | None = 10**6) -> Iterator[Dissection]:
-    """Yield every maximal dissection exactly once, in lexicographic order on
-    the sorted diagonal tuple.
+def dissection_tuples(
+    p: PolygonParams, cap: int | None = 10**6
+) -> Iterator[tuple[Diagonal, ...]]:
+    """Yield the sorted diagonal tuple of every maximal dissection exactly
+    once, in lexicographic order.
 
     Refuses parameter ranges whose Fuss-Catalan count exceeds `cap`
-    (pass cap=None to disable the guard).
+    (pass cap=None to disable the guard); the check runs on the first pull.
     """
     total = fuss_catalan(p.n, p.m)
     if cap is not None and total > cap:
         raise CapExceeded(f"{total} dissections exceed the cap of {cap}")
     N, m = p.N, p.m
-
-    def regions(lo: int, hi: int) -> Iterator[tuple[Diagonal, ...]]:
-        # Subdivisions of the polygon bounded by the arc lo..hi plus the
-        # closing chord (lo, hi); the chord itself is the caller's side.
-        if hi - lo == 1:
-            yield ()
-            return
-        for ws in corner_choices(lo, hi):
-            arcs = list(zip((lo,) + ws, ws + (hi,)))
-            inner = tuple(Diagonal(x, y) for x, y in arcs if y - x >= 2)
-            for parts in sub_products(arcs, 0):
-                yield inner + parts
 
     def corner_choices(lo: int, hi: int) -> Iterator[tuple[int, ...]]:
         # The m interior corners of the cell containing side (lo, hi); every
@@ -311,25 +304,57 @@ def enumerate_dissections(p: PolygonParams, cap: int | None = 10**6) -> Iterator
 
         yield from rec(lo, m)
 
-    arcs_cache: dict[tuple[int, int], list[tuple[Diagonal, ...]]] = {}
+    # The cells on the chord (lo, hi), each as the arcs it cuts off, for every
+    # arc lo..hi of at least 2 edges; the root cell is the arc 0..N-1's, on
+    # the boundary edge (N-1, 0).  uses counts the cells cutting off each arc.
+    cells = {
+        (lo, hi): [tuple(zip((lo,) + ws, ws + (hi,))) for ws in corner_choices(lo, hi)]
+        for lo in range(N)
+        for hi in range(lo + 2, N)
+        if (hi - lo) % m == 1 % m
+    }
+    uses = Counter(arc for choices in cells.values() for arcs in choices for arc in arcs)
+    blocks: dict[tuple[int, int], list[tuple[Diagonal, ...]]] = {}
+    edge: list[tuple[Diagonal, ...]] = [()]
 
-    def region_list(lo: int, hi: int) -> list[tuple[Diagonal, ...]]:
+    def block_list(lo: int, hi: int) -> list[tuple[Diagonal, ...]]:
+        # Sorted diagonal tuples of the region cut off by the arc lo..hi,
+        # the chord (lo, hi) included; a boundary edge has one empty block.
+        # Every diagonal of a block has its smaller endpoint in [lo, hi), so
+        # blocks of consecutive arcs concatenate in sorted order.  The chord
+        # goes after the first arc's diagonals at lo.  A list is dropped once
+        # the last cell cutting off its arc has taken it.
+        if hi - lo == 1:
+            return edge
         key = (lo, hi)
-        if key not in arcs_cache:
-            arcs_cache[key] = list(regions(lo, hi))
-        return arcs_cache[key]
+        out = blocks.get(key)
+        if out is None:
+            chord, after_lo = (Diagonal(lo, hi),), (lo + 1,)
+            out = blocks[key] = []
+            for parts in products(key):
+                k = bisect_left(parts[0], after_lo)
+                head = parts[0][:k] + chord + parts[0][k:]
+                out.append(sum(parts[1:], head))
+        uses[key] -= 1
+        if not uses[key]:
+            del blocks[key]
+        return out
 
-    def sub_products(arcs: list[tuple[int, int]], i: int) -> Iterator[tuple[Diagonal, ...]]:
-        if i == len(arcs):
-            yield ()
-            return
-        lo, hi = arcs[i]
-        for head in region_list(lo, hi):
-            for tail in sub_products(arcs, i + 1):
-                yield head + tail
+    def products(key: tuple[int, int]) -> Iterator[tuple[tuple[Diagonal, ...], ...]]:
+        # One block per arc, over every cell on the arc's chord.
+        return chain.from_iterable(
+            product(*[block_list(x, y) for x, y in arcs]) for arcs in cells[key]
+        )
 
-    # One sort of the plain diagonal tuples; the dissections are built lazily.
-    for diags in sorted(tuple(sorted(ds)) for ds in regions(0, N - 1)):
+    # One sort puts the tuples in lexicographic order; the blocks are
+    # already sorted inside.
+    yield from sorted(sum(parts, ()) for parts in products((0, N - 1)))
+
+
+def enumerate_dissections(p: PolygonParams, cap: int | None = 10**6) -> Iterator[Dissection]:
+    """Yield every maximal dissection exactly once, in lexicographic order on
+    the sorted diagonal tuple; see dissection_tuples for the cap."""
+    for diags in dissection_tuples(p, cap):
         yield Dissection(p, diags)
 
 
@@ -375,7 +400,7 @@ def census_counts(p: PolygonParams) -> dict[tuple[int, int], int]:
 
     Both are local to cells.  Two diagonals are joined iff they are
     consecutive sides of one cell, and a full cycle is a cell whose m+2
-    sides are all diagonals.  The recursion is enumerate_dissections': the
+    sides are all diagonals.  The recursion is dissection_tuples': the
     region below a diagonal over an arc of length L (L = 1 mod m) is the
     cell on that diagonal, whose other m+1 sides split L into gaps, each a
     boundary edge or the diagonal of a smaller region.  The count of a

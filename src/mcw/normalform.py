@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import (
-    Cycle,
     QuiverWithRelations,
     canonical_key,
     components,
@@ -132,31 +131,6 @@ def build_normal_form(spec: NormalFormSpec) -> QuiverWithRelations:
         entry = next_id
         next_id += 1
     return quiver(m, s, arrows, relations)
-
-
-def classify_vertices(cycle: Cycle, m: int) -> dict[int, str]:
-    """Vertex roles around one normal-form cycle.
-
-    The cycle's stored rotation designates the entry connector: position 0.
-    Walking along the orientation, positions 1..floor(m/2) are type B, the
-    next position is the exit connector, and the remaining positions are
-    type A.  Connectors belong to neither region.
-    """
-
-    if len(cycle) != m + 2 or not cycle.full_relations:
-        raise NormalFormError(
-            f"vertex classification needs a full-relation {m + 2}-cycle"
-        )
-    conn = connector_position(m)
-    roles: dict[int, str] = {}
-    for pos, v in enumerate(cycle.vertices):
-        if pos == 0 or pos == conn:
-            roles[v] = "connector"
-        elif pos < conn:
-            roles[v] = "B"
-        else:
-            roles[v] = "A"
-    return roles
 
 
 PHASES = ("relations", "chain", "tail")

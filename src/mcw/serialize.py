@@ -8,10 +8,17 @@ constructors so a hand-edited file gets the same validation as code.
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .algebra import QuiverWithRelations, quiver
-from .geometry import Dissection, GeometryError, dissection, validate_dissection
+from .geometry import (
+    Diagonal,
+    Dissection,
+    GeometryError,
+    PolygonParams,
+    dissection,
+    validate_dissection,
+)
 from .homology import DerivedInvariant, HomologyError, IntMatrix
 from .mutation import MoveRecord
 from .normalform import PHASES, ReductionTrace
@@ -74,6 +81,28 @@ def dissection_to_json(t: Dissection) -> dict[str, Any]:
         "m": t.params.m,
         "diagonals": list(map(list, t.diagonals)),
     }
+
+
+class _Fragments(dict):
+    """The JSON text "[a, b]" of each diagonal, made on first use."""
+
+    def __missing__(self, d: Diagonal) -> str:
+        text = self[d] = f"[{d[0]}, {d[1]}]"
+        return text
+
+
+def dissection_lines(
+    p: PolygonParams, tuples: Iterable[Sequence[Diagonal]]
+) -> Iterator[str]:
+    """One line per sorted diagonal tuple of a dissection of p, each the
+    text of ``dumps(dissection_to_json(t)) + "\\n"`` without building t, its
+    dict or an encoder call: the memoized diagonal fragments are joined
+    between the fixed head and tail of the object."""
+
+    fragment = _Fragments().__getitem__
+    head, tail = '{"diagonals": [', f'], "m": {p.m}, "n": {p.n}}}\n'
+    for ds in tuples:
+        yield head + ", ".join(map(fragment, ds)) + tail
 
 
 def dissection_from_json(obj: Any) -> Dissection:

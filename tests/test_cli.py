@@ -12,6 +12,8 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
+from itertools import pairwise
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,7 @@ from mcw.geometry import PolygonParams, dissection, enumerate_dissections, fuss_
 from mcw.normalform import NormalFormSpec, build_normal_form
 from mcw.serialize import (
     dissection_from_json,
+    dissection_lines,
     dissection_to_json,
     dumps,
     quiver_to_json,
@@ -56,6 +59,56 @@ def test_enumerate_pentagon(runner):
     parsed = [dissection_from_json(json.loads(line)) for line in lines]
     assert len(set(parsed)) == 5
     assert lines == sorted(lines)
+
+
+@pytest.mark.parametrize("n,m", [(9, 1), (4, 3)])
+def test_enumerate_lines_follow_the_dissection_order(runner, n, m):
+    # At N = 12 and N = 17 labels reach two digits, where the lines sorted
+    # as strings are no longer in the order of the dissections.
+    result = invoke(runner, "enumerate", "--n", str(n), "--m", str(m))
+    assert result.exit_code == 0
+    lines = result.output.splitlines()
+    got = [tuple(map(tuple, json.loads(line)["diagonals"])) for line in lines]
+    assert all(x < y for x, y in pairwise(got))
+    assert got == [t.diagonals for t in enumerate_dissections(PolygonParams(n, m))]
+    assert lines != sorted(lines)
+
+
+def test_enumerate_refuses_a_renderer_that_disagrees(runner, tmp_path, monkeypatch):
+    # The first line is also encoded as JSON; a renderer whose text differs
+    # stops the command before it writes anything.
+    def garbled(p, tuples):
+        return (line.replace(", ", ",") for line in dissection_lines(p, tuples))
+
+    monkeypatch.setattr(mcw.cli, "dissection_lines", garbled)
+    args = ["enumerate", "--n", "3", "--m", "1"]
+    result = invoke(runner, *args)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert "line renderer wrote" in result.stderr
+    out = tmp_path / "e.jsonl"
+    assert invoke(runner, *args, "--out", str(out)).exit_code == 1
+    assert not out.exists()
+
+
+def test_enumerate_encodes_only_the_first_line(runner, monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(mcw.cli, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in ("dumps", "dissection_to_json"):
+        monkeypatch.setattr(mcw.cli, name, counted(name))
+    result = invoke(runner, "enumerate", "--n", "6", "--m", "1")
+    assert result.exit_code == 0
+    assert len(result.output.splitlines()) == fuss_catalan(6, 1)
+    assert calls == {"dumps": 1, "dissection_to_json": 1}
 
 
 def test_enumerate_is_deterministic(runner):

@@ -31,6 +31,7 @@ from mcw.geometry import (
     crosses,
     diagonal,
     dissection,
+    dissection_tuples,
     enumerate_dissections,
     faces,
     fuss_catalan,
@@ -310,6 +311,26 @@ def test_enumeration_streams_in_strict_order(n, m):
 def test_enumeration_cap():
     with pytest.raises(CapExceeded):
         list(enumerate_dissections(PolygonParams(3, 2), cap=10))
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n, m in small_range(10, 4) if (n + 1) * m + 2 <= 12])
+def test_dissection_tuples_come_sorted(n, m):
+    # The blocks concatenate in sorted order, so no tuple is sorted again:
+    # each is strictly increasing, made of Diagonals, and equal to the
+    # Dissection's own normalized tuple.
+    p = PolygonParams(n, m)
+    tuples = list(dissection_tuples(p, cap=None))
+    for ds in tuples:
+        assert all(type(d) is Diagonal for d in ds)
+        assert all(x < y for x, y in pairwise(ds))
+    assert tuples == [Dissection(p, ds).diagonals for ds in tuples]
+    assert len(tuples) == fuss_catalan(n, m)
+
+
+def test_dissection_tuples_check_the_cap_on_the_first_pull():
+    stream = dissection_tuples(PolygonParams(3, 2), cap=10)
+    with pytest.raises(CapExceeded, match="55 dissections exceed the cap of 10"):
+        next(stream)
 
 
 # --------------------------------------------------------------------- census

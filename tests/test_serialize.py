@@ -8,13 +8,14 @@ import pytest
 
 from conftest import all_dissections
 from mcw.algebra import AlgebraError, quiver, quiver_of
-from mcw.geometry import dissection
+from mcw.geometry import Dissection, PolygonParams, dissection, dissection_tuples, fuss_catalan
 from mcw.homology import cartan_matrix, derived_invariant
 from mcw.mutation import record_move, tilting_mutation_plus
 from mcw.normalform import reduce
 from mcw.serialize import (
     SerializeError,
     dissection_from_json,
+    dissection_lines,
     dissection_to_json,
     dumps,
     invariant_from_json,
@@ -50,6 +51,34 @@ def test_dumps_and_dissection_json_keep_their_text():
 def test_dissection_round_trip_exhaustive():
     for t in all_dissections(3, 2):
         assert dissection_from_json(dissection_to_json(t)) == t
+
+
+@pytest.mark.parametrize(
+    "n,m",
+    [(n, m) for m in range(1, 7) for n in range(1, 12) if (n + 1) * m + 2 <= 14],
+)
+def test_dissection_lines_are_the_encoders_text(n, m):
+    # Every line enumerate writes, for every dissection with N <= 14, is the
+    # encoder's text for that dissection.  Loading the line back validates
+    # the dissection (about 0.2 ms each), so that runs on the cells of at
+    # most 5000 dissections: all but 9/1, 10/1 and 11/1.
+    p = PolygonParams(n, m)
+    tuples = list(dissection_tuples(p, cap=None))
+    assert len(tuples) == fuss_catalan(n, m)
+    load_back = len(tuples) <= 5000
+    for ds, line in zip(tuples, dissection_lines(p, tuples), strict=True):
+        t = Dissection(p, ds)
+        assert line == dumps(dissection_to_json(t)) + "\n"
+        if load_back:
+            assert dissection_from_json(json.loads(line)) == t
+
+
+def test_dissection_lines_render_any_diagonal_tuple():
+    # No diagonals, and labels of several digits, as the encoder writes them.
+    for n, m, chords in [(1, 1, []), (2, 40, [(0, 41), (41, 82)])]:
+        t = dissection(n, m, chords)
+        (line,) = dissection_lines(t.params, [t.diagonals])
+        assert line == dumps(dissection_to_json(t)) + "\n"
 
 
 def test_quiver_round_trip_exhaustive():
