@@ -1,5 +1,6 @@
 """Quivers with relations: construction from a dissection, gentleness
-diagnostics, components, oriented-cycle reports, and exact isomorphism.
+diagnostics, components, relation runs, oriented-cycle reports, and exact
+isomorphism.
 
 A quiver value is immutable and normalized: arrow ids are the positions in
 the (source, target)-sorted arrow list, so two equal presentations compare
@@ -91,9 +92,49 @@ class QuiverWithRelations:
         return sum(1 for v, root in enumerate(_component_roots(self)) if v == root)
 
     @cached_property
+    def runs(self) -> tuple[tuple[bool, tuple[int, ...]], ...]:
+        """The maximal relation runs as ``(closed, arrow ids)``, computed once
+        per quiver value.
+
+        Each arrow lies in exactly one run, and consecutive arrows of a run
+        compose to a relation; a relation-free arrow is a run of its own.  A
+        closed run lists its arrows from the smallest id, and is a
+        full-relation cycle unless it passes a vertex twice (which
+        ``realizability_report`` refuses); an open run lists them from its
+        first arrow.  Runs are ordered by their smallest arrow id.  An arrow
+        that starts or ends two relations raises ``AlgebraError``.
+        """
+        after: dict[int, int] = {}
+        before: dict[int, int] = {}
+        for first, second in sorted(self.relations):
+            for arrow, side, role in ((first, after, "starts"), (second, before, "ends")):
+                if arrow in side:
+                    a = self.arrow_by_id[arrow]
+                    raise AlgebraError(
+                        f"arrow {a.source}->{a.target} {role} two relations"
+                    )
+            after[first], before[second] = second, first
+        seen: set[int] = set()
+        found: list[tuple[bool, tuple[int, ...]]] = []
+        for a in self.arrows:
+            if a.id in seen:
+                continue
+            start = a.id
+            while start in before:
+                start = before[start]
+                if start == a.id:
+                    break
+            run = [start]
+            while run[-1] in after and after[run[-1]] != start:
+                run.append(after[run[-1]])
+            seen.update(run)
+            found.append((run[-1] in after, tuple(run)))
+        return tuple(found)
+
+    @cached_property
     def full_cycle_count(self) -> int:
-        """Number of full-relation cycles, computed once per quiver value."""
-        return full_relation_cycles(self).full_count
+        """Number of full-relation cycles: the closed relation runs."""
+        return sum(closed for closed, _ in self.runs)
 
     def arrow_pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset((a.source, a.target) for a in self.arrows)
@@ -299,47 +340,9 @@ def full_relation_cycles(q: QuiverWithRelations) -> CycleReport:
     return CycleReport(tuple(found))
 
 
-def cycle_relation_pairs(q: QuiverWithRelations) -> frozenset[tuple[int, int]]:
-    """Relation pairs lying on some full-relation cycle."""
-    pairs: set[tuple[int, int]] = set()
-    for cyc in full_relation_cycles(q).cycles:
-        if cyc.full_relations:
-            k = len(cyc.arrows)
-            pairs.update(
-                (cyc.arrows[i], cyc.arrows[(i + 1) % k]) for i in range(k)
-            )
-    return frozenset(pairs)
-
-
 def max_relation_chain(q: QuiverWithRelations) -> int:
-    """Length (in relations) of the longest run of consecutive zero-relations
-    not lying on a full-relation cycle."""
-    excluded = cycle_relation_pairs(q)
-    rels = [r for r in q.relations if r not in excluded]
-    by_first = {}
-    for r in rels:
-        by_first.setdefault(r[0], []).append(r)
-
-    best = 0
-    lengths: dict[tuple[int, int], int] = {}
-
-    def longest_from(r: tuple[int, int], stack: set) -> int:
-        if r in lengths:
-            return lengths[r]
-        if r in stack:
-            raise AlgebraError("relation chain closes a non-full cycle")
-        stack.add(r)
-        nxt = max(
-            (longest_from(s, stack) for s in by_first.get(r[1], [])),
-            default=0,
-        )
-        stack.discard(r)
-        lengths[r] = 1 + nxt
-        return lengths[r]
-
-    for r in rels:
-        best = max(best, longest_from(r, set()))
-    return best
+    """Length (in relations) of the longest open relation run."""
+    return max((len(run) - 1 for closed, run in q.runs if not closed), default=0)
 
 
 def _refine(

@@ -290,13 +290,7 @@ def mutate_cmd(infile: str, move_spec: str, out: str | None) -> None:
 @main.command("reduce")
 @_in_opt
 @click.option("--component", "comp_idx", type=int, default=0, show_default=True)
-@click.option(
-    "--cap",
-    type=_CAP,
-    default=None,
-    envvar="MCW_CAP",
-    help="Step cap override (also read from MCW_CAP).",
-)
+@click.option("--cap", type=_CAP, default=None, help="Step cap override.")
 @_out_opt
 def reduce_cmd(infile: str, comp_idx: int, cap: int | None, out: str | None) -> None:
     """Reduce one component to its normal form and print the trace."""

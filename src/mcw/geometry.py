@@ -99,12 +99,11 @@ def is_allowable(d: Diagonal, p: PolygonParams) -> bool:
 
 
 def crosses(d1: Diagonal, d2: Diagonal) -> bool:
-    """True iff the chords cross in the interior (shared endpoints do not)."""
-    if {d1.a, d1.b} & {d2.a, d2.b}:
-        return False
-    inside_a = d1.a < d2.a < d1.b
-    inside_b = d1.a < d2.b < d1.b
-    return inside_a != inside_b
+    """True iff the chords cross in the interior (shared endpoints do not):
+    exactly one endpoint of each lies strictly between the other's."""
+    a, b = d1
+    c, d = d2
+    return a < c < b < d or c < a < d < b
 
 
 @dataclass(frozen=True)
@@ -149,22 +148,17 @@ def dissection(n: int, m: int, chords: list[tuple[int, int]] | list[Diagonal]) -
     return Dissection(PolygonParams(n, m), diags)
 
 
-Side = tuple[int, int]
-
-
 @dataclass(frozen=True)
 class Face:
     """One cell of the dissection.
 
     corners: cell vertices starting from the smallest label, then proceeding
     clockwise (decreasing labels), per the fixed storage convention.
-    sides[i] joins corners[i] to corners[i+1] (cyclically); each side is
-    tagged with the index of the diagonal it lies on, or None for a boundary
-    edge of the polygon.
+    side_diagonals[i] is the index of the diagonal joining corners[i] to
+    corners[i+1] (cyclically), or None for a boundary edge of the polygon.
     """
 
     corners: tuple[int, ...]
-    sides: tuple[Side, ...] = field(compare=False)
     side_diagonals: tuple[int | None, ...] = field(compare=False)
 
 
@@ -230,14 +224,12 @@ def faces(t: Dissection) -> list[Face]:
     out: list[Face] = []
     for anti in _cells(t):
         corners = (anti[0],) + tuple(reversed(anti[1:]))
-        sides: list[Side] = []
         tags: list[int | None] = []
         for i, u in enumerate(corners):
             v = corners[(i + 1) % len(corners)]
-            sides.append((u, v))
             # A Diagonal hashes and compares as its plain (a, b) tuple.
             tags.append(index.get((u, v) if u < v else (v, u)))
-        out.append(Face(corners, tuple(sides), tuple(tags)))
+        out.append(Face(corners, tuple(tags)))
     return out
 
 

@@ -22,7 +22,7 @@ from itertools import chain
 from operator import mul
 from typing import Mapping, Sequence
 
-from .algebra import QuiverWithRelations, full_relation_cycles
+from .algebra import QuiverWithRelations
 
 
 class HomologyError(ValueError):
@@ -307,17 +307,11 @@ def snf_diagonal(m: IntMatrix) -> tuple[int, ...]:
 
 
 def cycle_parity_counts(q: QuiverWithRelations) -> tuple[int, int]:
-    """(odd, even) counts of fully-relational cycle lengths."""
+    """(odd, even) counts of fully-relational cycle lengths, read off the
+    closed relation runs."""
 
-    odd = even = 0
-    for cyc in full_relation_cycles(q).cycles:
-        if not cyc.full_relations:
-            continue
-        if len(cyc) % 2:
-            odd += 1
-        else:
-            even += 1
-    return odd, even
+    odd = sum(len(run) % 2 for closed, run in q.runs if closed)
+    return odd, q.full_cycle_count - odd
 
 
 def bh_diagonal(q: QuiverWithRelations) -> IntMatrix:

@@ -16,9 +16,11 @@ Rejected moves raise :class:`MoveRejected`; internal consistency failures
 theory guarantees) raise :class:`MutationError`.
 
 Every check runs on every move.  A state's component count and full-cycle
-count are cached on the quiver value, and its Cartan matrix and Smith form
-come from memos in ``homology``, so a reduction step does not recompute
-what the step before it computed for the same state.
+count are cached on the quiver value; the full-cycle count is the number of
+closed runs in ``QuiverWithRelations.runs``, the relation-run walk that
+also gives the zero-chains a source move follows.  Its Cartan matrix and
+Smith form come from memos in ``homology``, so a reduction step does not
+recompute what the step before it computed for the same state.
 """
 
 from __future__ import annotations
@@ -203,22 +205,21 @@ def mutation_complexes(
 
 
 def _chase_zero_chain(q: QuiverWithRelations, start: Arrow) -> list[Arrow]:
-    """Follow the unique run of zero-compositions starting at ``start``."""
+    """The rest of ``start``'s relation run, from ``start`` on.
 
-    chain = [start]
-    seen = {start.id}
-    while True:
-        nxt = [
-            b for b in q.out_arrows[chain[-1].target] if (chain[-1].id, b.id) in q.relations
-        ]
-        if not nxt:
-            return chain
-        if len(nxt) > 1:
-            raise AlgebraError("two zero continuations; not gentle")
-        if nxt[0].id in seen:
-            raise MoveRejected("zero-chain from the mutation vertex wraps a cycle")
-        chain.append(nxt[0])
-        seen.add(nxt[0].id)
+    From a source, a zero-chain can come back on itself only through an
+    arrow that ends two relations, where ``q.runs`` refuses."""
+
+    try:
+        runs = q.runs
+    except AlgebraError as exc:
+        raise MoveRejected(
+            f"zero-chain from the mutation vertex wraps a cycle or branches: {exc}"
+        ) from exc
+    closed, run = next(r for r in runs if start.id in r[1])
+    if closed:
+        raise MoveRejected("zero-chain from the mutation vertex wraps a cycle")
+    return [q.arrow_by_id[a] for a in run[run.index(start.id) :]]
 
 
 def _check_acceptance(

@@ -185,28 +185,14 @@ _Cell = tuple[bool, tuple[int, ...]]
 
 
 def _blocks(q: QuiverWithRelations) -> list[_Cell]:
-    """``(True, cycle)`` per full-relation cycle, vertices in arrow order
-    from the smallest, and ``(False, run)`` per maximal relation run of one
-    or more arrows, vertices in arrow order."""
+    """``q.runs`` as cells: ``(True, cycle)`` per closed run, vertices in
+    arrow order from the smallest, and ``(False, run)`` per open run,
+    vertices in arrow order."""
 
-    after = dict(q.relations)
-    before = {second: first for first, second in q.relations}
     arrow = q.arrow_by_id
-    seen: set[int] = set()
     cells: list[_Cell] = []
-    for a in q.arrows:
-        if a.id in seen:
-            continue
-        start = a.id
-        while start in before:
-            start = before[start]
-            if start == a.id:
-                break
-        run = [start]
-        while run[-1] in after and after[run[-1]] != start:
-            run.append(after[run[-1]])
-        seen.update(run)
-        if run[-1] in after:
+    for closed, run in q.runs:
+        if closed:
             cyc = [arrow[x].source for x in run]
             low = cyc.index(min(cyc))
             cells.append((True, tuple(cyc[low:] + cyc[:low])))

@@ -123,6 +123,55 @@ def test_chain_bound_on_sampled_range():
             assert max_relation_chain(quiver_of(t)) <= m - 1
 
 
+def full_cycle_arrow_sets(q):
+    return {frozenset(c.arrows) for c in full_relation_cycles(q).cycles if c.full_relations}
+
+
+def check_runs(q):
+    """``q.runs`` partitions the arrows into maximal relation runs whose
+    closed members are the full-relation cycles of the oriented-cycle
+    search."""
+    runs = q.runs
+    assert sorted(a for _, run in runs for a in run) == [a.id for a in q.arrows]
+    for closed, run in runs:
+        steps = list(zip(run, run[1:] + run[:1] if closed else run[1:]))
+        assert all(r in q.relations for r in steps)
+        if not closed:
+            assert not any(second == run[0] for _, second in q.relations)
+            assert not any(first == run[-1] for first, _ in q.relations)
+    assert [min(run) for _, run in runs] == sorted(min(run) for _, run in runs)
+    assert {frozenset(run) for closed, run in runs if closed} == full_cycle_arrow_sets(q)
+
+
+def test_runs_on_every_dissection_quiver_up_to_twelve_gons():
+    cells = [(n, m) for m in range(1, 11) for n in range(1, 11) if (n + 1) * m + 2 <= 12]
+    for n, m in cells:
+        for t in all_dissections(n, m):
+            check_runs(quiver_of(t))
+
+
+def test_runs_of_small_quivers():
+    assert quiver(1, 3, [(0, 1), (2, 1)]).runs == ((False, (0,)), (False, (1,)))
+    chain = quiver(2, 4, [(0, 1), (1, 2), (2, 3)], [(0, 1), (1, 2)])
+    assert chain.runs == ((False, (0, 1, 2)),)
+    triangle = quiver(1, 3, [(1, 2), (0, 1), (2, 0)], [(1, 0), (0, 2), (2, 1)])
+    assert triangle.runs == ((True, (0, 1, 2)),)
+    assert triangle.full_cycle_count == 1
+
+
+@pytest.mark.parametrize(
+    "arrows,relations,problem",
+    [
+        ([(0, 1), (1, 2), (1, 3)], [(0, 1), (0, 2)], "arrow 0->1 starts two relations"),
+        ([(0, 2), (1, 2), (2, 3)], [(0, 2), (1, 2)], "arrow 2->3 ends two relations"),
+    ],
+)
+def test_runs_refuse_branching_relations(arrows, relations, problem):
+    q = quiver(1, 4, arrows, relations)
+    with pytest.raises(AlgebraError, match=problem):
+        q.runs
+
+
 def test_iso_identity_and_relabeling():
     q = quiver_of(dissection(3, 2, [(0, 3), (3, 6), (6, 9)]))
     assert iso_quivers(q, q) == (0, 1, 2)

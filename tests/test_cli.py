@@ -185,8 +185,6 @@ def test_negative_cap_is_a_usage_error(runner, tmp_path, command):
     result = invoke(runner, *args, "--cap", "-1")
     assert result.exit_code == 2
     assert "-1 is not in the range x>=0" in result.output
-    if command == "reduce":
-        assert invoke(runner, *args, env={"MCW_CAP": "-1"}).exit_code == 2
 
 
 def test_quiver_json_and_dot(runner, tmp_path):
@@ -260,11 +258,18 @@ def test_reduce_trace(runner, tmp_path):
     assert trace["final"]["relations"] == []
 
 
-def test_reduce_cap_flag_and_env(runner, tmp_path):
+def test_reduce_cap_flag(runner, tmp_path):
     src = write_dissection(tmp_path / "t.json", 3, 1, [(0, 2), (2, 5), (3, 5)])
     assert invoke(runner, "reduce", "--in", src, "--cap", "0").exit_code == 3
+
+
+def test_reduce_ignores_mcw_cap(runner, tmp_path):
+    src = write_dissection(tmp_path / "t.json", 3, 1, [(0, 2), (2, 5), (3, 5)])
+    plain = invoke(runner, "reduce", "--in", src)
     via_env = invoke(runner, "reduce", "--in", src, env={"MCW_CAP": "0"})
-    assert via_env.exit_code == 3
+    assert via_env.exit_code == 0
+    assert json.loads(via_env.output)["steps"]
+    assert via_env.output == plain.output
 
 
 BRIDGED_TRIANGLES = [(0, 2), (2, 4), (0, 4), (5, 7), (7, 9), (5, 9), (4, 9)]

@@ -183,6 +183,29 @@ def test_crossing_cases(d1, d2, expected):
     assert crosses(diagonal(*d1), diagonal(*d2)) is expected
 
 
+def test_crossing_agrees_with_segment_intersection():
+    """On every ordered pair of chords of an N-gon, N <= 14: put vertex i at
+    (i, i*i), a convex position in label order, and ask whether the two
+    segments meet at a point interior to both (exact integer orientation
+    tests; a shared endpoint is not a crossing)."""
+
+    def orient(p, q, r):
+        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+    def meet(d1, d2):
+        p, q, r, s = ((v, v * v) for v in (*d1, *d2))
+        return (
+            orient(p, q, r) * orient(p, q, s) < 0
+            and orient(r, s, p) * orient(r, s, q) < 0
+        )
+
+    for N in range(3, 15):
+        chords = [diagonal(a, b) for a, b in combinations(range(N), 2)]
+        for d1 in chords:
+            for d2 in chords:
+                assert crosses(d1, d2) is meet(d1, d2), (d1, d2)
+
+
 @given(st.lists(st.integers(min_value=0, max_value=19), min_size=4, max_size=4))
 def test_crossing_symmetric(vs):
     a, b, c, d = vs

@@ -35,6 +35,7 @@ from mcw.mutation import (
     tilting_mutation_minus,
     tilting_mutation_plus,
 )
+from mcw.mutation import _chase_zero_chain
 
 DATA = Path(__file__).parent / "data"
 
@@ -188,6 +189,18 @@ def test_source_move_rejects_wrapping_chain():
     )
     with pytest.raises(MoveRejected, match="wraps"):
         tilting_mutation_plus(q, 0)
+
+
+def test_zero_chain_on_a_closed_run_wraps():
+    q = quiver(1, 3, [(0, 1), (1, 2), (2, 0)], [(0, 1), (1, 2), (2, 0)])
+    for a in q.arrows:
+        with pytest.raises(MoveRejected, match="wraps a cycle"):
+            _chase_zero_chain(q, a)
+
+
+def test_zero_chain_is_the_rest_of_the_run():
+    q = quiver(3, 4, [(0, 1), (1, 2), (2, 3)], [(0, 1), (1, 2)])
+    assert _chase_zero_chain(q, q.arrows[1]) == list(q.arrows[1:])
 
 
 def test_move_inside_full_cycle_is_rejected():

@@ -17,13 +17,14 @@ from mcw.algebra import (
     Cycle,
     components,
     full_relation_cycles,
+    is_gentle,
     iso_quivers,
     quiver,
     quiver_of,
 )
 from mcw.geometry import CapExceeded, dissection
 from mcw.homology import derived_invariant
-from mcw.mutation import apply_mutation, is_realizable, record_move
+from mcw.mutation import apply_mutation, is_realizable, realizability_report, record_move
 from mcw.normalform import (
     PHASES,
     NormalFormError,
@@ -380,6 +381,37 @@ def test_reduction_refuses_unrealizable_input_before_labeling(monkeypatch):
     with pytest.raises(NormalFormError, match="not realizable: not gentle"):
         reduce_component(star)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_figure_eight_is_refused_by_its_non_full_cycles(m):
+    # v -> x -> v -> y -> v with every length-two step a relation: gentle,
+    # one closed run that passes v twice, and two non-full 2-cycles.
+    q = quiver(m, 3, [(0, 1), (1, 0), (0, 2), (2, 0)], [(0, 1), (1, 2), (2, 3), (3, 0)])
+    assert is_gentle(q).ok
+    assert [closed for closed, _ in q.runs] == [True]
+    report = realizability_report(q)
+    assert report.problems[0] == "cycle through (0, 1) lacks full relations"
+    with pytest.raises(NormalFormError, match=r"not realizable: cycle through \(0, 1\)"):
+        reduce_component(q)
+
+
+def test_runs_match_full_cycles_on_every_reduction_state():
+    """Along every reduction of 5/2 and 6/1, each state's closed runs are the
+    full-relation cycles of the oriented-cycle search, by arrow set."""
+    states = 0
+    for n, m in ((5, 2), (6, 1)):
+        for t in all_dissections(n, m):
+            for comp in components(quiver_of(t)):
+                q = comp.quiver
+                for rec in (None, *reduce_component(q).steps):
+                    if rec is not None:
+                        q = apply_mutation(q, rec.kind, rec.site)
+                    closed = {frozenset(run) for full, run in q.runs if full}
+                    cycles = full_relation_cycles(q).cycles
+                    assert closed == {frozenset(c.arrows) for c in cycles if c.full_relations}
+                    states += 1
+    assert states > 5000
 
 
 def test_reduction_refuses_a_disconnected_quiver():
