@@ -10,11 +10,10 @@ by a polygon rotation are distinct objects.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, product
+from itertools import product
 from operator import itemgetter
 from typing import Iterator
 
@@ -270,7 +269,26 @@ def dissection_tuples(
     p: PolygonParams, cap: int | None = 10**6
 ) -> Iterator[tuple[Diagonal, ...]]:
     """Yield the sorted diagonal tuple of every maximal dissection exactly
-    once, in lexicographic order.
+    once, in lexicographic order, generated in that order: no list of all
+    tuples is held and none is sorted.
+
+    A chain (x, y, g) is the arc x..y split into g gaps, each gap a
+    boundary edge or a diagonal over the region below it; every gap spans
+    1 (mod m) edges.  A chain's sorted tuples begin with its fan at x, the
+    diagonals (x, h_1) < ... < (x, h_j), which leaves the sub-chains
+    (x+1, h_1, m), (h_1, h_2, m), ..., (h_j, y, g-1): the cell on (x, h_i)
+    is x followed by the m gaps from h_(i-1) to h_i, and the first gap of
+    each cell is the next fan diagonal in or the edge (x, x+1).  Each
+    sub-chain keeps to its own range of labels, so for a fixed fan the
+    product of the sub-chains' sorted lists concatenates in lexicographic
+    order.  Fans compare as sequences padded with +infinity: a fan that
+    stops sorts after every fan that continues it, since the next diagonal
+    of its tuple no longer starts at x.  The root is the chain
+    (0, N-1, m+1) on the boundary edge (N-1, 0).
+
+    A fan left with one sub-chain streams it; a fan with several takes the
+    sub-chains' lists from a memo, and each list is dropped once the last
+    fan that uses it has taken it.
 
     Refuses parameter ranges whose Fuss-Catalan count exceeds `cap`
     (pass cap=None to disable the guard); the check runs on the first pull.
@@ -279,68 +297,68 @@ def dissection_tuples(
     if cap is not None and total > cap:
         raise CapExceeded(f"{total} dissections exceed the cap of {cap}")
     N, m = p.N, p.m
+    Chain = tuple[int, int, int]
+    fans: dict[Chain, list[tuple[tuple[Diagonal, ...], tuple[Chain, ...]]]] = {}
 
-    def corner_choices(lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-        # The m interior corners of the cell containing side (lo, hi); every
-        # gap between consecutive corners must be ≡ 1 (mod m).
-        def rec(prev: int, left: int) -> Iterator[tuple[int, ...]]:
-            if left == 0:
-                yield ()
-                return
-            w = prev + 1
-            while w + left - 1 < hi:
-                if (w - prev) % m == 1 % m:
-                    for rest in rec(w, left - 1):
-                        yield (w,) + rest
-                w += 1
-
-        yield from rec(lo, m)
-
-    # The cells on the chord (lo, hi), each as the arcs it cuts off, for every
-    # arc lo..hi of at least 2 edges; the root cell is the arc 0..N-1's, on
-    # the boundary edge (N-1, 0).  uses counts the cells cutting off each arc.
-    cells = {
-        (lo, hi): [tuple(zip((lo,) + ws, ws + (hi,))) for ws in corner_choices(lo, hi)]
-        for lo in range(N)
-        for hi in range(lo + 2, N)
-        if (hi - lo) % m == 1 % m
-    }
-    uses = Counter(arc for choices in cells.values() for arcs in choices for arc in arcs)
-    blocks: dict[tuple[int, int], list[tuple[Diagonal, ...]]] = {}
-    edge: list[tuple[Diagonal, ...]] = [()]
-
-    def block_list(lo: int, hi: int) -> list[tuple[Diagonal, ...]]:
-        # Sorted diagonal tuples of the region cut off by the arc lo..hi,
-        # the chord (lo, hi) included; a boundary edge has one empty block.
-        # Every diagonal of a block has its smaller endpoint in [lo, hi), so
-        # blocks of consecutive arcs concatenate in sorted order.  The chord
-        # goes after the first arc's diagonals at lo.  A list is dropped once
-        # the last cell cutting off its arc has taken it.
-        if hi - lo == 1:
-            return edge
-        key = (lo, hi)
-        out = blocks.get(key)
+    def fans_of(key: Chain) -> list[tuple[tuple[Diagonal, ...], tuple[Chain, ...]]]:
+        # The fans at x in output order, each with the sub-chains it leaves;
+        # a sub-chain of boundary edges only (y - x == g) has one empty
+        # tuple and is left out.
+        out = fans.get(key)
         if out is None:
-            chord, after_lo = (Diagonal(lo, hi),), (lo + 1,)
-            out = blocks[key] = []
-            for parts in products(key):
-                k = bisect_left(parts[0], after_lo)
-                head = parts[0][:k] + chord + parts[0][k:]
-                out.append(sum(parts[1:], head))
-        uses[key] -= 1
-        if not uses[key]:
-            del blocks[key]
+            x, y, g = key
+            out = fans[key] = []
+
+            def grow(prev: int, fan: tuple[Diagonal, ...], parts: tuple[Chain, ...]) -> None:
+                for h in range(prev + m, y - g + 2, m):
+                    sub = parts if h - prev == m else parts + ((prev, h, m),)
+                    grow(h, fan + (Diagonal(x, h),), sub)
+                if g > 1 or prev == y:
+                    rest = parts if y - prev == g - 1 else parts + ((prev, y, g - 1),)
+                    out.append((fan, rest))
+
+            grow(x + 1, (), ())
         return out
 
-    def products(key: tuple[int, int]) -> Iterator[tuple[tuple[Diagonal, ...], ...]]:
-        # One block per arc, over every cell on the arc's chord.
-        return chain.from_iterable(
-            product(*[block_list(x, y) for x, y in arcs]) for arcs in cells[key]
-        )
+    # uses counts the requests for each chain's list, walking the fans as
+    # chain_tuples will; a streamed chain is walked each time it streams.
+    uses: Counter[Chain] = Counter()
 
-    # One sort puts the tuples in lexicographic order; the blocks are
-    # already sorted inside.
-    yield from sorted(sum(parts, ()) for parts in products((0, N - 1)))
+    def walk(key: Chain) -> None:
+        for _, parts in fans_of(key):
+            if len(parts) == 1:
+                walk(parts[0])
+            else:
+                for part in parts:
+                    uses[part] += 1
+                    if uses[part] == 1:
+                        walk(part)
+
+    lists: dict[Chain, list[tuple[Diagonal, ...]]] = {}
+
+    def chain_list(key: Chain) -> list[tuple[Diagonal, ...]]:
+        out = lists.get(key)
+        if out is None:
+            out = lists[key] = list(chain_tuples(key))
+        uses[key] -= 1
+        if not uses[key]:
+            del lists[key]
+        return out
+
+    def chain_tuples(key: Chain) -> Iterator[tuple[Diagonal, ...]]:
+        for fan, parts in fans_of(key):
+            if not parts:
+                yield fan
+            elif len(parts) == 1:
+                for rest in chain_tuples(parts[0]):
+                    yield fan + rest
+            else:
+                for combo in product(*map(chain_list, parts)):
+                    yield sum(combo, fan)
+
+    root = (0, N - 1, m + 1)
+    walk(root)
+    yield from chain_tuples(root)
 
 
 def enumerate_dissections(p: PolygonParams, cap: int | None = 10**6) -> Iterator[Dissection]:
@@ -496,9 +514,14 @@ def census_counts(p: PolygonParams) -> dict[tuple[int, int], int]:
     return {divmod(key, K): c for key, c in sorted(tally.items())}
 
 
-def _union_cycle(t: Dissection, d: Diagonal) -> tuple[int, ...]:
+def rotation_cycle(t: Dissection, d: Diagonal, k: int) -> tuple[int, ...]:
     """Boundary cycle (anti-clockwise) of the 2(m+1)-gon formed by the two
-    cells adjacent to d; d's endpoints sit at positions 0 and m+1."""
+    cells adjacent to d, in which d rotates by k; d's endpoints sit at
+    positions 0 and m+1.  Refuses a d outside t and a k other than +1, -1."""
+    if d not in t.diagonals:
+        raise GeometryError(f"{d} is not in the dissection")
+    if k not in (-1, +1):
+        raise GeometryError(f"step k must be +1 or -1, got {k}")
     side1 = _cell_corners(t, d.a, d.b)
     side2 = _cell_corners(t, d.b, d.a)
     return side1[:-1] + side2[:-1]
@@ -511,11 +534,7 @@ def apply_move(t: Dissection, d: Diagonal, k: int) -> Dissection:
     The rotation shifts both endpoints of d by k steps along the union
     boundary, keeping them antipodal; composite powers go via iteration.
     """
-    if d not in t.diagonals:
-        raise GeometryError(f"{d} is not in the dissection")
-    if k not in (-1, +1):
-        raise GeometryError(f"step k must be +1 or -1, got {k}")
-    cycle = _union_cycle(t, d)
+    cycle = rotation_cycle(t, d, k)
     size = len(cycle)
     half = size // 2
     a = cycle[k % size]

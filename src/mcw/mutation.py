@@ -32,14 +32,13 @@ from .algebra import (
     AlgebraError,
     Arrow,
     QuiverWithRelations,
-    components,
     full_relation_cycles,
     is_gentle,
     max_relation_chain,
     opposite,
     quiver_of,
 )
-from .geometry import Diagonal, Dissection, apply_move
+from .geometry import Diagonal, Dissection, apply_move, rotation_cycle
 from .homology import (
     DerivedInvariant,
     HomologyError,
@@ -352,27 +351,42 @@ def geometric_mutation(
 
 def preserves_invariant(t: Dissection, d: Diagonal, k: int) -> bool:
     """Whether moving ``d`` keeps the component partition (with the moved
-    diagonal identified with its image) and the full-relation cycle count."""
+    diagonal identified with its image) and the full-relation cycle count.
 
-    t2 = apply_move(t, d, k)
-    replaced = set(t2.diagonals) - set(t.diagonals)
-    image = replaced.pop() if replaced else d
-    parts1, full1 = _dissection_profile(t)
-    parts2, full2 = _dissection_profile(t2)
-    renamed = {frozenset(d if x == image else x for x in part) for part in parts2}
-    return parts1 == renamed and full1 == full2
+    Both are local to cells: two diagonals are joined iff they are
+    consecutive sides of one cell, and a full cycle is a cell whose sides
+    are all diagonals.  The move only trades the two cells on ``d`` for the
+    two cells on its image, inside the same 2(m+1)-gon.  The cells form a
+    tree, so two distinct sides of that gon never connect outside it: the
+    partition is kept iff the gon's diagonal sides and the chord, joined
+    within the two cells, fall into the same classes before and after, and
+    the count is kept iff the two cells hold as many all-diagonal cells as
+    the two cells after.  Raises ``GeometryError`` for a ``d`` outside
+    ``t`` and for a ``k`` other than +1 or -1.
+    """
 
+    cycle = rotation_cycle(t, d, k)
+    N, size = t.params.N, len(cycle)
+    half = size // 2
+    # Node i < size is the gon's side from cycle[i] to cycle[i+1]; node
+    # `size` is the chord, d before the move and its image after.
+    diagonal_side = [(cycle[(i + 1) % size] - cycle[i]) % N != 1 for i in range(size)]
+    diagonal_side.append(True)
 
-def _dissection_profile(t: Dissection) -> tuple[frozenset[frozenset[Diagonal]], int]:
-    """The components of the dissection's quiver as sets of diagonals, and
-    its number of full-relation cycles."""
+    def profile(shift: int) -> tuple[tuple[int, ...], int]:
+        # Each node is labelled by the smallest node of its class.
+        label = list(range(size + 1))
+        full = 0
+        for start in (shift, shift + half):
+            cell = [size] + [(start + i) % size for i in range(half)]
+            full += all(diagonal_side[x] for x in cell)
+            for x, y in zip(cell, cell[1:] + cell[:1]):
+                if diagonal_side[x] and diagonal_side[y] and label[x] != label[y]:
+                    old, new = max(label[x], label[y]), min(label[x], label[y])
+                    label = [new if c == old else c for c in label]
+        return tuple(label), full
 
-    q = quiver_of(t)
-    assert q.vertex_labels is not None
-    parts = frozenset(
-        frozenset(q.vertex_labels[v] for v in comp.vertices) for comp in components(q)
-    )
-    return parts, q.full_cycle_count
+    return profile(0) == profile(k % size)
 
 
 def remove_relation_chain(
@@ -514,8 +528,11 @@ def realizability_report(q: QuiverWithRelations) -> RealizabilityReport:
 
     Gentle; every oriented cycle has length m + 2 and carries full
     relations; runs of consecutive relations off cycles are shorter than m;
-    Cartan entries are 0 or 1.  A quiver failing any of these cannot come
-    from a dissection, though it may still be derived equivalent to one.
+    Cartan entries are 0 or 1; the underlying graph's cycle rank,
+    |arrows| - vertices + components, equals the number of full-relation
+    cycles, so no cycle of the underlying graph is left unoriented or
+    without relations.  A quiver failing any of these cannot come from a
+    dissection, though it may still be derived equivalent to one.
     """
 
     problems: list[str] = []
@@ -534,7 +551,9 @@ def realizability_report(q: QuiverWithRelations) -> RealizabilityReport:
         longest = max_relation_chain(q)
     except AlgebraError as exc:
         problems.append(str(exc))
+        full = None  # the relation runs are undefined, and named above
     else:
+        full = q.full_cycle_count
         if longest > q.m - 1:
             problems.append(
                 f"relation chain of length {longest} exceeds bound {q.m - 1}"
@@ -546,6 +565,12 @@ def realizability_report(q: QuiverWithRelations) -> RealizabilityReport:
     else:
         if any(x not in (0, 1) for row in c.rows for x in row):
             problems.append("Cartan matrix has an entry outside {0, 1}")
+    rank = len(q.arrows) - q.vertex_count + q.component_count
+    if full is not None and rank != full:
+        problems.append(
+            f"underlying graph has cycle rank {rank}, "
+            f"but {full} full-relation cycles"
+        )
     return RealizabilityReport(not problems, tuple(problems))
 
 

@@ -36,6 +36,8 @@ from mcw.serialize import (
     trace_from_json,
 )
 
+DATA = Path(__file__).parent / "data"
+
 
 @pytest.fixture()
 def runner():
@@ -380,6 +382,18 @@ def test_invariants_and_equiv_reject_unrealizable_quiver(runner, tmp_path, comma
     assert result.exit_code == 2
     assert "component 0 is not realizable" in result.output
     assert problem in result.output
+
+
+@pytest.mark.parametrize("name", ["found_affine_a3", "found_square_m2"])
+@pytest.mark.parametrize("command", ["invariants", "equiv", "reduce"])
+def test_unoriented_cycle_is_invalid_input(runner, command, name):
+    # Neither quiver comes from a dissection; the first is the affine A_3
+    # quiver, which equiv used to call equivalent to linear A_4.
+    src = str(DATA / f"{name}.json")
+    args = ["equiv", src, src] if command == "equiv" else [command, "--in", src]
+    result = invoke(runner, *args)
+    assert result.exit_code == 2
+    assert "component 0 is not realizable: underlying graph has cycle rank 1" in result.output
 
 
 @pytest.mark.parametrize("command", ["quiver", "invariants", "reduce"])

@@ -4,8 +4,10 @@ sizes, and the equivalence decision."""
 
 from __future__ import annotations
 
+import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +38,9 @@ from mcw.normalform import (
     reduce_component,
     step_cap,
 )
+from mcw.serialize import quiver_from_json
+
+DATA = Path(__file__).parent / "data"
 
 
 def replay(q, records):
@@ -393,6 +398,17 @@ def test_figure_eight_is_refused_by_its_non_full_cycles(m):
     report = realizability_report(q)
     assert report.problems[0] == "cycle through (0, 1) lacks full relations"
     with pytest.raises(NormalFormError, match=r"not realizable: cycle through \(0, 1\)"):
+        reduce_component(q)
+
+
+@pytest.mark.parametrize("name", ["found_affine_a3", "found_square_m2"])
+def test_unoriented_cycle_is_refused_before_any_move(monkeypatch, name):
+    def never(*args):
+        raise AssertionError("a move on unrealizable input")
+
+    monkeypatch.setattr(mcw.normalform, "apply_mutation", never)
+    q = quiver_from_json(json.loads((DATA / f"{name}.json").read_text()))
+    with pytest.raises(NormalFormError, match="not realizable: underlying graph has cycle rank 1"):
         reduce_component(q)
 
 
