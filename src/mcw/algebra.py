@@ -1,6 +1,5 @@
 """Quivers with relations: construction from a dissection, gentleness
-diagnostics, components, relation runs, oriented-cycle reports, and exact
-isomorphism.
+diagnostics, components, relation runs, and exact isomorphism.
 
 A quiver value is immutable and normalized: arrow ids are the positions in
 the (source, target)-sorted arrow list, so two equal presentations compare
@@ -99,10 +98,10 @@ class QuiverWithRelations:
         Each arrow lies in exactly one run, and consecutive arrows of a run
         compose to a relation; a relation-free arrow is a run of its own.  A
         closed run lists its arrows from the smallest id, and is a
-        full-relation cycle unless it passes a vertex twice (which
-        ``realizability_report`` refuses); an open run lists them from its
-        first arrow.  Runs are ordered by their smallest arrow id.  An arrow
-        that starts or ends two relations raises ``AlgebraError``.
+        full-relation cycle unless it passes a vertex twice, a run that
+        ``realizability_report`` names and refuses; an open run lists them
+        from its first arrow.  Runs are ordered by their smallest arrow id.
+        An arrow that starts or ends two relations raises ``AlgebraError``.
         """
         after: dict[int, int] = {}
         before: dict[int, int] = {}
@@ -317,7 +316,11 @@ class CycleReport:
 
 def full_relation_cycles(q: QuiverWithRelations) -> CycleReport:
     """All oriented simple cycles, each rooted at its smallest vertex, with a
-    flag marking those whose every length-two subpath is a relation."""
+    flag marking those whose every length-two subpath is a relation.
+
+    An exhaustive search, exponential in the worst case, that nothing in
+    the package calls: the tests keep it as the oracle for ``runs``, and
+    the benchmark's tracer names it as a layer."""
     found: list[Cycle] = []
 
     def dfs(root: int, v: int, path_vertices: list[int], path_arrows: list[int]) -> None:

@@ -377,9 +377,10 @@ def _check_cell(n: int, m: int, rng: random.Random, samples: int) -> str:
             f"n={n} m={m}: enumerated {len(ts)} dissections, expected {expected}"
         )
 
+    quivers = {t: quiver_of(t) for t in ts}
     classes: defaultdict[tuple[int, int], set] = defaultdict(set)
-    for t in ts:
-        for comp in components(quiver_of(t)):
+    for t, q in quivers.items():
+        for comp in components(q):
             # reduce_component screens the component's realizability first.
             try:
                 final = reduce_component(comp.quiver).final
@@ -405,7 +406,7 @@ def _check_cell(n: int, m: int, rng: random.Random, samples: int) -> str:
     rng.shuffle(moves)
     admissible = (move for move in moves if preserves_invariant(*move))
     for t, d, k in islice(admissible, samples):
-        q = quiver_of(t)
+        q = quivers[t]
         assert q.vertex_labels is not None
         site = q.vertex_labels.index(d)
         movers = [tilting_mutation_plus, tilting_mutation_minus]

@@ -32,7 +32,6 @@ from .algebra import (
     AlgebraError,
     Arrow,
     QuiverWithRelations,
-    full_relation_cycles,
     is_gentle,
     max_relation_chain,
     opposite,
@@ -41,7 +40,6 @@ from .algebra import (
 from .geometry import Diagonal, Dissection, apply_move, rotation_cycle
 from .homology import (
     DerivedInvariant,
-    HomologyError,
     cartan_matrix,
     derived_invariant,
     happel_hom_dims,
@@ -524,52 +522,45 @@ class RealizabilityReport:
 
 
 def realizability_report(q: QuiverWithRelations) -> RealizabilityReport:
-    """Check the constraints every dissection-derived quiver satisfies.
+    """Decide whether q is a component of a dissection's quiver.
 
-    Gentle; every oriented cycle has length m + 2 and carries full
-    relations; runs of consecutive relations off cycles are shorter than m;
-    Cartan entries are 0 or 1; the underlying graph's cycle rank,
-    |arrows| - vertices + components, equals the number of full-relation
-    cycles, so no cycle of the underlying graph is left unoriented or
-    without relations.  A quiver failing any of these cannot come from a
-    dissection, though it may still be derived equivalent to one.
+    Gentle; every closed relation run is a simple cycle of length m + 2;
+    every open run has at most m - 1 relations; and the underlying graph's
+    cycle rank, |arrows| - vertices + components, equals the number of
+    closed runs.  Closed runs are edge-disjoint, so when they are as many
+    as the rank they span the cycle space, and every cycle of the
+    underlying graph is one of them.  Everything is read off the relation
+    runs, so the screen is linear.  A quiver failing a check cannot come
+    from a dissection, though it may still be derived equivalent to one.
     """
 
     problems: list[str] = []
     gentle = is_gentle(q)
     if not gentle.ok:
         problems.append(f"not gentle: {gentle.problem}")
-    for cyc in full_relation_cycles(q).cycles:
-        if not cyc.full_relations:
-            problems.append(f"cycle through {cyc.vertices} lacks full relations")
-        elif len(cyc) != q.m + 2:
-            problems.append(
-                f"cycle through {cyc.vertices} has length {len(cyc)}, "
-                f"expected {q.m + 2}"
-            )
     try:
-        longest = max_relation_chain(q)
+        runs = q.runs
     except AlgebraError as exc:
         problems.append(str(exc))
-        full = None  # the relation runs are undefined, and named above
-    else:
-        full = q.full_cycle_count
-        if longest > q.m - 1:
+        return RealizabilityReport(False, tuple(problems))
+    for closed, run in runs:
+        if not closed:
+            continue
+        vertices = tuple(q.arrow_by_id[a].source for a in run)
+        if len(set(vertices)) != len(vertices):
+            problems.append(f"closed relation run through {vertices} repeats a vertex")
+        elif len(run) != q.m + 2:
             problems.append(
-                f"relation chain of length {longest} exceeds bound {q.m - 1}"
+                f"cycle through {vertices} has length {len(run)}, expected {q.m + 2}"
             )
-    try:
-        c = cartan_matrix(q)
-    except HomologyError as exc:
-        problems.append(str(exc))
-    else:
-        if any(x not in (0, 1) for row in c.rows for x in row):
-            problems.append("Cartan matrix has an entry outside {0, 1}")
+    longest = max_relation_chain(q)
+    if longest > q.m - 1:
+        problems.append(f"relation chain of length {longest} exceeds bound {q.m - 1}")
     rank = len(q.arrows) - q.vertex_count + q.component_count
-    if full is not None and rank != full:
+    if rank != q.full_cycle_count:
         problems.append(
             f"underlying graph has cycle rank {rank}, "
-            f"but {full} full-relation cycles"
+            f"but {q.full_cycle_count} full-relation cycles"
         )
     return RealizabilityReport(not problems, tuple(problems))
 

@@ -122,6 +122,8 @@ def structure_sweep():
             for comp in components(q):
                 comps += 1
                 cartan = cartan_matrix(comp.quiver)
+                if any(x not in (0, 1) for row in cartan.rows for x in row):
+                    homology_failures.append(f"{t!r}: Cartan entry outside {{0, 1}}")
                 if snf_diagonal(cartan) != snf_diagonal(bh_diagonal(comp.quiver)):
                     homology_failures.append(f"{t!r}: Smith forms disagree")
                 odd, _ = cycle_parity_counts(comp.quiver)
@@ -140,7 +142,7 @@ def test_criterion_2_structure_theorems(structure_sweep):
     assert structure_sweep["structure"] == []
     print(
         f"criterion 2: PASS - {structure_sweep['quivers']} quivers gentle "
-        f"with full (m+2)-cycles, bounded relation runs, 0/1 Cartan "
+        f"with full (m+2)-cycles, bounded relation runs, cycle rank = r "
         f"(sweep {structure_sweep['elapsed']:.1f}s)"
     )
 
@@ -148,8 +150,8 @@ def test_criterion_2_structure_theorems(structure_sweep):
 def test_criterion_3_cartan_smith_consistency(structure_sweep):
     assert structure_sweep["homology"] == []
     print(
-        f"criterion 3: PASS - snf(cartan) = predicted diagonal and "
-        f"det in {{0, 2^oc}} on {structure_sweep['components']} components"
+        f"criterion 3: PASS - 0/1 Cartan, snf(cartan) = predicted diagonal "
+        f"and det in {{0, 2^oc}} on {structure_sweep['components']} components"
     )
 
 

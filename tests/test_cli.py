@@ -353,8 +353,21 @@ unrealizable = pytest.mark.parametrize(
             quiver(1, 4, [(0, 1), (1, 2), (2, 3), (3, 0)], [(0, 1), (1, 2), (2, 3), (3, 0)]),
             "length 4, expected 3",
         ),
+        # Both are refused on their degrees alone; a search over their
+        # oriented cycles or paths would be exponential (the ladder's
+        # oriented paths double with every rung).
+        (
+            quiver(1, 42, [(a, b) for k in range(20) for a in (2 * k, 2 * k + 1)
+                           for b in (2 * k + 2, 2 * k + 3)]),
+            "not gentle",
+        ),
+        (
+            quiver(1, 13, [(i, j) for i in range(13) for j in range(13)
+                           if 1 <= (j - i) % 13 <= 6]),
+            "not gentle",
+        ),
     ],
-    ids=["twelve-leaf-star", "full-relation-four-cycle"],
+    ids=["twelve-leaf-star", "full-relation-four-cycle", "ladder", "circulant-tournament"],
 )
 
 

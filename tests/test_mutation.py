@@ -1,10 +1,13 @@
 """Mutation-layer tests: local context extraction, the plus/minus moves and
 their geometric ground truth, the alternating-sum Cartan prediction, the
-relation-chain surgery, and move auditing."""
+relation-chain surgery, move auditing, and the realizability screen, exact
+on every small connected gentle quiver."""
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
+from itertools import chain, combinations, permutations, product
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,7 @@ import pytest
 from conftest import all_dissections, small_range
 from mcw.algebra import (
     AlgebraError,
+    canonical_key,
     components,
     iso_quivers,
     opposite,
@@ -485,7 +489,7 @@ def test_realizability_flags_each_constraint():
 
     hollow_cycle = quiver(1, 3, [(0, 1), (1, 2), (2, 0)], [(0, 1), (1, 2)])
     assert any(
-        "full relations" in p for p in realizability_report(hollow_cycle).problems
+        "cycle rank 1, but 0" in p for p in realizability_report(hollow_cycle).problems
     )
 
     long_chain = quiver(1, 3, [(0, 1), (1, 2)], [(0, 1)])
@@ -495,7 +499,7 @@ def test_realizability_flags_each_constraint():
 
     double_path = quiver(3, 4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     assert any(
-        "Cartan" in p for p in realizability_report(double_path).problems
+        "cycle rank 1, but 0" in p for p in realizability_report(double_path).problems
     )
 
     crowded = quiver(1, 4, [(0, 3), (1, 3), (2, 3)])
@@ -514,10 +518,85 @@ def test_dissection_quivers_are_realizable():
                     assert report.ok, (t, report.problems)
 
 
+def _subsets(items):
+    return chain.from_iterable(combinations(items, k) for k in range(len(items) + 1))
+
+
+def _gentle_relation_sets(ins, outs):
+    """Every set of (in, out) arrow pairs at one vertex that, taken as its
+    relations, leaves each arrow there with at most one zero and at most one
+    nonzero continuation."""
+    for chosen in _subsets([(a, b) for a in ins for b in outs]):
+        zero = set(chosen)
+        if all(
+            sum((a, b) in zero for b in outs) <= 1
+            and sum((a, b) not in zero for b in outs) <= 1
+            for a in ins
+        ) and all(
+            sum((a, b) in zero for a in ins) <= 1
+            and sum((a, b) not in zero for a in ins) <= 1
+            for b in outs
+        ):
+            yield chosen
+
+
+def gentle_classes(s):
+    """One quiver (at m = 1) per isomorphism class of connected gentle bound
+    quivers on s vertices, keyed by ``canonical_key``: every arrow set with
+    in- and out-degrees at most 2, then every locally gentle relation set at
+    each vertex."""
+    found = {}
+    for arrows in _subsets(list(permutations(range(s), 2))):
+        ins = [[i for i, (_, t) in enumerate(arrows) if t == v] for v in range(s)]
+        outs = [[i for i, (u, _) in enumerate(arrows) if u == v] for v in range(s)]
+        if any(len(side) > 2 for side in ins + outs):
+            continue
+        if quiver(1, s, arrows).component_count != 1:
+            continue
+        local = [list(_gentle_relation_sets(ins[v], outs[v])) for v in range(s)]
+        for relations in product(*local):
+            q = quiver(1, s, arrows, chain.from_iterable(relations))
+            found.setdefault(canonical_key(q), q)
+    return found
+
+
+@pytest.fixture(scope="module")
+def small_gentle_classes():
+    classes = {s: gentle_classes(s) for s in range(1, 5)}
+    assert [len(classes[s]) for s in range(1, 5)] == [1, 4, 50, 554]
+    return classes
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_realizability_accepts_exactly_the_dissection_components(small_gentle_classes, m):
+    # The s + 1 cells around an s-vertex component of any dissection form a
+    # polygon that they dissect with n = s, and the component is its whole
+    # quiver; the larger cells up to n = s + 2 (N <= 17) are a cross-check.
+    realized: dict[int, set] = {s: set() for s in small_gentle_classes}
+    for n in range(1, 7):
+        if (n + 1) * m + 2 > 17:
+            break
+        for t in enumerate_dissections(PolygonParams(n, m)):
+            for comp in components(quiver_of(t)):
+                s = comp.quiver.vertex_count
+                if s in realized and n <= s + 2:
+                    realized[s].add(canonical_key(comp.quiver))
+    for s, classes in small_gentle_classes.items():
+        accepted = set()
+        for key, q in classes.items():
+            q = replace(q, m=m)
+            if realizability_report(q).ok:
+                accepted.add(key)
+                # A dissection's Cartan entries are 0 or 1; the screen does
+                # not compute them, so this is an independent check.
+                assert all(x in (0, 1) for row in cartan_matrix(q).rows for x in row), q
+        assert accepted == realized[s], (s, sorted(accepted ^ realized[s]))
+
+
 @pytest.mark.parametrize("name", ["found_affine_a3", "found_square_m2"])
 def test_realizability_refuses_an_unoriented_cycle(name):
-    # Both pass every oriented-cycle, chain and Cartan check; the underlying
-    # graph's one cycle is neither oriented nor closed by relations.
+    # Both are gentle with no closed run and no over-long chain; the
+    # underlying graph's one cycle is neither oriented nor closed by relations.
     q = quiver_from_json(json.loads((DATA / f"{name}.json").read_text()))
     assert realizability_report(q).problems == (
         "underlying graph has cycle rank 1, but 0 full-relation cycles",

@@ -396,8 +396,10 @@ def test_figure_eight_is_refused_by_its_non_full_cycles(m):
     assert is_gentle(q).ok
     assert [closed for closed, _ in q.runs] == [True]
     report = realizability_report(q)
-    assert report.problems[0] == "cycle through (0, 1) lacks full relations"
-    with pytest.raises(NormalFormError, match=r"not realizable: cycle through \(0, 1\)"):
+    assert report.problems[0] == "closed relation run through (0, 1, 0, 2) repeats a vertex"
+    with pytest.raises(
+        NormalFormError, match=r"not realizable: closed relation run through \(0, 1, 0, 2\)"
+    ):
         reduce_component(q)
 
 
