@@ -295,52 +295,11 @@ def components(q: QuiverWithRelations) -> list[Component]:
     return out
 
 
-@dataclass(frozen=True)
-class Cycle:
-    arrows: tuple[int, ...]
-    vertices: tuple[int, ...]
-    full_relations: bool
-
-    def __len__(self) -> int:
-        return len(self.arrows)
-
-
-@dataclass(frozen=True)
-class CycleReport:
-    cycles: tuple[Cycle, ...]
-
-    @property
-    def full_count(self) -> int:
-        return sum(1 for c in self.cycles if c.full_relations)
-
-
-def full_relation_cycles(q: QuiverWithRelations) -> CycleReport:
-    """All oriented simple cycles, each rooted at its smallest vertex, with a
-    flag marking those whose every length-two subpath is a relation.
-
-    An exhaustive search, exponential in the worst case, that nothing in
-    the package calls: the tests keep it as the oracle for ``runs``, and
-    the benchmark's tracer names it as a layer."""
-    found: list[Cycle] = []
-
-    def dfs(root: int, v: int, path_vertices: list[int], path_arrows: list[int]) -> None:
-        for a in q.out_arrows[v]:
-            w = a.target
-            if w == root and path_arrows:
-                cyc_arrows = tuple(path_arrows + [a.id])
-                pairs = [
-                    (cyc_arrows[i], cyc_arrows[(i + 1) % len(cyc_arrows)])
-                    for i in range(len(cyc_arrows))
-                ]
-                full = all(p in q.relations for p in pairs)
-                found.append(Cycle(cyc_arrows, tuple(path_vertices), full))
-            elif w > root and w not in path_vertices:
-                dfs(root, w, path_vertices + [w], path_arrows + [a.id])
-
-    for root in range(q.vertex_count):
-        dfs(root, root, [root], [])
-    found.sort(key=lambda c: c.vertices)
-    return CycleReport(tuple(found))
+def full_relation_cycles(q: QuiverWithRelations) -> tuple[tuple[int, ...], ...]:
+    """The closed relation runs, as arrow-id tuples from each run's smallest
+    id, read off ``q.runs`` in linear time; raises ``AlgebraError`` where
+    ``runs`` does.  On a realizable quiver these are its oriented cycles."""
+    return tuple(run for closed, run in q.runs if closed)
 
 
 def max_relation_chain(q: QuiverWithRelations) -> int:

@@ -32,6 +32,7 @@ from .algebra import (
     AlgebraError,
     Arrow,
     QuiverWithRelations,
+    full_relation_cycles,
     is_gentle,
     max_relation_chain,
     opposite,
@@ -522,7 +523,7 @@ class RealizabilityReport:
 
 
 def realizability_report(q: QuiverWithRelations) -> RealizabilityReport:
-    """Decide whether q is a component of a dissection's quiver.
+    """Screen q against the class of components of dissection quivers.
 
     Gentle; every closed relation run is a simple cycle of length m + 2;
     every open run has at most m - 1 relations; and the underlying graph's
@@ -532,6 +533,12 @@ def realizability_report(q: QuiverWithRelations) -> RealizabilityReport:
     underlying graph is one of them.  Everything is read off the relation
     runs, so the screen is linear.  A quiver failing a check cannot come
     from a dissection, though it may still be derived equivalent to one.
+
+    That the checks also suffice is the description of these quivers in
+    G. Murphy, "Derived equivalence classification of m-cluster tilted
+    algebras of type A_n", J. Algebra (2010), arXiv:0807.3840 (for m = 1,
+    Buan and Vatne, arXiv:math/0701612).  The tests confirm it on every
+    connected gentle quiver with at most four vertices, for m = 1, 2, 3.
     """
 
     problems: list[str] = []
@@ -539,13 +546,11 @@ def realizability_report(q: QuiverWithRelations) -> RealizabilityReport:
     if not gentle.ok:
         problems.append(f"not gentle: {gentle.problem}")
     try:
-        runs = q.runs
+        cycles = full_relation_cycles(q)
     except AlgebraError as exc:
         problems.append(str(exc))
         return RealizabilityReport(False, tuple(problems))
-    for closed, run in runs:
-        if not closed:
-            continue
+    for run in cycles:
         vertices = tuple(q.arrow_by_id[a].source for a in run)
         if len(set(vertices)) != len(vertices):
             problems.append(f"closed relation run through {vertices} repeats a vertex")
@@ -557,10 +562,10 @@ def realizability_report(q: QuiverWithRelations) -> RealizabilityReport:
     if longest > q.m - 1:
         problems.append(f"relation chain of length {longest} exceeds bound {q.m - 1}")
     rank = len(q.arrows) - q.vertex_count + q.component_count
-    if rank != q.full_cycle_count:
+    if rank != len(cycles):
         problems.append(
             f"underlying graph has cycle rank {rank}, "
-            f"but {q.full_cycle_count} full-relation cycles"
+            f"but {len(cycles)} full-relation cycles"
         )
     return RealizabilityReport(not problems, tuple(problems))
 

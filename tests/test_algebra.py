@@ -9,7 +9,7 @@ import pytest
 from networkx import DiGraph
 from networkx.algorithms.isomorphism import DiGraphMatcher
 
-from conftest import all_dissections, small_range
+from conftest import all_dissections, oriented_cycles, small_range
 from mcw.algebra import (
     AlgebraError,
     QuiverWithRelations,
@@ -47,7 +47,7 @@ def test_twelve_gon_inner_quadrilateral_full_cycle():
     q = quiver_of(dissection(4, 2, [(0, 3), (3, 6), (6, 9), (0, 9)]))
     # vertices: 0 = d(0,3), 1 = d(0,9), 2 = d(3,6), 3 = d(6,9)
     assert q.arrow_pairs() == {(1, 3), (3, 2), (2, 0), (0, 1)}
-    report = full_relation_cycles(q)
+    report = oriented_cycles(q)
     assert len(report.cycles) == 1
     cyc = report.cycles[0]
     assert len(cyc) == 4 and cyc.full_relations
@@ -56,7 +56,7 @@ def test_twelve_gon_inner_quadrilateral_full_cycle():
 
 def test_hexagon_triangle_full_relations():
     q = quiver_of(dissection(3, 1, [(0, 2), (2, 4), (0, 4)]))
-    report = full_relation_cycles(q)
+    report = oriented_cycles(q)
     assert [len(c) for c in report.cycles] == [3]
     assert report.cycles[0].full_relations
     assert len(q.relations) == 3
@@ -64,7 +64,7 @@ def test_hexagon_triangle_full_relations():
 
 def test_tree_quiver_has_no_cycles():
     q = quiver(1, 3, [(0, 1), (2, 1)])
-    assert full_relation_cycles(q).cycles == ()
+    assert oriented_cycles(q).cycles == ()
 
 
 def test_gentle_spec_cases():
@@ -124,7 +124,7 @@ def test_chain_bound_on_sampled_range():
 
 
 def full_cycle_arrow_sets(q):
-    return {frozenset(c.arrows) for c in full_relation_cycles(q).cycles if c.full_relations}
+    return {frozenset(c.arrows) for c in oriented_cycles(q).cycles if c.full_relations}
 
 
 def check_runs(q):
@@ -147,7 +147,12 @@ def test_runs_on_every_dissection_quiver_up_to_twelve_gons():
     cells = [(n, m) for m in range(1, 11) for n in range(1, 11) if (n + 1) * m + 2 <= 12]
     for n, m in cells:
         for t in all_dissections(n, m):
-            check_runs(quiver_of(t))
+            q = quiver_of(t)
+            check_runs(q)
+            # every oriented cycle of a dissection quiver has full relations
+            assert {frozenset(run) for run in full_relation_cycles(q)} == {
+                frozenset(c.arrows) for c in oriented_cycles(q).cycles
+            }
 
 
 def test_runs_of_small_quivers():
@@ -157,6 +162,8 @@ def test_runs_of_small_quivers():
     triangle = quiver(1, 3, [(1, 2), (0, 1), (2, 0)], [(1, 0), (0, 2), (2, 1)])
     assert triangle.runs == ((True, (0, 1, 2)),)
     assert triangle.full_cycle_count == 1
+    assert full_relation_cycles(triangle) == ((0, 1, 2),)
+    assert full_relation_cycles(chain) == ()
 
 
 @pytest.mark.parametrize(

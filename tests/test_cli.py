@@ -391,7 +391,9 @@ def test_invariants_and_equiv_reject_unrealizable_quiver(runner, tmp_path, comma
     src = tmp_path / "q.json"
     src.write_text(dumps(quiver_to_json(q)) + "\n")
     args = ["equiv", str(src), str(src)] if command == "equiv" else [command, "--in", str(src)]
+    start = time.perf_counter()
     result = invoke(runner, *args)
+    assert time.perf_counter() - start < 1.0
     assert result.exit_code == 2
     assert "component 0 is not realizable" in result.output
     assert problem in result.output

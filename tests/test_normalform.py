@@ -14,11 +14,9 @@ import pytest
 import mcw.algebra
 import mcw.normalform
 
-from conftest import all_dissections, small_range
+from conftest import Cycle, all_dissections, oriented_cycles, small_range
 from mcw.algebra import (
-    Cycle,
     components,
-    full_relation_cycles,
     is_gentle,
     iso_quivers,
     quiver,
@@ -65,7 +63,7 @@ def test_normal_form_triangle():
     nf = build_normal_form(NormalFormSpec(3, 1, 1))
     assert nf.arrow_pairs() == {(0, 1), (1, 2), (2, 0)}
     assert len(nf.relations) == 3
-    assert full_relation_cycles(nf).full_count == 1
+    assert oriented_cycles(nf).full_count == 1
 
 
 def test_normal_form_single_four_cycle():
@@ -87,7 +85,7 @@ def test_normal_form_two_chained_triangles():
         (0, 1), (1, 2), (2, 0), (1, 3), (3, 4), (4, 1),
     }
     assert len(nf.relations) == 6
-    assert full_relation_cycles(nf).full_count == 2
+    assert oriented_cycles(nf).full_count == 2
 
 
 def test_normal_form_cycle_with_tail():
@@ -105,7 +103,7 @@ def test_normal_form_structure_on_grid():
                 assert spec.tail_length == (extra if r else s)
                 nf = build_normal_form(spec)
                 assert nf.vertex_count == s
-                assert full_relation_cycles(nf).full_count == r
+                assert oriented_cycles(nf).full_count == r
                 assert is_realizable(nf), (s, r, m)
 
 
@@ -156,7 +154,7 @@ def test_classify_role_counts():
     # B-count is floor(m/2); A gets the rest; two connectors per cycle.
     for m in (1, 2, 3, 4):
         nf = build_normal_form(NormalFormSpec(m + 2, 1, m))
-        (cycle,) = full_relation_cycles(nf).cycles
+        (cycle,) = oriented_cycles(nf).cycles
         roles = classify_vertices(cycle, m)
         counts = {role: 0 for role in ("A", "B", "connector")}
         for role in roles.values():
@@ -168,7 +166,7 @@ def test_classify_role_counts():
 
 def test_classify_four_cycle_roles():
     nf = build_normal_form(NormalFormSpec(4, 1, 2))
-    (cycle,) = full_relation_cycles(nf).cycles
+    (cycle,) = oriented_cycles(nf).cycles
     assert classify_vertices(cycle, 2) == {
         0: "connector", 1: "B", 2: "connector", 3: "A",
     }
@@ -176,11 +174,11 @@ def test_classify_four_cycle_roles():
 
 def test_classify_rejects_non_matching_cycles():
     triangle = build_normal_form(NormalFormSpec(3, 1, 1))
-    (cycle,) = full_relation_cycles(triangle).cycles
+    (cycle,) = oriented_cycles(triangle).cycles
     with pytest.raises(NormalFormError, match="full-relation"):
         classify_vertices(cycle, 2)
     hollow = quiver(1, 3, [(0, 1), (1, 2), (2, 0)], [(0, 1), (1, 2)])
-    (hollow_cycle,) = full_relation_cycles(hollow).cycles
+    (hollow_cycle,) = oriented_cycles(hollow).cycles
     with pytest.raises(NormalFormError, match="full-relation"):
         classify_vertices(hollow_cycle, 1)
 
@@ -355,7 +353,7 @@ def test_chain_phase_brings_bridged_cycles_together():
     chain = [rec for rec, p in zip(trace.steps, trace.phases) if p == "chain"]
     assert chain
     state = replay(q, chain)
-    cycles = [set(c.vertices) for c in full_relation_cycles(state).cycles if c.full_relations]
+    cycles = [set(c.vertices) for c in oriented_cycles(state).cycles if c.full_relations]
     assert len(cycles) == 2 and len(cycles[0] & cycles[1]) == 1
     assert phases_in_order(trace)
 
@@ -426,7 +424,7 @@ def test_runs_match_full_cycles_on_every_reduction_state():
                     if rec is not None:
                         q = apply_mutation(q, rec.kind, rec.site)
                     closed = {frozenset(run) for full, run in q.runs if full}
-                    cycles = full_relation_cycles(q).cycles
+                    cycles = oriented_cycles(q).cycles
                     assert closed == {frozenset(c.arrows) for c in cycles if c.full_relations}
                     states += 1
     assert states > 5000
