@@ -367,8 +367,40 @@ def render_cmd(infile: str, fmt: str, out: str | None) -> None:
     _guarded(work)
 
 
-def _check_cell(n: int, m: int, rng: random.Random, samples: int) -> str:
-    """All structural invariants for one (n, m) cell; returns a summary."""
+def _check_component(q: QuiverWithRelations, where: str) -> tuple[tuple[int, int], tuple]:
+    """Reduce one component and audit its Smith form and Cartan determinant;
+    returns its class (s, r) and the canonical key of its reduced form."""
+
+    # reduce_component screens the component's realizability first.
+    try:
+        final = reduce_component(q).final
+    except NormalFormError as exc:
+        raise MutationError(f"{where}: {exc}") from exc
+    inv = derived_invariant(q)
+    cartan = cartan_matrix(q)
+    if snf_diagonal(cartan) != snf_diagonal(bh_diagonal(q)):
+        raise HomologyError(f"{where}: Smith form mismatch")
+    odd, _ = cycle_parity_counts(q)
+    if determinant(cartan) not in (0, 2**odd):
+        raise HomologyError(f"{where}: Cartan determinant")
+    return (inv.s, inv.r), canonical_form(final)[0]
+
+
+def _check_cell(
+    n: int,
+    m: int,
+    rng: random.Random,
+    samples: int,
+    decided: dict[QuiverWithRelations, tuple[tuple[int, int], tuple]],
+) -> str:
+    """All structural invariants for one (n, m) cell; returns a summary.
+
+    ``decided`` maps each component value already checked in this run to
+    what ``_check_component`` returned for it.  Every step of that check is
+    a function of the quiver value alone, so a component that occurs again
+    is not checked again; it still enters its cell's class sets, and the
+    first dissection holding a failing component is the one named.
+    """
 
     ts = list(enumerate_dissections(PolygonParams(n, m)))
     expected = fuss_catalan(n, m)
@@ -381,19 +413,12 @@ def _check_cell(n: int, m: int, rng: random.Random, samples: int) -> str:
     classes: defaultdict[tuple[int, int], set] = defaultdict(set)
     for t, q in quivers.items():
         for comp in components(q):
-            # reduce_component screens the component's realizability first.
-            try:
-                final = reduce_component(comp.quiver).final
-            except NormalFormError as exc:
-                raise MutationError(f"n={n} m={m} {t!r}: {exc}") from exc
-            inv = derived_invariant(comp.quiver)
-            cartan = cartan_matrix(comp.quiver)
-            if snf_diagonal(cartan) != snf_diagonal(bh_diagonal(comp.quiver)):
-                raise HomologyError(f"n={n} m={m} {t!r}: Smith form mismatch")
-            odd, _ = cycle_parity_counts(comp.quiver)
-            if determinant(cartan) not in (0, 2**odd):
-                raise HomologyError(f"n={n} m={m} {t!r}: Cartan determinant")
-            classes[(inv.s, inv.r)].add(canonical_form(final)[0])
+            found = decided.get(comp.quiver)
+            if found is None:
+                found = _check_component(comp.quiver, f"n={n} m={m} {t!r}")
+                decided[comp.quiver] = found
+            pair, key = found
+            classes[pair].add(key)
 
     for pair, keys in classes.items():
         if len(keys) != 1:
@@ -450,9 +475,10 @@ def check_cmd(n: int, m: int, seed: int, samples: int) -> None:
 
     def work() -> None:
         rng = random.Random(seed)
+        decided: dict[QuiverWithRelations, tuple[tuple[int, int], tuple]] = {}
         for mm in range(1, m + 1):
             for nn in range(1, n + 1):
-                click.echo(_check_cell(nn, mm, rng, samples))
+                click.echo(_check_cell(nn, mm, rng, samples, decided))
         click.echo("all checks passed")
 
     _guarded(work)

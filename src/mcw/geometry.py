@@ -10,6 +10,7 @@ by a polygon rotation are distinct objects.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -128,13 +129,17 @@ class Dissection:
         object.__setattr__(self, "diagonals", diags)
 
     @cached_property
-    def _neighbors(self) -> dict[int, tuple[int, ...]]:
-        """Per-vertex chord neighbors, used by the cell walk."""
+    def _neighbors(self) -> dict[int, list[int]]:
+        """Sorted neighbours of each chord endpoint, along its chords and the
+        boundary edge to the next label, used by the cell walk."""
+        N = self.params.N
         nbrs: dict[int, list[int]] = {}
         for a, b in self.diagonals:
-            nbrs.setdefault(a, []).append(b)
-            nbrs.setdefault(b, []).append(a)
-        return {v: tuple(ws) for v, ws in nbrs.items()}
+            nbrs.setdefault(a, [a + 1]).append(b)
+            nbrs.setdefault(b, [b + 1 if b + 1 < N else 0]).append(a)
+        for ws in nbrs.values():
+            ws.sort()
+        return nbrs
 
     def __repr__(self) -> str:
         inner = ", ".join(map(repr, self.diagonals))
@@ -170,47 +175,40 @@ class ValidationResult:
 
 def _cell_corners(t: Dissection, start: int, end: int) -> tuple[int, ...]:
     """Corners of the cell adjacent to chord (start, end) on the anti-clockwise
-    arc from start to end, listed in increasing arc position (start first)."""
+    arc from start to end, listed in increasing arc position (start first).
+
+    Each step goes to the neighbour farthest along the arc, no farther than
+    end: the largest label <= end, or, where the arc wraps past N-1 and no
+    neighbour has a label <= end, the largest label.  A vertex on no chord
+    steps along the boundary."""
     N = t.params.N
     nbrs = t._neighbors
-    span = (end - start) % N
     corners = [start]
-    x = start
+    x, limit = start, end - 1  # the chord itself is not a side of this cell
     while x != end:
-        pos_x = (x - start) % N
-        best = x + 1 if x + 1 < N else 0  # boundary edge successor
-        best_pos = pos_x + 1
-        for y in nbrs.get(x, ()):
-            pos_y = (y - start) % N
-            if pos_x < pos_y <= span and pos_y > best_pos:
-                if x == start and y == end:
-                    continue  # the chord itself is not a side of this cell
-                best, best_pos = y, pos_y
-        x = best
+        ws = nbrs.get(x)
+        if ws is None:
+            x = x + 1 if x + 1 < N else 0
+        else:
+            i = bisect_right(ws, limit)
+            x = ws[i - 1] if i else ws[-1]
+        limit = end
         corners.append(x)
     return tuple(corners)
 
 
 def _cells(t: Dissection) -> list[tuple[int, ...]]:
-    """All cells of the dissection, each as an anti-clockwise corner tuple
-    starting at its smallest label.  Works for partial dissections too."""
-    N = t.params.N
-    seen: set[frozenset[int]] = set()
-    cells: list[tuple[int, ...]] = []
+    """All cells of the dissection in sorted order, each as an anti-clockwise
+    corner tuple starting at its smallest label.  Works for partial
+    dissections too.
 
-    def record(corners: tuple[int, ...]) -> None:
-        key = frozenset(corners)
-        if key not in seen:
-            seen.add(key)
-            i = corners.index(min(corners))
-            cells.append(corners[i:] + corners[:i])
-
-    # Every cell either borders a chord or is the whole polygon, so walking
-    # both sides of every chord plus the cell behind edge (N-1, 0) covers all.
-    record(_cell_corners(t, 0, N - 1))
-    for a, b in t.diagonals:
-        record(_cell_corners(t, a, b))
-        record(_cell_corners(t, b, a))
+    A cell's corners c0 < ... < ck lie in this order anti-clockwise, so its
+    side (c0, ck) is a chord or the boundary edge (0, N-1), and the cell lies
+    on that side's arc from c0 to ck.  Each chord and that edge so close
+    exactly one cell, which one walk from its smaller end finds.
+    """
+    cells = [_cell_corners(t, a, b) for a, b in t.diagonals]
+    cells.append(_cell_corners(t, 0, t.params.N - 1))
     cells.sort()
     return cells
 

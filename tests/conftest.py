@@ -3,7 +3,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from mcw.algebra import QuiverWithRelations
+from mcw.algebra import GentleReport, QuiverWithRelations
 from mcw.geometry import PolygonParams, enumerate_dissections
 
 
@@ -67,3 +67,28 @@ def oriented_cycles(q: QuiverWithRelations) -> CycleReport:
         dfs(root, root, [root], [])
     found.sort(key=lambda c: c.vertices)
     return CycleReport(tuple(found))
+
+
+def gentle_by_lists(q: QuiverWithRelations) -> GentleReport:
+    """``is_gentle`` as first written: per arrow, the lists of its zero and
+    free continuations on each side, found by a relation lookup per
+    neighbouring arrow.  The oracle for ``is_gentle``."""
+    for v in range(q.vertex_count):
+        if len(q.out_arrows[v]) > 2:
+            return GentleReport(False, f"vertex {v} has more than two out-arrows")
+        if len(q.in_arrows[v]) > 2:
+            return GentleReport(False, f"vertex {v} has more than two in-arrows")
+    for a in q.arrows:
+        zero_next = [b for b in q.out_arrows[a.target] if (a.id, b.id) in q.relations]
+        free_next = [b for b in q.out_arrows[a.target] if (a.id, b.id) not in q.relations]
+        if len(zero_next) > 1:
+            return GentleReport(False, f"arrow {a.source}->{a.target} has two zero continuations")
+        if len(free_next) > 1:
+            return GentleReport(False, f"arrow {a.source}->{a.target} has two nonzero continuations")
+        zero_prev = [b for b in q.in_arrows[a.source] if (b.id, a.id) in q.relations]
+        free_prev = [b for b in q.in_arrows[a.source] if (b.id, a.id) not in q.relations]
+        if len(zero_prev) > 1:
+            return GentleReport(False, f"arrow {a.source}->{a.target} has two zero predecessors")
+        if len(free_prev) > 1:
+            return GentleReport(False, f"arrow {a.source}->{a.target} has two nonzero predecessors")
+    return GentleReport(True)

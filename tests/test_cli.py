@@ -15,6 +15,7 @@ import tracemalloc
 from collections import Counter
 from itertools import pairwise
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
@@ -23,7 +24,8 @@ import mcw.algebra
 import mcw.cli
 import mcw.geometry
 import mcw.normalform
-from mcw.algebra import components, quiver, quiver_of
+from conftest import gentle_by_lists
+from mcw.algebra import components, is_gentle, quiver, quiver_of
 from mcw.cli import main
 from mcw.geometry import PolygonParams, dissection, enumerate_dissections, fuss_catalan
 from mcw.normalform import NormalFormSpec, build_normal_form
@@ -543,7 +545,26 @@ def test_check_names_the_dissection_of_an_unrealizable_quiver(runner, monkeypatc
     assert problem in result.output
 
 
+@unrealizable
+def test_is_gentle_matches_its_oracle_on_unrealizable_input(q, problem):
+    assert is_gentle(q) == gentle_by_lists(q)
+
+
+def _component_values(n, m):
+    """The distinct component values over the cells that ``mcw check --n n
+    --m m`` visits."""
+    return {
+        comp.quiver
+        for mm in range(1, m + 1)
+        for nn in range(1, n + 1)
+        for t in enumerate_dissections(PolygonParams(nn, mm))
+        for comp in components(quiver_of(t))
+    }
+
+
 def test_check_screens_each_component_once(runner, monkeypatch):
+    # One screen per distinct component value over the run: 25 at 3/2,
+    # where the cells hold 125 components.
     screened = []
     real = mcw.normalform.realizability_report
 
@@ -555,13 +576,55 @@ def test_check_screens_each_component_once(runner, monkeypatch):
         monkeypatch.setattr(module, "realizability_report", counting)
     result = invoke(runner, "check", "--n", "3", "--m", "2", "--samples", "0")
     assert result.exit_code == 0
-    expected = sum(
-        len(components(quiver_of(t)))
-        for m in (1, 2)
-        for n in (1, 2, 3)
-        for t in enumerate_dissections(PolygonParams(n, m))
+    assert len(screened) == len(set(screened)) == 25
+    assert set(screened) == _component_values(3, 2)
+
+
+def test_check_reduces_each_distinct_component_once(runner, monkeypatch):
+    reduced = []
+    real = mcw.cli.reduce_component
+
+    def counting(q, cap=None):
+        reduced.append(q)
+        return real(q, cap)
+
+    monkeypatch.setattr(mcw.cli, "reduce_component", counting)
+    result = invoke(runner, "check", "--n", "4", "--m", "2", "--samples", "0")
+    assert result.exit_code == 0
+    assert len(reduced) == len(set(reduced)) == 102
+    assert set(reduced) == _component_values(4, 2)
+
+
+def test_check_splits_a_class_against_a_component_reduced_earlier(runner, monkeypatch):
+    # Every 3-vertex component of the 4/2 cell already occurred at 3/2, so
+    # class (3, 0) there holds only components reduced in an earlier cell.
+    # The first dissection of 4/2 is given a new value of that class, a path
+    # through vertex 2 that no cell before yields, and the patched reduction
+    # sends it to a final with no arrows.  The split is caught only if the
+    # repeated components' keys still enter the cell's class sets.
+    new = quiver(2, 3, [(0, 2), (2, 1)])
+    earlier = _component_values(3, 2)
+    assert new not in earlier
+    cell = list(enumerate_dissections(PolygonParams(4, 2)))
+    assert any(
+        comp.quiver in earlier and comp.quiver.vertex_count == 3
+        for t in cell[1:]
+        for comp in components(quiver_of(t))
     )
-    assert len(screened) == expected
+    real_quiver_of, real_reduce = mcw.cli.quiver_of, mcw.cli.reduce_component
+    monkeypatch.setattr(
+        mcw.cli, "quiver_of", lambda t: new if t == cell[0] else real_quiver_of(t)
+    )
+
+    def reduce(q, cap=None):
+        if q == new:
+            return SimpleNamespace(final=quiver(2, 3, []))
+        return real_reduce(q, cap)
+
+    monkeypatch.setattr(mcw.cli, "reduce_component", reduce)
+    result = invoke(runner, "check", "--n", "4", "--m", "2", "--samples", "0")
+    assert result.exit_code == 1
+    assert "error: n=4 m=2: class (3, 0) reduced to 2 distinct forms" in result.output
 
 
 def test_render_svg_and_determinism(runner, tmp_path):

@@ -329,6 +329,72 @@ def test_faces_partition_property():
             assert total_sides == t.params.N + 2 * n
 
 
+def scanning_walk(t: Dissection, start: int, end: int) -> tuple[int, ...]:
+    """The cell walk as first written: at each corner, scan every chord
+    neighbour for the one farthest along the arc from start to end.  The
+    oracle for ``geometry._cell_corners``."""
+    N = t.params.N
+    nbrs: dict[int, list[int]] = {}
+    for a, b in t.diagonals:
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+    span = (end - start) % N
+    corners = [start]
+    x = start
+    while x != end:
+        pos_x = (x - start) % N
+        best = x + 1 if x + 1 < N else 0  # boundary edge successor
+        best_pos = pos_x + 1
+        for y in nbrs.get(x, ()):
+            pos_y = (y - start) % N
+            if pos_x < pos_y <= span and pos_y > best_pos:
+                if x == start and y == end:
+                    continue  # the chord itself is not a side of this cell
+                best, best_pos = y, pos_y
+        x = best
+        corners.append(x)
+    return tuple(corners)
+
+
+def scanning_walks(t: Dissection) -> dict[tuple[int, int], tuple[int, ...]]:
+    """The scanning walk on both sides of every chord and behind edge
+    (N-1, 0), keyed by (start, end): every cell was found this way."""
+    ends = [(0, t.params.N - 1)] + [e for a, b in t.diagonals for e in ((a, b), (b, a))]
+    return {e: scanning_walk(t, *e) for e in ends}
+
+
+def scanning_cells(walks) -> list[tuple[int, ...]]:
+    """The cells those walks found, each once, from its smallest label, in
+    sorted order.  The oracle for ``geometry._cells``."""
+    cells = {frozenset(w): w for w in walks}.values()
+    return sorted(w[w.index(min(w)):] + w[: w.index(min(w))] for w in cells)
+
+
+def test_cell_walk_matches_the_scanning_oracle():
+    # Every dissection of every cell with N <= 11, and for N <= 10 each of
+    # its sub-dissections missing one diagonal.  Both sides of each chord
+    # are compared, since rotation_cycle walks the side that wraps past
+    # N-1 and _cells does not.
+    checked = 0
+    for m in range(1, 6):
+        for n in range(1, 10):
+            p = PolygonParams(n, m)
+            if p.N > 11:
+                continue
+            for diags in dissection_tuples(p, cap=None):
+                subs = [diags]
+                if p.N <= 10:
+                    subs += [diags[:i] + diags[i + 1 :] for i in range(n)]
+                for sub in subs:
+                    t = Dissection(p, sub)
+                    walks = scanning_walks(t)
+                    for (a, b), corners in walks.items():
+                        assert geometry._cell_corners(t, a, b) == corners, (sub, a, b)
+                    assert geometry._cells(t) == scanning_cells(walks.values()), sub
+                    checked += 1
+    assert checked == 7_017 + 13_667  # dissections, then partial ones
+
+
 def test_fan_dissection_faces_contain_apex():
     t = dissection(3, 2, [(0, 3), (0, 5), (0, 7)])
     assert all(0 in f.corners for f in faces(t))

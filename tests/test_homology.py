@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import json
+from fractions import Fraction
+from itertools import pairwise
+from math import factorial
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mcw.homology
 from conftest import all_dissections, small_range
-from mcw.algebra import quiver, quiver_of
-from mcw.geometry import dissection
+from mcw.algebra import canonical_key, components, quiver, quiver_of
+from mcw.geometry import Dissection, PolygonParams, dissection, dissection_tuples
 from mcw.homology import (
     DerivedInvariant,
     HomologyError,
@@ -23,6 +29,10 @@ from mcw.homology import (
     smith_normal_form,
     snf_diagonal,
 )
+from mcw.normalform import derived_equivalent
+from mcw.serialize import quiver_from_json
+
+DATA = Path(__file__).parent / "data"
 
 
 def brute_force_cartan(q):
@@ -353,3 +363,89 @@ def test_cartan_memo_ignores_labels_and_returns_the_cold_value():
     assert cartan_matrix(labelled) is cold
     assert cartan_matrix.cache_info().hits == 1
     assert cold == brute_force_cartan(labelled)
+
+
+# ------------------------------------------------------ Coxeter polynomial
+
+
+def coxeter_polynomial(c: IntMatrix) -> tuple[Fraction, ...]:
+    """Coefficients, constant term first, of the characteristic polynomial
+    of the Coxeter matrix -C^(-T) C of an invertible C, in exact arithmetic.
+
+    det(x I + C^(-T) C) = det(x C^T + C) / det C.  The numerator has degree
+    s, so its integer values at x = 0..s fix it: Newton's forward
+    differences turn them into coefficients.  A derived equivalence gives
+    C' = P C P^T with P unimodular, so the polynomial is a derived invariant.
+    """
+    s, rows = c.size, c.rows
+    diffs = [
+        determinant(IntMatrix([[x * rows[j][i] + rows[i][j] for j in range(s)]
+                               for i in range(s)]))
+        for x in range(s + 1)
+    ]
+    det = diffs[0]
+    coeffs = [Fraction(0)] * (s + 1)
+    falling = [1]  # x (x - 1) ... (x - k + 1), constant term first
+    for k in range(s + 1):
+        weight = Fraction(diffs[0], factorial(k) * det)
+        for i, f in enumerate(falling):
+            coeffs[i] += weight * f
+        falling = [lo - k * hi for lo, hi in zip([0] + falling, falling + [0])]
+        diffs = [b - a for a, b in pairwise(diffs)]
+    return tuple(coeffs)
+
+
+def _found(name):
+    return quiver_from_json(json.loads((DATA / f"{name}.json").read_text()))
+
+
+def test_coxeter_polynomial_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    samples = [_found("found_affine_a3"), _found("found_square_m2")]
+    samples += [quiver_of(t) for n, m in small_range(5, 3) for t in all_dissections(n, m)[:6]]
+    checked = 0
+    for q in samples:
+        c = cartan_matrix(q)
+        if determinant(c) == 0:
+            continue
+        mat = sympy.Matrix(c.rows)
+        theirs = (-(mat.inv().T) * mat).charpoly(x).all_coeffs()[::-1]
+        assert coxeter_polynomial(c) == tuple(Fraction(str(a)) for a in theirs), q
+        checked += 1
+    assert checked > 40
+
+
+def test_coxeter_polynomial_separates_the_found_inputs_from_a4():
+    a4 = coxeter_polynomial(cartan_matrix(quiver(1, 4, [(0, 1), (1, 2), (2, 3)])))
+    assert a4 == (1, 1, 1, 1, 1)
+    # (x - 1)^2 (x + 1)^2 and (x + 1)^2 (x^2 - x + 1)
+    for name, poly in (("found_affine_a3", (1, 0, -2, 0, 1)), ("found_square_m2", (1, 1, 0, 1, 1))):
+        c = cartan_matrix(_found(name))
+        assert determinant(c) != 0
+        assert coxeter_polynomial(c) == poly != a4, name
+
+
+def test_equivalent_components_share_the_coxeter_polynomial():
+    # Every component of every cell with N <= 11, one per isomorphism class
+    # and level.  Components with det C = 0 (an even full cycle) have no
+    # Coxeter matrix and are skipped.
+    values = set()
+    for m in range(1, 10):
+        for n in range(1, 10):
+            p = PolygonParams(n, m)
+            if p.N > 11:
+                continue
+            for diags in dissection_tuples(p, cap=None):
+                values.update(c.quiver for c in components(quiver_of(Dissection(p, diags))))
+    classes = {(q.m, canonical_key(q)): q for q in values}
+    groups: dict[tuple[int, int, int], tuple] = {}
+    for q in classes.values():
+        c = cartan_matrix(q)
+        if determinant(c) == 0:
+            continue
+        inv, poly = derived_invariant(q), coxeter_polynomial(c)
+        rep, rep_poly = groups.setdefault((q.m, inv.s, inv.r), (q, poly))
+        assert derived_equivalent(rep, q)
+        assert poly == rep_poly, (rep, q)
+    assert len(groups) == 26

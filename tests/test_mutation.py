@@ -12,11 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import all_dissections, small_range
+from conftest import all_dissections, gentle_by_lists, small_range
 from mcw.algebra import (
     AlgebraError,
     canonical_key,
     components,
+    is_gentle,
     iso_quivers,
     opposite,
     quiver,
@@ -591,6 +592,30 @@ def test_realizability_accepts_exactly_the_dissection_components(small_gentle_cl
                 # not compute them, so this is an independent check.
                 assert all(x in (0, 1) for row in cartan_matrix(q).rows for x in row), q
         assert accepted == realized[s], (s, sorted(accepted ^ realized[s]))
+
+
+def test_is_gentle_matches_its_oracle(small_gentle_classes):
+    # The report, its first problem included, is the oracle's on: every
+    # gentle class up to s = 4; every arrow set on 4 vertices without
+    # relations, for the degree and nonzero-continuation failures; and
+    # every relation set on every arrow set of 3 vertices, for the zero
+    # continuations.
+    inputs = [q for classes in small_gentle_classes.values() for q in classes.values()]
+    pairs = {s: list(permutations(range(s), 2)) for s in (3, 4)}
+    inputs += [quiver(1, 4, arrows) for arrows in _subsets(pairs[4])]
+    for arrows in _subsets(pairs[3]):
+        composable = [
+            (i, j)
+            for i, (_, middle) in enumerate(arrows)
+            for j, (start, _) in enumerate(arrows)
+            if middle == start
+        ]
+        inputs += [quiver(1, 3, arrows, rels) for rels in _subsets(composable)]
+    reports = [(is_gentle(q), gentle_by_lists(q)) for q in inputs]
+    assert all(new == old for new, old in reports)
+    # Each of the six problems is met, so each branch is compared.
+    kinds = {old.problem.split(" has ")[1] for _, old in reports if old.problem}
+    assert len(kinds) == 6, kinds
 
 
 @pytest.mark.parametrize("name", ["found_affine_a3", "found_square_m2"])
