@@ -114,7 +114,7 @@ class Dissection:
     are representable so that cell/component computations can be exercised on
     them, and validate_dissection reports maximality separately.  Construction
     refuses a diagonal with an endpoint outside 0..N-1, on which the cell walk
-    would never end; crossing and allowability are validate_dissection's.
+    would never end; crossing and allowability are check_chords'.
     """
 
     params: PolygonParams
@@ -230,9 +230,9 @@ def faces(t: Dissection) -> list[Face]:
     return out
 
 
-def validate_dissection(t: Dissection) -> ValidationResult:
-    """Check the maximal-dissection invariants, reporting the first failure
-    in the order allowability, crossing, cardinality, face shape."""
+def check_chords(t: Dissection) -> ValidationResult:
+    """Check that every diagonal is allowable and no two cross, reporting
+    the first failure in that order; partial dissections pass."""
     p = t.params
     for d in t.diagonals:
         try:
@@ -246,9 +246,19 @@ def validate_dissection(t: Dissection) -> ValidationResult:
         for d2 in ds[i + 1 :]:
             if crosses(d1, d2):
                 return ValidationResult(False, "crossing", f"{d1} crosses {d2}")
-    if len(ds) != p.n:
+    return ValidationResult(True)
+
+
+def validate_dissection(t: Dissection) -> ValidationResult:
+    """Check the maximal-dissection invariants, reporting the first failure
+    in the order allowability, crossing, cardinality, face shape."""
+    p = t.params
+    chords = check_chords(t)
+    if not chords.ok:
+        return chords
+    if len(t.diagonals) != p.n:
         return ValidationResult(
-            False, "cardinality", f"{len(ds)} diagonals, maximality needs n={p.n}"
+            False, "cardinality", f"{len(t.diagonals)} diagonals, maximality needs n={p.n}"
         )
     for f in faces(t):
         if len(f.corners) != p.m + 2:

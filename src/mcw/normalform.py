@@ -26,12 +26,15 @@ searches over states and nothing is memoized between calls.
    (``orient``); with r = 0 the whole tree is a path, oriented from one of
    its leaves.
 
-The steps are planned in the cell picture described above ``_blocks``.
-Every step goes through ``apply_mutation`` and ``record_move``, so each one
-passes the acceptance, Happel and Smith-form checks of its move kind, and
-the final quiver must be isomorphic to ``build_normal_form``.  The step bound is ``step_cap``, or a
-smaller ``cap``; it is checked before each step and raises
-``CapExceeded``.  The moves need not be the shortest script.
+The steps are planned in the cell picture described above ``_Shape``,
+built once per state.  Each step is the one move its plan names, taken
+through ``apply_mutation`` and ``record_move``, so it passes the
+acceptance, Happel and Smith-form checks of its move kind; a refused move
+or a failed check ends the reduction with its cause, and no other move is
+tried in its place.  The final quiver must be isomorphic to
+``build_normal_form``.  The step bound is ``step_cap``, or a smaller
+``cap``; it is checked before each step and raises ``CapExceeded``.  The
+moves need not be the shortest script.
 """
 
 from __future__ import annotations
@@ -184,30 +187,24 @@ def step_cap(s: int, m: int) -> int:
 _Cell = tuple[bool, tuple[int, ...]]
 
 
-def _blocks(q: QuiverWithRelations) -> list[_Cell]:
-    """``q.runs`` as cells: ``(True, cycle)`` per closed run, vertices in
-    arrow order from the smallest, and ``(False, run)`` per open run,
-    vertices in arrow order."""
-
-    arrow = q.arrow_by_id
-    cells: list[_Cell] = []
-    for closed, run in q.runs:
-        if closed:
-            cyc = [arrow[x].source for x in run]
-            low = cyc.index(min(cyc))
-            cells.append((True, tuple(cyc[low:] + cyc[:low])))
-        else:
-            cells.append(
-                (False, (arrow[run[0]].source,) + tuple(arrow[x].target for x in run))
-            )
-    return cells
-
-
 class _Shape:
-    """The cells of one quiver and the vertices on their sides."""
+    """The cells of one quiver and the vertices on their sides: ``q.runs``
+    as cells, ``(True, cycle)`` per closed run, vertices in arrow order from
+    the smallest, and ``(False, run)`` per open run, vertices in arrow
+    order."""
 
     def __init__(self, q: QuiverWithRelations):
-        self.cells = _blocks(q)
+        arrow = q.arrow_by_id
+        self.cells: list[_Cell] = []
+        for closed, run in q.runs:
+            if closed:
+                cyc = [arrow[x].source for x in run]
+                low = cyc.index(min(cyc))
+                self.cells.append((True, tuple(cyc[low:] + cyc[:low])))
+            else:
+                self.cells.append(
+                    (False, (arrow[run[0]].source,) + tuple(arrow[x].target for x in run))
+                )
         self.where: dict[int, list[int]] = {v: [] for v in range(q.vertex_count)}
         for i, (_, vs) in enumerate(self.cells):
             for v in vs:
@@ -244,14 +241,16 @@ class _Shape:
 
 
 class _Reduction:
-    """A reduction in progress: the current quiver, the accepted steps with
-    the phase that took each, and the step bound, checked before each step.
+    """A reduction in progress: the current quiver and its cells, the
+    accepted steps with the phase that took each, and the step bound,
+    checked before each step.
 
     ``anchor`` is the side of the root cycle that carries the tail; a turn
     that hands it over passes the role to the turned vertex."""
 
     def __init__(self, q: QuiverWithRelations, limit: int):
         self.state = q
+        self.shape = _Shape(q)
         self.limit = limit
         self.steps: list[MoveRecord] = []
         self.phases: list[str] = []
@@ -271,34 +270,20 @@ class _Reduction:
             raise NormalFormError(
                 f"{phase} phase: {kind} at {tuple(site)} refused: {exc}"
             ) from exc
-        self._accept(kind, site, moved, phase)
-
-    def _accept(
-        self, kind: str, site: Sequence[int], moved: QuiverWithRelations, phase: str
-    ) -> None:
         self.steps.append(record_move(kind, site, self.state, moved))
         self.phases.append(phase)
         self.state = moved
+        self.shape = _Shape(moved)
 
     def turn(self, v: int, d: int, phase: str) -> None:
         """Turn v one step in direction d: minus turns it forward and plus
-        back; where that kind is refused, the other one gives the turn."""
-        self._check_cap()
-        shape = _Shape(self.state)
+        back.  That move is the only one taken; a refusal or a failed check
+        ends the reduction through ``_take``."""
+        shape = self.shape
         handed = [shape.slot(i, v, d) for i in shape.where[v] if shape.cells[i][0]]
-        for kind in ("minus", "plus") if d == 1 else ("plus", "minus"):
-            try:
-                moved = apply_mutation(self.state, kind, (v,))
-            except (MoveRejected, MutationError):
-                continue
-            self._accept(kind, (v,), moved, phase)
-            if self.anchor in handed:
-                self.anchor = v
-            return
-        raise NormalFormError(
-            f"{phase} phase: no accepted move turns {v} by {d:+d}; "
-            "this contradicts the classification theorem"
-        )
+        self._take("minus" if d == 1 else "plus", (v,), phase)
+        if self.anchor in handed:
+            self.anchor = v
 
     # --- phase 1: relations off the cycles --------------------------------
 
@@ -308,7 +293,7 @@ class _Reduction:
         is drained toward a leaf."""
         while True:
             q = self.state
-            runs = [vs for full, vs in _blocks(q) if not full and len(vs) > 2]
+            runs = [vs for full, vs in self.shape.cells if not full and len(vs) > 2]
             if not runs:
                 return
             bare = [
@@ -331,12 +316,11 @@ class _Reduction:
         reaches a leaf."""
         want = len(self.state.relations) - 1
         while len(self.state.relations) > want:
-            shape = _Shape(self.state)
-            run, end = self._drain_site(shape)
+            run, end = self._drain_site()
             self.turn(end, -1 if end == run[-1] else 1, "relations")
 
-    @staticmethod
-    def _drain_site(shape: _Shape) -> tuple[tuple[int, ...], int]:
+    def _drain_site(self) -> tuple[tuple[int, ...], int]:
+        shape = self.shape
         runs = [
             (i, vs) for i, (full, vs) in enumerate(shape.cells) if not full and len(vs) > 2
         ]
@@ -367,7 +351,7 @@ class _Reduction:
     def _choose_root(self) -> None:
         """Root at a cycle with one cycle-bearing side at most; its side with
         the longest pendant path is the anchor, where the tail will grow."""
-        shape = _Shape(self.state)
+        shape = self.shape
         best = None
         for i, (full, vs) in enumerate(shape.cells):
             if not full:
@@ -385,7 +369,7 @@ class _Reduction:
         the root until the two share a vertex; the arrows pass to the far
         side of the sliding cycle."""
         while True:
-            shape = _Shape(self.state)
+            shape = self.shape
             order, bridge = [shape.cycle(self.anchor)], None
             for c in order:
                 for v in shape.cells[c][1]:
@@ -402,8 +386,9 @@ class _Reduction:
             link = shape.cells[shape.other(w, far)][1]
             self.turn(w, 1 if link[0] == w else -1, "chain")
 
-    def _cycle_tree(self, shape: _Shape) -> list[tuple[int, int, int]]:
+    def _cycle_tree(self) -> list[tuple[int, int, int]]:
         """(cell, entry side, depth) per cycle, from the root outward."""
+        shape = self.shape
         tree = [(shape.cycle(self.anchor), self.anchor, 0)]
         for c, entry, depth in tree:
             for v in shape.cells[c][1]:
@@ -419,9 +404,9 @@ class _Reduction:
         (a sibling, a pendant path or a leaf) moves into the child."""
         m = self.state.m
         while True:
-            shape = _Shape(self.state)
+            shape = self.shape
             todo = None
-            for c, entry, depth in self._cycle_tree(shape):
+            for c, entry, depth in self._cycle_tree():
                 kids = [
                     p
                     for p in range(1, m + 2)
@@ -433,8 +418,9 @@ class _Reduction:
                 return
             self.turn(todo[1], -1, "chain")
 
-    def _chain(self, shape: _Shape) -> list[tuple[int, int]]:
+    def _chain(self) -> list[tuple[int, int]]:
         """(cell, entry side) along the chain from the root."""
+        shape = self.shape
         chain = [(shape.cycle(self.anchor), self.anchor)]
         while True:
             c, entry = chain[-1]
@@ -454,13 +440,13 @@ class _Reduction:
         side before its entry and then through it, and the parent cycle pulls
         them off the bridge this makes."""
         m = self.state.m
-        n = len(self._chain(_Shape(self.state)))
+        n = len(self._chain())
         for i in range(n - 1, -1, -1):
             for p in range(1 if i == n - 1 else 2, m + 2):
                 self._shift_pendant(i, p)
             while i:
-                shape = _Shape(self.state)
-                c, entry = self._chain(shape)[i - 1]
+                shape = self.shape
+                c, entry = self._chain()[i - 1]
                 y = shape.slot(c, entry, 1)
                 link = shape.other(y, c)
                 if shape.cells[link][0]:
@@ -469,17 +455,16 @@ class _Reduction:
 
     def _shift_pendant(self, i: int, p: int) -> None:
         """Slide the pendant path on side p of chain cycle i to side p + 1."""
-        shape = _Shape(self.state)
-        c, entry = self._chain(shape)[i]
+        shape = self.shape
+        c, entry = self._chain()[i]
         x = shape.slot(c, entry, p)
         path, far = shape.beyond(c, x)
         if far is not None or len(path) == 1:
             return
         self.orient(x, shape.cells[c], "chain")
         for _ in path[1:]:
-            shape = _Shape(self.state)
-            c, entry = self._chain(shape)[i]
-            self.turn(shape.slot(c, entry, p), 1, "chain")
+            c, entry = self._chain()[i]
+            self.turn(self.shape.slot(c, entry, p), 1, "chain")
 
     def _place_connectors(self) -> None:
         """Turn each connector until every cycle's exit (toward the root, or
@@ -489,17 +474,16 @@ class _Reduction:
         makes room one cycle deeper."""
         m = self.state.m
         conn = connector_position(m)
-        shape = _Shape(self.state)
-        n = len(self._chain(shape))
+        shape = self.shape
+        n = len(self._chain())
         has_tail = len(shape.beyond(shape.cycle(self.anchor), self.anchor)[0]) > 1
 
         def gap(i: int) -> tuple[int, int]:
             """How far cycle i's exit lies past its prescribed connector, and
             the connector to its deeper neighbour."""
-            shape = _Shape(self.state)
-            chain = self._chain(shape)
+            chain = self._chain()
             (c, exit_), entry = chain[i], chain[i + 1][1]
-            vs = shape.cells[c][1]
+            vs = self.shape.cells[c][1]
             return (vs.index(exit_) - vs.index(entry)) % len(vs) - conn, entry
 
         def shift(i: int, d: int) -> None:
@@ -538,9 +522,8 @@ class _Reduction:
             raise NormalFormError(f"{phase} phase: path at {x} did not orient")
 
     def _pendant(self, x: int, near: _Cell | None) -> list[int]:
-        shape = _Shape(self.state)
-        cell = shape.cells.index(near) if near is not None else None
-        return shape.beyond(cell, x)[0]
+        cell = self.shape.cells.index(near) if near is not None else None
+        return self.shape.beyond(cell, x)[0]
 
     def _away(self, a: int, b: int) -> bool:
         return (a, b) in self.state.arrow_pairs()
@@ -552,7 +535,7 @@ class _Reduction:
     def orient_tree(self) -> None:
         """r = 0: the relation-free tree is a path; make it a directed path
         from whichever end needs fewer moves."""
-        shape = _Shape(self.state)
+        shape = self.shape
         leaves = [v for v, cells in shape.where.items() if len(cells) == 1]
         if leaves:
             start = min(leaves, key=lambda v: self._cost(shape.beyond(None, v)[0]))
@@ -589,8 +572,7 @@ def reduce_component(q: QuiverWithRelations, cap: int | None = None) -> Reductio
         red.clear_relations()
         if inv.r:
             red.build_chain()
-            shape = _Shape(red.state)
-            red.orient(red.anchor, shape.cells[shape.cycle(red.anchor)], "tail")
+            red.orient(red.anchor, red.shape.cells[red.shape.cycle(red.anchor)], "tail")
         else:
             red.orient_tree()
     witness = iso_quivers(red.state, target)

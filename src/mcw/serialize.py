@@ -16,8 +16,8 @@ from .geometry import (
     Dissection,
     GeometryError,
     PolygonParams,
+    check_chords,
     dissection,
-    validate_dissection,
 )
 from .homology import DerivedInvariant, HomologyError, IntMatrix
 from .mutation import MoveRecord
@@ -117,8 +117,8 @@ def dissection_from_json(obj: Any) -> Dissection:
         t = dissection(n, m, chords)
     except GeometryError as exc:
         raise SerializeError(f"invalid dissection: {exc}") from exc
-    report = validate_dissection(t)
-    if report.problem in ("allowability", "crossing"):
+    report = check_chords(t)
+    if not report.ok:
         raise SerializeError(f"invalid dissection: {report.detail}")
     return t
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import mcw.algebra
+import mcw.mutation
 import mcw.normalform
 
 from conftest import Cycle, all_dissections, oriented_cycles, small_range
@@ -24,7 +25,13 @@ from mcw.algebra import (
 )
 from mcw.geometry import CapExceeded, dissection
 from mcw.homology import derived_invariant
-from mcw.mutation import apply_mutation, is_realizable, realizability_report, record_move
+from mcw.mutation import (
+    MutationError,
+    apply_mutation,
+    is_realizable,
+    realizability_report,
+    record_move,
+)
 from mcw.normalform import (
     PHASES,
     NormalFormError,
@@ -492,6 +499,40 @@ def test_reduce_sampled_components_past_exhaustive_sizes(n, m, seed, size):
     assert elapsed < 30.0, elapsed
     assert len(trace.steps) <= step_cap(q.vertex_count, m)
     check_trace(q, trace)
+
+
+def test_a_failed_check_inside_a_turn_ends_the_reduction(monkeypatch):
+    # The turn's move is the only one tried: when its check fails, the
+    # reduction stops with the cause rather than trying the other kind.
+    q = largest_component(12, 1, 0)
+    assert q.vertex_count == 12
+    real, calls = mcw.mutation.tilting_mutation_minus, [0]
+
+    def minus(q, v):
+        calls[0] += 1
+        if calls[0] == 11:
+            raise MutationError("injected")
+        return real(q, v)
+
+    monkeypatch.setattr(mcw.mutation, "tilting_mutation_minus", minus)
+    with pytest.raises(NormalFormError, match=r"phase: minus at \(\d+,\) refused: injected"):
+        reduce_component(q)
+    assert calls[0] == 11
+
+
+@pytest.mark.parametrize("n,m", [(20, 1), (30, 2)])
+def test_one_cell_picture_per_state(monkeypatch, n, m):
+    q = largest_component(n, m, 0)
+    real, built = mcw.normalform._Shape.__init__, [0]
+
+    def counting(self, state):
+        built[0] += 1
+        real(self, state)
+
+    monkeypatch.setattr(mcw.normalform._Shape, "__init__", counting)
+    trace = reduce_component(q)
+    assert trace.steps
+    assert built[0] == len(trace.steps) + 1
 
 
 def test_reduce_sampled_tree_at_s10():

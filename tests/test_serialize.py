@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+import mcw.geometry
+
 from conftest import all_dissections
 from mcw.algebra import AlgebraError, quiver, quiver_of
 from mcw.geometry import Dissection, PolygonParams, dissection, dissection_tuples, fuss_catalan
@@ -153,6 +155,19 @@ def test_dissection_loader_rejects_malformed_diagonals():
     # Non-crossing partial dissections stay loadable.
     partial = dissection_from_json({"n": 4, "m": 2, "diagonals": [[0, 3], [6, 9]]})
     assert len(partial.diagonals) == 2
+
+
+def test_dissection_loader_builds_no_cells(monkeypatch):
+    # Loading checks chords only: allowability and crossing need no cell walk.
+    def unreachable(*args):
+        raise AssertionError("cells built while loading")
+
+    monkeypatch.setattr(mcw.geometry, "faces", unreachable)
+    monkeypatch.setattr(mcw.geometry, "_cells", unreachable)
+    for t in all_dissections(4, 2):
+        assert dissection_from_json(dissection_to_json(t)) == t
+    with pytest.raises(SerializeError, match=r"d\(0,2\) crosses d\(1,3\)"):
+        dissection_from_json({"n": 2, "m": 1, "diagonals": [[0, 2], [1, 3]]})
 
 
 def test_dissection_loader_reports_constructor_refusals():
