@@ -16,7 +16,7 @@ import re
 import sys
 from collections import defaultdict
 from contextlib import contextmanager
-from itertools import chain, islice
+from itertools import islice
 from typing import Any, Iterator, Mapping, NoReturn, TextIO
 
 import click
@@ -38,7 +38,6 @@ from .geometry import (
     PolygonParams,
     census_counts,
     diagonal,
-    dissection_tuples,
     enumerate_dissections,
     fuss_catalan,
 )
@@ -199,14 +198,17 @@ def enumerate_cmd(n: int, m: int, cap: int, out: str | None) -> None:
 
     def work() -> None:
         p = PolygonParams(n, m)
-        tuples = dissection_tuples(p, cap=cap)
+        lines = dissection_lines(p, cap)
         # The cap is checked on the first pull, so a refused enumeration
         # writes nothing and leaves no --out file behind.
-        first = next(tuples)
-        lines = dissection_lines(p, chain((first,), tuples))
         line = next(lines)
-        # The lines are rendered as text; the first must match the encoder's.
-        expected = dumps(dissection_to_json(Dissection(p, first))) + "\n"
+        # The lines are rendered as text; the first must be the encoder's
+        # text for the dissection of p that it names.
+        try:
+            named = Dissection(p, dissection_from_json(json.loads(line)).diagonals)
+        except (json.JSONDecodeError, SerializeError, GeometryError) as exc:
+            _fail(1, f"line renderer wrote {line!r}, which does not load: {exc}")
+        expected = dumps(dissection_to_json(named)) + "\n"
         if line != expected:
             _fail(1, f"line renderer wrote {line!r}, the JSON encoder {expected!r}")
         with _output(out) as fh:

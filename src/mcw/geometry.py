@@ -14,9 +14,12 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import combinations, product
 from operator import itemgetter
-from typing import Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
+
+
+_V = TypeVar("_V")
 
 
 class GeometryError(ValueError):
@@ -241,11 +244,19 @@ def check_chords(t: Dissection) -> ValidationResult:
             return ValidationResult(False, "allowability", str(e))
         if not ok:
             return ValidationResult(False, "allowability", f"{d} is not {p.m}-allowable")
-    ds = t.diagonals
-    for i, d1 in enumerate(ds):
-        for d2 in ds[i + 1 :]:
-            if crosses(d1, d2):
-                return ValidationResult(False, "crossing", f"{d1} crosses {d2}")
+    # Taken by first endpoint, longest first, non-crossing chords nest like
+    # brackets: each must end inside the innermost chord still open at its
+    # start.  Only a crossing pays for the pairwise scan, which names the
+    # first crossing pair of the sorted tuple.
+    N = p.N
+    ends: list[int] = []
+    for a, b in sorted(t.diagonals, key=lambda d: d[0] * N - d[1]):
+        while ends and ends[-1] <= a:
+            ends.pop()
+        if ends and b > ends[-1]:
+            d1, d2 = next(pair for pair in combinations(t.diagonals, 2) if crosses(*pair))
+            return ValidationResult(False, "crossing", f"{d1} crosses {d2}")
+        ends.append(b)
     return ValidationResult(True)
 
 
@@ -273,12 +284,23 @@ def fuss_catalan(n: int, m: int) -> int:
     return math.comb((m + 1) * (n + 1), n) // (n + 1)
 
 
-def dissection_tuples(
-    p: PolygonParams, cap: int | None = 10**6
-) -> Iterator[tuple[Diagonal, ...]]:
-    """Yield the sorted diagonal tuple of every maximal dissection exactly
-    once, in lexicographic order, generated in that order: no list of all
-    tuples is held and none is sorted.
+def lex_dissections(
+    p: PolygonParams,
+    unit: Callable[[int, int], _V],
+    join: Callable[[Iterable[_V]], _V],
+    cap: int | None = 10**6,
+) -> Iterator[_V]:
+    """Yield one value per maximal dissection exactly once, in lexicographic
+    order on its sorted diagonal tuple, generated in that order: no list of
+    all dissections is held and none is sorted.
+
+    A dissection's value is the concatenation, in sorted order, of
+    unit(a, b) over its diagonals (a, b).  Values are concatenated with +
+    and join, which takes an iterable of values; join(()) is the empty
+    value.  With 1-tuples of Diagonal the value is the sorted diagonal
+    tuple (dissection_tuples); with text fragments it is the text of the
+    diagonal list (serialize.dissection_lines).  unit is called once per
+    fan diagonal of a chain, not once per dissection.
 
     A chain (x, y, g) is the arc x..y split into g gaps, each gap a
     boundary edge or a diagonal over the region below it; every gap spans
@@ -295,8 +317,8 @@ def dissection_tuples(
     (0, N-1, m+1) on the boundary edge (N-1, 0).
 
     A fan left with one sub-chain streams it; a fan with several takes the
-    sub-chains' lists from a memo, and each list is dropped once the last
-    fan that uses it has taken it.
+    sub-chains' lists of values from a memo, and each list is dropped once
+    the last fan that uses it has taken it.
 
     Refuses parameter ranges whose Fuss-Catalan count exceeds `cap`
     (pass cap=None to disable the guard); the check runs on the first pull.
@@ -305,31 +327,32 @@ def dissection_tuples(
     if cap is not None and total > cap:
         raise CapExceeded(f"{total} dissections exceed the cap of {cap}")
     N, m = p.N, p.m
+    empty = join(())
     Chain = tuple[int, int, int]
-    fans: dict[Chain, list[tuple[tuple[Diagonal, ...], tuple[Chain, ...]]]] = {}
+    fans: dict[Chain, list[tuple[_V, tuple[Chain, ...]]]] = {}
 
-    def fans_of(key: Chain) -> list[tuple[tuple[Diagonal, ...], tuple[Chain, ...]]]:
+    def fans_of(key: Chain) -> list[tuple[_V, tuple[Chain, ...]]]:
         # The fans at x in output order, each with the sub-chains it leaves;
         # a sub-chain of boundary edges only (y - x == g) has one empty
-        # tuple and is left out.
+        # value and is left out.
         out = fans.get(key)
         if out is None:
             x, y, g = key
             out = fans[key] = []
 
-            def grow(prev: int, fan: tuple[Diagonal, ...], parts: tuple[Chain, ...]) -> None:
+            def grow(prev: int, fan: _V, parts: tuple[Chain, ...]) -> None:
                 for h in range(prev + m, y - g + 2, m):
                     sub = parts if h - prev == m else parts + ((prev, h, m),)
-                    grow(h, fan + (Diagonal(x, h),), sub)
+                    grow(h, fan + unit(x, h), sub)
                 if g > 1 or prev == y:
                     rest = parts if y - prev == g - 1 else parts + ((prev, y, g - 1),)
                     out.append((fan, rest))
 
-            grow(x + 1, (), ())
+            grow(x + 1, empty, ())
         return out
 
     # uses counts the requests for each chain's list, walking the fans as
-    # chain_tuples will; a streamed chain is walked each time it streams.
+    # chain_values will; a streamed chain is walked each time it streams.
     uses: Counter[Chain] = Counter()
 
     def walk(key: Chain) -> None:
@@ -342,31 +365,40 @@ def dissection_tuples(
                     if uses[part] == 1:
                         walk(part)
 
-    lists: dict[Chain, list[tuple[Diagonal, ...]]] = {}
+    lists: dict[Chain, list[_V]] = {}
 
-    def chain_list(key: Chain) -> list[tuple[Diagonal, ...]]:
+    def chain_list(key: Chain) -> list[_V]:
         out = lists.get(key)
         if out is None:
-            out = lists[key] = list(chain_tuples(key))
+            out = lists[key] = list(chain_values(key))
         uses[key] -= 1
         if not uses[key]:
             del lists[key]
         return out
 
-    def chain_tuples(key: Chain) -> Iterator[tuple[Diagonal, ...]]:
+    def chain_values(key: Chain) -> Iterator[_V]:
         for fan, parts in fans_of(key):
             if not parts:
                 yield fan
             elif len(parts) == 1:
-                for rest in chain_tuples(parts[0]):
+                for rest in chain_values(parts[0]):
                     yield fan + rest
             else:
-                for combo in product(*map(chain_list, parts)):
-                    yield sum(combo, fan)
+                for combo in product((fan,), *map(chain_list, parts)):
+                    yield join(combo)
 
     root = (0, N - 1, m + 1)
     walk(root)
-    yield from chain_tuples(root)
+    yield from chain_values(root)
+
+
+def dissection_tuples(
+    p: PolygonParams, cap: int | None = 10**6
+) -> Iterator[tuple[Diagonal, ...]]:
+    """Yield the sorted diagonal tuple of every maximal dissection exactly
+    once, in lexicographic order; see lex_dissections for the order and
+    the cap."""
+    return lex_dissections(p, lambda a, b: (Diagonal(a, b),), lambda parts: sum(parts, ()), cap)
 
 
 def enumerate_dissections(p: PolygonParams, cap: int | None = 10**6) -> Iterator[Dissection]:

@@ -8,16 +8,16 @@ constructors so a hand-edited file gets the same validation as code.
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping
 
 from .algebra import QuiverWithRelations, quiver
 from .geometry import (
-    Diagonal,
     Dissection,
     GeometryError,
     PolygonParams,
     check_chords,
     dissection,
+    lex_dissections,
 )
 from .homology import DerivedInvariant, HomologyError, IntMatrix
 from .mutation import MoveRecord
@@ -83,26 +83,20 @@ def dissection_to_json(t: Dissection) -> dict[str, Any]:
     }
 
 
-class _Fragments(dict):
-    """The JSON text "[a, b]" of each diagonal, made on first use."""
-
-    def __missing__(self, d: Diagonal) -> str:
-        text = self[d] = f"[{d[0]}, {d[1]}]"
-        return text
+_fragment = "[{}, {}], ".format
 
 
-def dissection_lines(
-    p: PolygonParams, tuples: Iterable[Sequence[Diagonal]]
-) -> Iterator[str]:
-    """One line per sorted diagonal tuple of a dissection of p, each the
-    text of ``dumps(dissection_to_json(t)) + "\\n"`` without building t, its
-    dict or an encoder call: the memoized diagonal fragments are joined
-    between the fixed head and tail of the object."""
+def dissection_lines(p: PolygonParams, cap: int | None = 10**6) -> Iterator[str]:
+    """One line per maximal dissection of p, in lexicographic order, each
+    the text of ``dumps(dissection_to_json(t)) + "\\n"`` without building t,
+    its dict or an encoder call.  lex_dissections builds the diagonal list
+    as text from "[a, b], " fragments, so each line is that text between
+    the fixed head and tail of the object.  The cap is checked on the
+    first pull, as in dissection_tuples."""
 
-    fragment = _Fragments().__getitem__
     head, tail = '{"diagonals": [', f'], "m": {p.m}, "n": {p.n}}}\n'
-    for ds in tuples:
-        yield head + ", ".join(map(fragment, ds)) + tail
+    for body in lex_dissections(p, _fragment, "".join, cap):
+        yield head + body[:-2] + tail
 
 
 def dissection_from_json(obj: Any) -> Dissection:

@@ -78,21 +78,37 @@ def test_enumerate_lines_follow_the_dissection_order(runner, n, m):
     assert lines != sorted(lines)
 
 
-def test_enumerate_refuses_a_renderer_that_disagrees(runner, tmp_path, monkeypatch):
-    # The first line is also encoded as JSON; a renderer whose text differs
-    # stops the command before it writes anything.
-    def garbled(p, tuples):
-        return (line.replace(", ", ",") for line in dissection_lines(p, tuples))
+# First-line garbles, each a (text, replacement) pair.
+GARBLES = [
+    (", ", ","),  # the encoder's spacing lost
+    ("}\n", "\n"),  # not JSON
+    ("[0, 2]", "[0, 9]"),  # a chord outside the hexagon of 3/1
+    ('"n": 3', '"n": 4'),  # the same chords, named for 4/1
+    ('4]], "m": 1, "n": 3', '7]], "m": 1, "n": 9'),  # a chord of 9/1 only
+]
 
-    monkeypatch.setattr(mcw.cli, "dissection_lines", garbled)
+
+def test_enumerate_refuses_a_renderer_that_disagrees(runner, tmp_path, monkeypatch):
+    # The first line is loaded back and encoded as JSON for the requested
+    # polygon; a line whose text differs, that does not load, or that names
+    # a chord or polygon of another size stops the command before it writes
+    # anything.
     args = ["enumerate", "--n", "3", "--m", "1"]
-    result = invoke(runner, *args)
-    assert result.exit_code == 1
-    assert result.stdout == ""
-    assert "line renderer wrote" in result.stderr
-    out = tmp_path / "e.jsonl"
-    assert invoke(runner, *args, "--out", str(out)).exit_code == 1
-    assert not out.exists()
+    for k, (old, new) in enumerate(GARBLES):
+
+        def garbled(p, cap, old=old, new=new):
+            lines = dissection_lines(p, cap)
+            yield next(lines).replace(old, new)
+            yield from lines
+
+        monkeypatch.setattr(mcw.cli, "dissection_lines", garbled)
+        result = invoke(runner, *args)
+        assert result.exit_code == 1, old
+        assert result.stdout == ""
+        assert "line renderer wrote" in result.stderr
+        out = tmp_path / f"e{k}.jsonl"
+        assert invoke(runner, *args, "--out", str(out)).exit_code == 1
+        assert not out.exists()
 
 
 def test_enumerate_encodes_only_the_first_line(runner, monkeypatch):

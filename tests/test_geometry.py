@@ -9,6 +9,7 @@ which these tests pin against the oracle.
 from __future__ import annotations
 
 import pickle
+import random
 import tracemalloc
 from bisect import bisect_left
 from collections import Counter, deque
@@ -28,8 +29,10 @@ from mcw.geometry import (
     Dissection,
     GeometryError,
     PolygonParams,
+    ValidationResult,
     apply_move,
     census_counts,
+    check_chords,
     crosses,
     diagonal,
     dissection,
@@ -276,6 +279,67 @@ def test_validate_spec_examples():
     bad_chord = Dissection(PolygonParams(2, 2), (Diagonal(0, 2), Diagonal(0, 5)))
     res = validate_dissection(bad_chord)
     assert not res.ok and res.problem == "allowability"
+
+
+def pairwise_chords(t: Dissection) -> ValidationResult:
+    """The oracle for check_chords: allowability, then every pair of the
+    sorted tuple tested with crosses, reporting the first crossing pair."""
+    p = t.params
+    for d in t.diagonals:
+        try:
+            ok = is_allowable(d, p)
+        except GeometryError as e:
+            return ValidationResult(False, "allowability", str(e))
+        if not ok:
+            return ValidationResult(False, "allowability", f"{d} is not {p.m}-allowable")
+    for d1, d2 in combinations(t.diagonals, 2):
+        if crosses(d1, d2):
+            return ValidationResult(False, "crossing", f"{d1} crosses {d2}")
+    return ValidationResult(True)
+
+
+def test_bracket_pass_agrees_with_the_pairwise_scan():
+    # Every dissection with N <= 12.  For N <= 10 also each sub-dissection
+    # missing one diagonal, and each dissection with one more allowable
+    # chord, drawn from a seeded generator; a dissection is maximal, so the
+    # added chord crosses one of its diagonals.  Then seeded sets of
+    # allowable chords of polygons with up to 30 vertices.  Verdict, problem
+    # and message must all agree.
+    rng = random.Random(15)
+    seen = Counter()
+
+    def agree(p: PolygonParams, ds) -> None:
+        t = Dissection(p, tuple(ds))
+        got = check_chords(t)
+        assert got == pairwise_chords(t), t
+        seen[got.problem] += 1
+
+    def allowable(p: PolygonParams) -> list[Diagonal]:
+        return [
+            Diagonal(a, b)
+            for a, b in combinations(range(p.N), 2)
+            if 2 <= b - a <= p.N - 2 and (b - a) % p.m == 1 % p.m
+        ]
+
+    for m in range(1, 11):
+        for n in range(1, 11):
+            p = PolygonParams(n, m)
+            if p.N > 12:
+                continue
+            chords = allowable(p)
+            for diags in dissection_tuples(p, cap=None):
+                agree(p, diags)
+                if p.N <= 10:
+                    for i in range(n):
+                        agree(p, diags[:i] + diags[i + 1 :])
+                    agree(p, diags + (rng.choice([d for d in chords if d not in diags]),))
+    for _ in range(3000):
+        p = PolygonParams(rng.randint(1, 14), rng.randint(1, 4))
+        if p.N > 30:
+            continue
+        chords = allowable(p)
+        agree(p, rng.sample(chords, min(len(chords), rng.randint(2, p.n + 2))))
+    assert seen == {None: 38_012, "crossing": 4_060}
 
 
 def test_dissection_refuses_chords_outside_the_polygon(monkeypatch):

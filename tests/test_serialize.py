@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
+from collections import deque
 
 import pytest
 
@@ -10,7 +12,13 @@ import mcw.geometry
 
 from conftest import all_dissections
 from mcw.algebra import AlgebraError, quiver, quiver_of
-from mcw.geometry import Dissection, PolygonParams, dissection, dissection_tuples, fuss_catalan
+from mcw.geometry import (
+    Dissection,
+    PolygonParams,
+    dissection,
+    dissection_tuples,
+    fuss_catalan,
+)
 from mcw.homology import cartan_matrix, derived_invariant
 from mcw.mutation import record_move, tilting_mutation_plus
 from mcw.normalform import reduce
@@ -61,26 +69,45 @@ def test_dissection_round_trip_exhaustive():
 )
 def test_dissection_lines_are_the_encoders_text(n, m):
     # Every line enumerate writes, for every dissection with N <= 14, is the
-    # encoder's text for that dissection.  Loading the line back validates
-    # the dissection (about 0.2 ms each), so that runs on the cells of at
-    # most 5000 dissections: all but 9/1, 10/1 and 11/1.
+    # encoder's text for that dissection, in the order of dissection_tuples.
+    # Loading the line back validates the dissection (about 0.2 ms each), so
+    # that runs on the cells of at most 5000 dissections: all but 9/1, 10/1
+    # and 11/1.
     p = PolygonParams(n, m)
     tuples = list(dissection_tuples(p, cap=None))
     assert len(tuples) == fuss_catalan(n, m)
     load_back = len(tuples) <= 5000
-    for ds, line in zip(tuples, dissection_lines(p, tuples), strict=True):
+    for ds, line in zip(tuples, dissection_lines(p, cap=None), strict=True):
         t = Dissection(p, ds)
         assert line == dumps(dissection_to_json(t)) + "\n"
         if load_back:
             assert dissection_from_json(json.loads(line)) == t
 
 
-def test_dissection_lines_render_any_diagonal_tuple():
-    # No diagonals, and labels of several digits, as the encoder writes them.
-    for n, m, chords in [(1, 1, []), (2, 40, [(0, 41), (41, 82)])]:
-        t = dissection(n, m, chords)
-        (line,) = dissection_lines(t.params, [t.diagonals])
-        assert line == dumps(dissection_to_json(t)) + "\n"
+def test_dissection_lines_write_labels_of_several_digits():
+    # The generator's own lines on polygons of 122 and 200 vertices, whose
+    # labels have up to three digits, are the encoder's text for the
+    # dissections of dissection_tuples, in that order.
+    for n, m in [(2, 40), (1, 98)]:
+        p = PolygonParams(n, m)
+        lines = list(dissection_lines(p))
+        assert len(lines) == fuss_catalan(n, m)
+        for ds, line in zip(dissection_tuples(p), lines, strict=True):
+            t = dissection_from_json(json.loads(line))
+            assert t.diagonals == ds and t.params == p
+            assert line == dumps(dissection_to_json(t)) + "\n"
+
+
+def test_dissection_lines_drain_within_the_tuple_bound():
+    # 12/1 (742,900 lines) holds no more than the tuple stream's drain test
+    # allows: the memoized sub-chain lists hold text instead of tuples.
+    tracemalloc.start()
+    try:
+        deque(dissection_lines(PolygonParams(12, 1)), maxlen=0)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 10
 
 
 def test_quiver_round_trip_exhaustive():
