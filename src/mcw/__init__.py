@@ -19,7 +19,6 @@ from .geometry import (
 from .homology import DerivedInvariant, cartan_matrix, derived_invariant
 from .mutation import (
     apply_mutation,
-    is_realizable,
     remove_relation_chain,
     tilting_mutation_minus,
     tilting_mutation_plus,
@@ -52,7 +51,6 @@ __all__ = [
     "diagonal",
     "dissection",
     "enumerate_dissections",
-    "is_realizable",
     "quiver",
     "quiver_of",
     "remove_relation_chain",

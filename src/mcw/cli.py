@@ -36,6 +36,7 @@ from .geometry import (
     Dissection,
     GeometryError,
     PolygonParams,
+    apply_move,
     census_counts,
     diagonal,
     enumerate_dissections,
@@ -53,7 +54,6 @@ from .homology import (
 from .mutation import (
     MoveRejected,
     MutationError,
-    geometric_mutation,
     preserves_invariant,
     realizability_report,
     record_move,
@@ -123,17 +123,16 @@ def _load_object(path: str) -> Dissection | QuiverWithRelations:
 
 
 def _components(path: str) -> list[QuiverWithRelations]:
-    """Connected components of a dissection or quiver file.
-
-    A dissection's quiver is realizable by construction.  Quiver JSON is
-    screened component by component: the invariants and the reduction are
+    """Connected components of a dissection or quiver file, each screened
+    by ``realizability_report``: the invariants and the reduction are
     defined on the realizable class, and the canonical form's search grows
-    factorially on non-gentle input.
+    factorially on non-gentle input.  A dissection is screened too: a cell
+    of a partial one can give an oriented cycle of the wrong length.
     """
 
     obj = _load_object(path)
     if isinstance(obj, Dissection):
-        return [c.quiver for c in components(quiver_of(obj))]
+        obj = quiver_of(obj)
     comps = [c.quiver for c in components(obj)]
     for k, comp in enumerate(comps):
         report = realizability_report(comp)
@@ -266,13 +265,17 @@ def mutate_cmd(infile: str, move_spec: str, out: str | None) -> None:
     def work() -> None:
         t = dissection_from_json(_load_json(infile))
         d, k = _parse_move(move_spec)
+        if len(t.diagonals) < t.params.n:
+            # A move's rotation assumes that every cell is an (m+2)-gon.
+            _fail(2, f"{infile}: a move needs all n={t.params.n} diagonals, not {len(t.diagonals)}")
         if d not in t.diagonals:
             _fail(2, f"{d!r} is not a diagonal of the dissection")
         if not preserves_invariant(t, d, k):
             _fail(1, f"moving {d!r} by {k:+d} changes the derived invariant")
         before = quiver_of(t)
         assert before.vertex_labels is not None
-        moved, moved_q = geometric_mutation(t, d, k)
+        moved = apply_move(t, d, k)
+        moved_q = quiver_of(moved)
         rec = record_move(
             "plus" if k > 0 else "minus",
             (before.vertex_labels.index(d),),
@@ -448,7 +451,7 @@ def _check_cell(
                 break
             except MoveRejected:
                 continue
-        geo = geometric_mutation(t, d, k)[1]
+        geo = quiver_of(apply_move(t, d, k))
         if outcome is None or iso_quivers(outcome, geo) is None:
             raise MutationError(
                 f"n={n} m={m} {t!r}: algebra move at {d!r} k={k:+d} "

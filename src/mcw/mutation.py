@@ -1,15 +1,16 @@
-"""Mutations of gentle presentations and their geometric counterparts.
+"""Mutations of gentle presentations, checked against the theory.
 
 Three kinds of moves live here.  ``tilting_mutation_plus`` reverses the
 arrows into a vertex (``tilting_mutation_minus`` the arrows out of one),
 rewrites the relations around that vertex, and accepts the move only when
 the result is again gentle with the same component and cycle structure.
-``geometric_mutation`` performs the corresponding diagonal move on a
-dissection and rebuilds the quiver from scratch; it is the ground truth the
-algebra-level rewrite is validated against.  ``remove_relation_chain``
-trades a run of consecutive zero-relations for a reversed arrow chain,
-which preserves the Cartan invariants but can leave the class of
-dissection-realizable presentations.
+Both are one checked move: a minus move is the plus rewrite done in the
+opposite quiver and turned back, and the acceptance, Happel and Smith
+checks run once, on the quiver and the result.  ``preserves_invariant``
+decides on a dissection whether a diagonal move keeps the derived class.
+``remove_relation_chain`` trades a run of consecutive zero-relations for a
+reversed arrow chain, which preserves the Cartan invariants but can leave
+the class of dissection-realizable presentations.
 
 Rejected moves raise :class:`MoveRejected`; internal consistency failures
 (a move that passed its preconditions but broke an invariant that the
@@ -36,9 +37,8 @@ from .algebra import (
     is_gentle,
     max_relation_chain,
     opposite,
-    quiver_of,
 )
-from .geometry import Diagonal, Dissection, apply_move, rotation_cycle
+from .geometry import Diagonal, Dissection, rotation_cycle
 from .homology import (
     DerivedInvariant,
     cartan_matrix,
@@ -135,7 +135,9 @@ def mutation_context(q: QuiverWithRelations, mut: int) -> MutationContext:
 
 
 class _Builder:
-    """Mutable working copy with stable arrow ids."""
+    """Mutable working copy with stable arrow ids.  ``build(flip=True)``
+    reverses every arrow and relation pair, so a minus move, rewritten in
+    the opposite quiver, constructs its result in the original orientation."""
 
     def __init__(self, q: QuiverWithRelations):
         self.m = q.m
@@ -160,10 +162,12 @@ class _Builder:
     def retarget(self, aid: int, target: int) -> None:
         self.ends[aid] = (self.ends[aid][0], target)
 
-    def build(self) -> QuiverWithRelations:
-        arrows = tuple(Arrow(aid, s, t) for aid, (s, t) in self.ends.items())
+    def build(self, flip: bool = False) -> QuiverWithRelations:
+        turn = slice(None, None, -1 if flip else 1)
+        arrows = tuple(Arrow(aid, *ends[turn]) for aid, ends in self.ends.items())
+        relations = frozenset(pair[turn] for pair in self.relations)
         return QuiverWithRelations(
-            self.m, self.vertex_count, arrows, frozenset(self.relations), self.labels
+            self.m, self.vertex_count, arrows, relations, self.labels
         )
 
 
@@ -220,40 +224,69 @@ def _chase_zero_chain(q: QuiverWithRelations, start: Arrow) -> list[Arrow]:
     return [q.arrow_by_id[a] for a in run[run.index(start.id) :]]
 
 
-def _check_acceptance(
-    old: QuiverWithRelations, new: QuiverWithRelations
-) -> QuiverWithRelations:
-    gentle = is_gentle(new)
-    if not gentle.ok:
-        raise MoveRejected(f"result not gentle: {gentle.problem}")
-    if new.component_count != old.component_count:
-        raise MoveRejected("move changes the number of components")
-    if new.full_cycle_count != old.full_cycle_count:
-        raise MoveRejected("move changes the number of full-relation cycles")
-    return new
-
-
 def tilting_mutation_plus(q: QuiverWithRelations, mut: int) -> QuiverWithRelations:
     """Reverse the arrows into ``mut`` and rewrite the local relations.
 
     At a vertex with in-arrows this implements the reflection-with-
     shortcuts rewrite and cross-checks the resulting Cartan matrix against
     the alternating-sum prediction (a mismatch is a hard error).  At a
-    source it reattaches each out-arrow at the far end of its zero-chain.
-    Isolated vertices mutate to themselves.  Moves whose result would not
-    be gentle, or would change the component or cycle structure, raise
+    source it reattaches each out-arrow at the far end of its zero-chain
+    and checks that the Cartan Smith form is kept.  Isolated vertices
+    mutate to themselves.  Moves whose result would not be gentle, or
+    would change the component or cycle structure, raise
     :class:`MoveRejected`.
     """
 
-    ctx = mutation_context(q, mut)
+    return _mutate(q, mut, minus=False)
+
+
+def tilting_mutation_minus(q: QuiverWithRelations, mut: int) -> QuiverWithRelations:
+    """Reverse the arrows out of ``mut``: the plus rewrite done in the
+    opposite quiver, refused where that one is, with its result turned back."""
+
+    return _mutate(q, mut, minus=True)
+
+
+def _mutate(q: QuiverWithRelations, mut: int, minus: bool) -> QuiverWithRelations:
+    """The plus rewrite in the move's frame (``q``, or its opposite for a
+    minus move), then every check once, on ``q`` and the result.  None of
+    them sees orientation: ``cartan_matrix(opposite(p))`` is the transpose
+    of ``cartan_matrix(p)``, and ``happel_hom_dims`` reads degrees only by
+    the parity of their difference, so the frame's complexes predict the
+    result's Cartan matrix from ``q``'s own, the state's memoised one."""
+
+    frame = opposite(q) if minus else q
+    ctx = mutation_context(frame, mut)
     if not any(ctx.ins) and not any(ctx.outs):
         return q
-    if not any(ctx.ins):
-        return _source_plus(q, ctx)
-    return _regular_plus(q, ctx)
+    source = not any(ctx.ins)
+    b = _source_plus(frame, ctx) if source else _regular_plus(frame, ctx)
+    try:
+        new = b.build(flip=minus)
+    except AlgebraError as exc:
+        raise MoveRejected(f"local shape not supported: {exc}") from exc
+
+    gentle = is_gentle(new)
+    if not gentle.ok:
+        raise MoveRejected(f"result not gentle: {gentle.problem}")
+    if new.component_count != q.component_count:
+        raise MoveRejected("move changes the number of components")
+    if new.full_cycle_count != q.full_cycle_count:
+        raise MoveRejected("move changes the number of full-relation cycles")
+
+    if source:
+        if snf_diagonal(cartan_matrix(new)) != snf_diagonal(cartan_matrix(q)):
+            raise MutationError(f"source mutation at {mut} changed the Cartan class")
+    else:
+        complexes = mutation_complexes(frame, mut, "plus")
+        if cartan_matrix(new) != happel_hom_dims(complexes, cartan_matrix(q)):
+            raise MutationError(
+                f"mutation at {mut} disagrees with the alternating-sum prediction"
+            )
+    return new
 
 
-def _regular_plus(q: QuiverWithRelations, ctx: MutationContext) -> QuiverWithRelations:
+def _regular_plus(q: QuiverWithRelations, ctx: MutationContext) -> _Builder:
     mut = ctx.mut
     unpaired_outs = [
         ctx.outs[t] for t in (0, 1) if ctx.outs[t] and t not in ctx.pairs
@@ -295,23 +328,10 @@ def _regular_plus(q: QuiverWithRelations, ctx: MutationContext) -> QuiverWithRel
         for s in (0, 1):
             if s != t and s in reversed_in:
                 b.relations.add((ctx.pres[t].id, reversed_in[s]))
-
-    try:
-        new = b.build()
-    except AlgebraError as exc:
-        raise MoveRejected(f"local shape not supported: {exc}") from exc
-    new = _check_acceptance(q, new)
-
-    predicted = happel_hom_dims(mutation_complexes(q, mut, "plus"), cartan_matrix(q))
-    if cartan_matrix(new) != predicted:
-        raise MutationError(
-            f"mutation at {mut} disagrees with the alternating-sum prediction"
-        )
-    return new
+    return b
 
 
-def _source_plus(q: QuiverWithRelations, ctx: MutationContext) -> QuiverWithRelations:
-    mut = ctx.mut
+def _source_plus(q: QuiverWithRelations, ctx: MutationContext) -> _Builder:
     b = _Builder(q)
     for o in ctx.outs:
         if o is None:
@@ -319,33 +339,10 @@ def _source_plus(q: QuiverWithRelations, ctx: MutationContext) -> QuiverWithRela
         chain = _chase_zero_chain(q, o)
         landing = chain[-1].target
         b.delete(o.id)
-        new_arrow = b.add(landing, mut)
+        new_arrow = b.add(landing, ctx.mut)
         if len(chain) > 1:
             b.relations.add((chain[-1].id, new_arrow))
-    try:
-        new = b.build()
-    except AlgebraError as exc:
-        raise MoveRejected(f"local shape not supported: {exc}") from exc
-    new = _check_acceptance(q, new)
-
-    if snf_diagonal(cartan_matrix(new)) != snf_diagonal(cartan_matrix(q)):
-        raise MutationError(f"source mutation at {mut} changed the Cartan class")
-    return new
-
-
-def tilting_mutation_minus(q: QuiverWithRelations, mut: int) -> QuiverWithRelations:
-    """Reverse the arrows out of ``mut``; dual to the plus move."""
-
-    return opposite(tilting_mutation_plus(opposite(q), mut))
-
-
-def geometric_mutation(
-    t: Dissection, d: Diagonal, k: int
-) -> tuple[Dissection, QuiverWithRelations]:
-    """Move a diagonal and rebuild; the ground truth for the rewrites."""
-
-    moved = apply_move(t, d, k)
-    return moved, quiver_of(moved)
+    return b
 
 
 def preserves_invariant(t: Dissection, d: Diagonal, k: int) -> bool:
@@ -568,7 +565,3 @@ def realizability_report(q: QuiverWithRelations) -> RealizabilityReport:
             f"but {len(cycles)} full-relation cycles"
         )
     return RealizabilityReport(not problems, tuple(problems))
-
-
-def is_realizable(q: QuiverWithRelations) -> bool:
-    return realizability_report(q).ok

@@ -27,7 +27,6 @@ from mcw.homology import (
 )
 from mcw.mutation import (
     MoveRejected,
-    geometric_mutation,
     mutation_complexes,
     preserves_invariant,
     realizability_report,
@@ -193,7 +192,7 @@ def test_criterion_4_mutation_matches_geometry_and_happel():
                 site = q.vertex_labels.index(d)
                 kind, algebra = _mover_with_kind(q, site, k)
                 assert algebra is not None, (t, d, k)
-                geo = geometric_mutation(t, d, k)[1]
+                geo = quiver_of(apply_move(t, d, k))
                 assert iso_quivers(algebra, geo) is not None, (t, d, k)
                 predicted = happel_hom_dims(
                     mutation_complexes(q, site, kind), cartan_matrix(q)

@@ -429,6 +429,38 @@ def test_unoriented_cycle_is_invalid_input(runner, command, name):
     assert "component 0 is not realizable: underlying graph has cycle rank 1" in result.output
 
 
+PARTIAL = {
+    "partial_pentagon_m1": "cycle through (0, 1, 4, 3, 2) has length 5, expected 3",
+    "partial_square_m1": "cycle through (0, 1, 3, 2) has length 4, expected 3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARTIAL))
+@pytest.mark.parametrize("command", ["invariants", "equiv", "reduce"])
+def test_dissection_with_a_large_cell_is_invalid_input(runner, tmp_path, command, name):
+    # A dissection with fewer than n diagonals can have a cell with more
+    # than m + 2 corners, all on diagonals: its quiver is an oriented cycle
+    # of the wrong length with full relations.  equiv used to call the
+    # pentagon equivalent to the valid s = 5, r = 1 dissection.
+    src = str(DATA / f"{name}.json")
+    valid = write_dissection(tmp_path / "s5.json", 5, 1, [(0, 2), (2, 4), (0, 4), (4, 6), (4, 7)])
+    args = {
+        "invariants": ["invariants", "--in", src],
+        "equiv": ["equiv", src, valid],
+        "reduce": ["reduce", "--in", src],
+    }[command]
+    result = invoke(runner, *args)
+    assert result.exit_code == 2, result.output
+    assert f"component 0 is not realizable: {PARTIAL[name]}" in result.output
+
+
+def test_mutate_refuses_a_partial_dissection(runner):
+    src = str(DATA / "partial_pentagon_m1.json")
+    result = invoke(runner, "mutate", "--in", src, "--move", "d(0,2):+1")
+    assert result.exit_code == 2
+    assert "a move needs all n=7 diagonals, not 5" in result.output
+
+
 @pytest.mark.parametrize("command", ["quiver", "invariants", "reduce"])
 def test_crossing_dissection_is_rejected(runner, tmp_path, command):
     src = write_dissection(tmp_path / "t.json", 2, 1, [(0, 2), (1, 3)])

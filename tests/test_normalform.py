@@ -17,6 +17,7 @@ import mcw.normalform
 
 from conftest import Cycle, all_dissections, oriented_cycles, small_range
 from mcw.algebra import (
+    QuiverWithRelations,
     components,
     is_gentle,
     iso_quivers,
@@ -24,11 +25,10 @@ from mcw.algebra import (
     quiver_of,
 )
 from mcw.geometry import CapExceeded, dissection
-from mcw.homology import derived_invariant
+from mcw.homology import cartan_matrix, derived_invariant
 from mcw.mutation import (
     MutationError,
     apply_mutation,
-    is_realizable,
     realizability_report,
     record_move,
 )
@@ -43,7 +43,7 @@ from mcw.normalform import (
     reduce_component,
     step_cap,
 )
-from mcw.serialize import quiver_from_json
+from mcw.serialize import dissection_from_json, quiver_from_json
 
 DATA = Path(__file__).parent / "data"
 
@@ -111,7 +111,7 @@ def test_normal_form_structure_on_grid():
                 nf = build_normal_form(spec)
                 assert nf.vertex_count == s
                 assert oriented_cycles(nf).full_count == r
-                assert is_realizable(nf), (s, r, m)
+                assert realizability_report(nf).ok, (s, r, m)
 
 
 def test_normal_form_infeasible():
@@ -419,6 +419,21 @@ def test_unoriented_cycle_is_refused_before_any_move(monkeypatch, name):
         reduce_component(q)
 
 
+def test_partial_dissection_is_refused_before_any_move(monkeypatch):
+    # The pentagon cell of a dissection with 5 of its 7 diagonals gives the
+    # oriented 5-cycle with full relations, which no m = 1 dissection has.
+    def never(*args):
+        raise AssertionError("a move on unrealizable input")
+
+    monkeypatch.setattr(mcw.normalform, "apply_mutation", never)
+    t = dissection_from_json(json.loads((DATA / "partial_pentagon_m1.json").read_text()))
+    assert len(t.diagonals) == 5 < t.params.n
+    with pytest.raises(
+        NormalFormError, match=r"not realizable: cycle through \(0, 1, 4, 3, 2\) has length 5"
+    ):
+        reduce(t)
+
+
 def test_runs_match_full_cycles_on_every_reduction_state():
     """Along every reduction of 5/2 and 6/1, each state's closed runs are the
     full-relation cycles of the oriented-cycle search, by arrow set."""
@@ -533,6 +548,38 @@ def test_one_cell_picture_per_state(monkeypatch, n, m):
     trace = reduce_component(q)
     assert trace.steps
     assert built[0] == len(trace.steps) + 1
+
+
+def test_one_checked_move_builds_one_result(monkeypatch):
+    # A plus step constructs its result only; a minus step also builds the
+    # opposite frame its rewrite runs in.  Each step counts one Cartan path
+    # walk, the result's: the state's own is the memo's from the step before.
+    q = largest_component(20, 1, 0)
+    built, per_step = [0], []
+    real_init = QuiverWithRelations.__post_init__
+    real_move = mcw.normalform.apply_mutation
+
+    def counting_init(self):
+        built[0] += 1
+        real_init(self)
+
+    def counting_move(state, kind, site):
+        before = built[0]
+        moved = real_move(state, kind, site)
+        per_step.append((kind, built[0] - before))
+        return moved
+
+    monkeypatch.setattr(QuiverWithRelations, "__post_init__", counting_init)
+    monkeypatch.setattr(mcw.normalform, "apply_mutation", counting_move)
+    cartan_matrix.cache_clear()
+    trace = reduce_component(q)
+    assert len(trace.steps) == len(per_step) == 86
+    kinds = {kind for kind, _ in per_step}
+    assert kinds == {"plus", "minus"}, kinds
+    for kind, count in per_step:
+        assert count <= (2 if kind == "minus" else 1), (kind, count)
+    # The walks: the input state's, then one per step.
+    assert cartan_matrix.cache_info().misses <= len(trace.steps) + 1
 
 
 def test_reduce_sampled_tree_at_s10():
