@@ -115,9 +115,11 @@ class Dissection:
 
     Maximal dissections (|diagonals| = n) are the main objects; partial sets
     are representable so that cell/component computations can be exercised on
-    them, and validate_dissection reports maximality separately.  Construction
-    refuses a diagonal with an endpoint outside 0..N-1, on which the cell walk
-    would never end; crossing and allowability are check_chords'.
+    them.  Callers that need maximality check it themselves: ``mcw mutate``
+    counts the diagonals, and the other commands screen each component of
+    the quiver with ``realizability_report``.  Construction refuses a
+    diagonal with an endpoint outside 0..N-1, on which the cell walk would
+    never end; crossing and allowability are check_chords'.
     """
 
     params: PolygonParams
@@ -257,25 +259,6 @@ def check_chords(t: Dissection) -> ValidationResult:
             d1, d2 = next(pair for pair in combinations(t.diagonals, 2) if crosses(*pair))
             return ValidationResult(False, "crossing", f"{d1} crosses {d2}")
         ends.append(b)
-    return ValidationResult(True)
-
-
-def validate_dissection(t: Dissection) -> ValidationResult:
-    """Check the maximal-dissection invariants, reporting the first failure
-    in the order allowability, crossing, cardinality, face shape."""
-    p = t.params
-    chords = check_chords(t)
-    if not chords.ok:
-        return chords
-    if len(t.diagonals) != p.n:
-        return ValidationResult(
-            False, "cardinality", f"{len(t.diagonals)} diagonals, maximality needs n={p.n}"
-        )
-    for f in faces(t):
-        if len(f.corners) != p.m + 2:
-            return ValidationResult(
-                False, "face-shape", f"cell {f.corners} has {len(f.corners)} sides"
-            )
     return ValidationResult(True)
 
 

@@ -56,84 +56,6 @@ class MoveRejected(Exception):
     """The requested move is not admissible on this quiver."""
 
 
-@dataclass(frozen=True)
-class MutationContext:
-    """Local structure around a mutation vertex.
-
-    Slots are indexed 0 and 1.  An in-arrow and an out-arrow share a slot
-    exactly when their composition through ``mut`` is nonzero; leftover
-    arrows fill the free slots, in-arrows first, ties broken by smallest
-    neighbor vertex.  ``pres[t]`` is the arrow whose composition with
-    ``ins[t]`` vanishes, ``posts[t]`` the arrow killed after ``outs[t]``.
-    """
-
-    mut: int
-    ins: tuple[Arrow | None, Arrow | None]
-    outs: tuple[Arrow | None, Arrow | None]
-    pres: tuple[Arrow | None, Arrow | None]
-    posts: tuple[Arrow | None, Arrow | None]
-    pairs: tuple[int, ...]
-
-
-def mutation_context(q: QuiverWithRelations, mut: int) -> MutationContext:
-    if not 0 <= mut < q.vertex_count:
-        raise AlgebraError(f"vertex {mut} out of range")
-    ins = sorted(q.in_arrows[mut], key=lambda a: a.source)
-    outs = sorted(q.out_arrows[mut], key=lambda a: a.target)
-    if len(ins) > 2 or len(outs) > 2:
-        raise AlgebraError("mutation context requires a gentle vertex")
-
-    paired: list[tuple[Arrow, Arrow]] = []
-    free_ins: list[Arrow] = []
-    used_outs: set[int] = set()
-    for i in ins:
-        partner = [o for o in outs if (i.id, o.id) not in q.relations]
-        if len(partner) > 1:
-            raise AlgebraError("two nonzero continuations; not gentle")
-        if partner:
-            paired.append((i, partner[0]))
-            used_outs.add(partner[0].id)
-        else:
-            free_ins.append(i)
-
-    in_slot: list[Arrow | None] = [None, None]
-    out_slot: list[Arrow | None] = [None, None]
-    slot = 0
-    for i, o in paired:
-        in_slot[slot], out_slot[slot] = i, o
-        slot += 1
-    pair_indices = tuple(range(slot))
-    for i in free_ins:
-        in_slot[in_slot.index(None)] = i
-    # Unpaired out-arrows take the highest free slot: with one in-arrow and
-    # one out-arrow composing to zero this yields ins[0]/outs[1], so a slot
-    # is shared only by a genuine pair.
-    for o in reversed(outs):
-        if o.id not in used_outs:
-            out_slot[1 if out_slot[1] is None else 0] = o
-
-    def zero_pred(a: Arrow | None) -> Arrow | None:
-        if a is None:
-            return None
-        hits = [b for b in q.in_arrows[a.source] if (b.id, a.id) in q.relations]
-        return hits[0] if hits else None
-
-    def zero_cont(a: Arrow | None) -> Arrow | None:
-        if a is None:
-            return None
-        hits = [b for b in q.out_arrows[a.target] if (a.id, b.id) in q.relations]
-        return hits[0] if hits else None
-
-    return MutationContext(
-        mut=mut,
-        ins=tuple(in_slot),
-        outs=tuple(out_slot),
-        pres=tuple(zero_pred(a) for a in in_slot),
-        posts=tuple(zero_cont(a) for a in out_slot),
-        pairs=pair_indices,
-    )
-
-
 class _Builder:
     """Mutable working copy with stable arrow ids.  ``build(flip=True)``
     reverses every arrow and relation pair, so a minus move, rewritten in
@@ -171,26 +93,21 @@ class _Builder:
         )
 
 
-def mutation_complexes(
-    q: QuiverWithRelations, mut: int, kind: str
-) -> list[dict[int, list[int]]]:
-    """Complex family for the Happel alternating-sum prediction.
+def mutation_complexes(q: QuiverWithRelations, mut: int) -> list[dict[int, list[int]]]:
+    """Complex family of the plus move at ``mut``, for the Happel
+    alternating-sum prediction.
 
     Every vertex other than ``mut`` contributes a degree-0 stalk.  At a
-    vertex with in-arrows, a plus move uses the two-term complex with the
-    in-neighbors in degree 0 and ``mut`` in degree 1.  At a source, the
-    zero-chain of each out-arrow is laid out with alternating signs:
-    ``mut`` sits in the top degree and each chain descends one degree per
-    arrow.  The prediction is exact on all moves whose chains have equal
-    length, which covers every admissible site; it is not a single-complex
-    tilt for unequal chains, so callers must not rely on it there.  Minus
-    moves mirror the plus family through the opposite quiver.
+    vertex with in-arrows, the two-term complex has the in-neighbors in
+    degree 0 and ``mut`` in degree 1.  At a source, the zero-chain of each
+    out-arrow is laid out with alternating signs: ``mut`` sits in the top
+    degree and each chain descends one degree per arrow.  The prediction is
+    exact on all moves whose chains have equal length, which covers every
+    admissible site; it is not a single-complex tilt for unequal chains, so
+    callers must not rely on it there.  The minus move's family is this one
+    in the opposite quiver, ``mutation_complexes(opposite(q), mut)``.
     """
 
-    if kind == "minus":
-        return mutation_complexes(opposite(q), mut, "plus")
-    if kind != "plus":
-        raise MutationError(f"unknown move kind {kind!r}")
     out: list[dict[int, list[int]]] = [{0: [v]} for v in range(q.vertex_count)]
     ins = q.in_arrows[mut]
     if ins:
@@ -255,12 +172,28 @@ def _mutate(q: QuiverWithRelations, mut: int, minus: bool) -> QuiverWithRelation
     the parity of their difference, so the frame's complexes predict the
     result's Cartan matrix from ``q``'s own, the state's memoised one."""
 
+    if not 0 <= mut < q.vertex_count:
+        raise AlgebraError(f"vertex {mut} out of range")
     frame = opposite(q) if minus else q
-    ctx = mutation_context(frame, mut)
-    if not any(ctx.ins) and not any(ctx.outs):
+    ins, outs = frame.in_arrows[mut], frame.out_arrows[mut]
+    if len(ins) > 2 or len(outs) > 2:
+        raise AlgebraError("mutation context requires a gentle vertex")
+    if not ins and not outs:
         return q
-    source = not any(ctx.ins)
-    b = _source_plus(frame, ctx) if source else _regular_plus(frame, ctx)
+    # An out-arrow that composes to zero with every in-arrow has no shortcut
+    # to take its place.  The refusal names it as it stands in q, where a
+    # minus move's out-arrow of the frame is an in-arrow.
+    lone = [o for o in outs if ins and all((i.id, o.id) in frame.relations for i in ins)]
+    if lone:
+        o = lone[0]
+        if minus:
+            raise MoveRejected(
+                f"in-arrow {o.target}->{o.source} composes to zero with every out-arrow"
+            )
+        raise MoveRejected(
+            f"out-arrow {o.source}->{o.target} composes to zero with every in-arrow"
+        )
+    b = _regular_plus(frame, mut) if ins else _source_plus(frame, mut)
     try:
         new = b.build(flip=minus)
     except AlgebraError as exc:
@@ -274,72 +207,82 @@ def _mutate(q: QuiverWithRelations, mut: int, minus: bool) -> QuiverWithRelation
     if new.full_cycle_count != q.full_cycle_count:
         raise MoveRejected("move changes the number of full-relation cycles")
 
-    if source:
+    if not ins:
         if snf_diagonal(cartan_matrix(new)) != snf_diagonal(cartan_matrix(q)):
             raise MutationError(f"source mutation at {mut} changed the Cartan class")
-    else:
-        complexes = mutation_complexes(frame, mut, "plus")
-        if cartan_matrix(new) != happel_hom_dims(complexes, cartan_matrix(q)):
-            raise MutationError(
-                f"mutation at {mut} disagrees with the alternating-sum prediction"
-            )
+    elif cartan_matrix(new) != happel_hom_dims(
+        mutation_complexes(frame, mut), cartan_matrix(q)
+    ):
+        raise MutationError(
+            f"mutation at {mut} disagrees with the alternating-sum prediction"
+        )
     return new
 
 
-def _regular_plus(q: QuiverWithRelations, ctx: MutationContext) -> _Builder:
-    mut = ctx.mut
-    unpaired_outs = [
-        ctx.outs[t] for t in (0, 1) if ctx.outs[t] and t not in ctx.pairs
-    ]
-    if unpaired_outs:
-        a = unpaired_outs[0]
+def _zero_before(q: QuiverWithRelations, a: Arrow) -> Arrow | None:
+    """The arrow whose composition with ``a`` is a relation, if any."""
+    return next((b for b in q.in_arrows[a.source] if (b.id, a.id) in q.relations), None)
+
+
+def _zero_after(q: QuiverWithRelations, a: Arrow) -> Arrow | None:
+    """The arrow that composes to zero after ``a``, if any."""
+    return next((b for b in q.out_arrows[a.target] if (a.id, b.id) in q.relations), None)
+
+
+def _regular_plus(q: QuiverWithRelations, mut: int) -> _Builder:
+    """Reverse every arrow into ``mut`` and replace each nonzero path i·o
+    through it by a shortcut arrow; the reversed i composes to zero with the
+    shortcut, and the shortcut with the arrow that composed to zero after o.
+    An arrow that composed to zero into an in-arrow now ends at ``mut`` and
+    composes to zero with the other in-arrow reversed.  ``_mutate`` has
+    refused any out-arrow with no nonzero partner, so every arrow at ``mut``
+    is replaced."""
+
+    ins, outs = q.in_arrows[mut], q.out_arrows[mut]
+    partner: dict[Arrow, Arrow] = {}
+    for i in ins:
+        nonzero = [o for o in outs if (i.id, o.id) not in q.relations]
+        if len(nonzero) > 1:
+            raise AlgebraError("two nonzero continuations; not gentle")
+        if nonzero:
+            partner[i] = nonzero[0]
+    before = {i: _zero_before(q, i) for i in ins}
+    after = {o: _zero_after(q, o) for o in outs}
+    if any(a in ins or a in outs for a in (*before.values(), *after.values())):
         raise MoveRejected(
-            f"out-arrow {a.source}->{a.target} composes to zero with every in-arrow"
+            "a neighboring zero-composition arrow is attached to the "
+            "mutation vertex itself"
         )
 
-    deleted = {ctx.ins[t].id for t in (0, 1) if ctx.ins[t]}
-    deleted |= {ctx.outs[t].id for t in ctx.pairs}
-    for a in list(ctx.pres) + list(ctx.posts):
-        if a is not None and a.id in deleted:
-            raise MoveRejected(
-                "a neighboring zero-composition arrow is attached to the "
-                "mutation vertex itself"
-            )
-
     b = _Builder(q)
-    for aid in deleted:
-        b.delete(aid)
-    reversed_in: dict[int, int] = {}
-    for t in (0, 1):
-        i = ctx.ins[t]
-        if i is None:
-            continue
-        if ctx.pres[t] is not None:
-            b.retarget(ctx.pres[t].id, mut)
-        reversed_in[t] = b.add(mut, i.source)
-    for t in ctx.pairs:
-        comp = b.add(ctx.ins[t].source, ctx.outs[t].target)
-        b.relations.add((reversed_in[t], comp))
-        if ctx.posts[t] is not None:
-            b.relations.add((comp, ctx.posts[t].id))
-    for t in (0, 1):
-        if ctx.pres[t] is None:
-            continue
-        for s in (0, 1):
-            if s != t and s in reversed_in:
-                b.relations.add((ctx.pres[t].id, reversed_in[s]))
+    for a in ins + outs:
+        b.delete(a.id)
+    reversed_in: dict[Arrow, int] = {}
+    for i in ins:
+        if before[i] is not None:
+            b.retarget(before[i].id, mut)
+        reversed_in[i] = b.add(mut, i.source)
+    for i, o in partner.items():
+        comp = b.add(i.source, o.target)
+        b.relations.add((reversed_in[i], comp))
+        if after[o] is not None:
+            b.relations.add((comp, after[o].id))
+    for i, pre in before.items():
+        if pre is not None:
+            b.relations.update((pre.id, reversed_in[j]) for j in ins if j != i)
     return b
 
 
-def _source_plus(q: QuiverWithRelations, ctx: MutationContext) -> _Builder:
+def _source_plus(q: QuiverWithRelations, mut: int) -> _Builder:
+    """Reattach each out-arrow of the source ``mut`` at the far end of its
+    zero-chain, pointing back; the last arrow of a chain of two or more
+    composes to zero with it."""
+
     b = _Builder(q)
-    for o in ctx.outs:
-        if o is None:
-            continue
+    for o in q.out_arrows[mut]:
         chain = _chase_zero_chain(q, o)
-        landing = chain[-1].target
         b.delete(o.id)
-        new_arrow = b.add(landing, ctx.mut)
+        new_arrow = b.add(chain[-1].target, mut)
         if len(chain) > 1:
             b.relations.add((chain[-1].id, new_arrow))
     return b

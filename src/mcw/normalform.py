@@ -547,6 +547,12 @@ class _Reduction:
         return sum(len(ways) - j - 1 for j in range(len(ways) - 1) if ways[j] != ways[j + 1])
 
 
+def _screen(q: QuiverWithRelations) -> None:
+    report = realizability_report(q)
+    if report.problems:
+        raise NormalFormError(f"component is not realizable: {report.problems[0]}")
+
+
 def reduce_component(q: QuiverWithRelations, cap: int | None = None) -> ReductionTrace:
     """Reduce one connected component to its normal form.
 
@@ -559,9 +565,7 @@ def reduce_component(q: QuiverWithRelations, cap: int | None = None) -> Reductio
     final state is iso-matched to build_normal_form.
     """
 
-    report = realizability_report(q)
-    if report.problems:
-        raise NormalFormError(f"component is not realizable: {report.problems[0]}")
+    _screen(q)
     if q.component_count != 1:
         raise NormalFormError(f"expected one component, got {q.component_count}")
     inv = derived_invariant(q)
@@ -595,12 +599,16 @@ def reduce(t: Dissection, component: int = 0) -> ReductionTrace:
 def derived_equivalent(a: QuiverWithRelations, b: QuiverWithRelations) -> bool:
     """Whether two components are derived equivalent: equal (s, r).
 
-    The Cartan Smith form is determined by that data, so a disagreement
-    while (s, r) match is a hard error rather than a verdict.
+    Both must pass ``realizability_report``, since (s, r) decides the class
+    only for components of dissection quivers.  The Cartan Smith form is
+    determined by that data, so a disagreement while (s, r) match is a hard
+    error rather than a verdict.
     """
 
     if a.m != b.m:
         raise NormalFormError(f"levels differ: {a.m} vs {b.m}")
+    _screen(a)
+    _screen(b)
     ia, ib = derived_invariant(a), derived_invariant(b)
     if (ia.s, ia.r) != (ib.s, ib.r):
         return False

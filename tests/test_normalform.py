@@ -690,12 +690,43 @@ def test_equivalence_rejects_mixed_levels():
         derived_equivalent(a, b)
 
 
-def test_equivalence_flags_smith_form_disagreement():
+def test_equivalence_flags_smith_form_disagreement(monkeypatch):
     # Same (s, r) with different Smith forms cannot happen for genuine
-    # dissection components; force it with an off-class odd cycle.
+    # dissection components.  The off-class odd cycle that has them is
+    # refused by the screen first, so force the disagreement by giving one
+    # side the odd cycle's invariant.
     even = build_normal_form(NormalFormSpec(4, 1, 2))
     odd = quiver(
         2, 4, [(0, 1), (1, 2), (2, 0), (0, 3)], [(0, 1), (1, 2), (2, 0)]
     )
-    with pytest.raises(NormalFormError, match="Smith forms differ"):
+    with pytest.raises(NormalFormError, match="not realizable: cycle through"):
         derived_equivalent(even, odd)
+    rotated = quiver_of(dissection(4, 2, [(1, 4), (4, 7), (7, 10), (1, 10)]))
+    assert derived_equivalent(even, rotated)
+    invariant = mcw.normalform.derived_invariant
+    monkeypatch.setattr(
+        mcw.normalform,
+        "derived_invariant",
+        lambda q: invariant(odd) if q is rotated else invariant(q),
+    )
+    with pytest.raises(NormalFormError, match="Smith forms differ"):
+        derived_equivalent(even, rotated)
+
+
+def test_equivalence_refuses_an_unrealizable_component():
+    # The pentagon cell of a partial dissection gives the oriented 5-cycle
+    # with full relations, (s, r) = (5, 1) like the valid component beside
+    # it; the two are not derived equivalent, and the screen names the cycle.
+    pentagon = dissection_from_json(
+        json.loads((DATA / "partial_pentagon_m1.json").read_text())
+    )
+    valid = dissection(5, 1, [(0, 2), (2, 4), (0, 4), (4, 6), (4, 7)])
+    (bad,) = (c.quiver for c in components(quiver_of(pentagon)))
+    (good,) = (c.quiver for c in components(quiver_of(valid)))
+    for q in (bad, good):
+        assert (derived_invariant(q).s, derived_invariant(q).r) == (5, 1)
+    for a, b in ((bad, good), (good, bad)):
+        with pytest.raises(
+            NormalFormError, match=r"not realizable: cycle through \(0, 1, 4, 3, 2\) has length 5"
+        ):
+            derived_equivalent(a, b)
