@@ -16,8 +16,9 @@ import re
 import sys
 from collections import defaultdict
 from contextlib import contextmanager
+from functools import wraps
 from itertools import islice
-from typing import Any, Iterator, Mapping, NoReturn, TextIO
+from typing import Any, Callable, Iterator, Mapping, NoReturn, TextIO
 
 import click
 
@@ -93,19 +94,25 @@ def _closed_pipe() -> NoReturn:
     sys.exit(0)
 
 
-def _guarded(work):
-    """Run one command body, mapping domain errors to exit codes."""
+def _guarded(command: Callable[..., None]) -> Callable[..., None]:
+    """Run a command body, mapping domain errors to exit codes."""
 
-    try:
-        return work()
-    except BrokenPipeError:
-        _closed_pipe()
-    except CapExceeded as exc:
-        _fail(3, str(exc))
-    except (NormalFormError, MutationError, HomologyError, CensusError) as exc:
-        _fail(1, str(exc))
-    except (GeometryError, AlgebraError, SerializeError, json.JSONDecodeError) as exc:
-        _fail(2, str(exc))
+    @wraps(command)
+    def run(*args: Any, **kwargs: Any) -> None:
+        try:
+            command(*args, **kwargs)
+        except BrokenPipeError:
+            _closed_pipe()
+        except CapExceeded as exc:
+            _fail(3, str(exc))
+        except (NormalFormError, MutationError, HomologyError, CensusError) as exc:
+            _fail(1, str(exc))
+        except (
+            GeometryError, AlgebraError, SerializeError, RenderError, json.JSONDecodeError
+        ) as exc:
+            _fail(2, str(exc))
+
+    return run
 
 
 def _load_json(path: str) -> Any:
@@ -192,29 +199,27 @@ def main() -> None:
     help="Refuse larger enumerations.",
 )
 @_out_opt
+@_guarded
 def enumerate_cmd(n: int, m: int, cap: int, out: str | None) -> None:
     """List all dissections of the (m(n+1)+2)-gon, one JSON object per line."""
 
-    def work() -> None:
-        p = PolygonParams(n, m)
-        lines = dissection_lines(p, cap)
-        # The cap is checked on the first pull, so a refused enumeration
-        # writes nothing and leaves no --out file behind.
-        line = next(lines)
-        # The lines are rendered as text; the first must be the encoder's
-        # text for the dissection of p that it names.
-        try:
-            named = Dissection(p, dissection_from_json(json.loads(line)).diagonals)
-        except (json.JSONDecodeError, SerializeError, GeometryError) as exc:
-            _fail(1, f"line renderer wrote {line!r}, which does not load: {exc}")
-        expected = dumps(dissection_to_json(named)) + "\n"
-        if line != expected:
-            _fail(1, f"line renderer wrote {line!r}, the JSON encoder {expected!r}")
-        with _output(out) as fh:
-            fh.write(line)
-            fh.writelines(lines)
-
-    _guarded(work)
+    p = PolygonParams(n, m)
+    lines = dissection_lines(p, cap)
+    # The cap is checked on the first pull, so a refused enumeration
+    # writes nothing and leaves no --out file behind.
+    line = next(lines)
+    # The lines are rendered as text; the first must be the encoder's
+    # text for the dissection of p that it names.
+    try:
+        named = Dissection(p, dissection_from_json(json.loads(line)).diagonals)
+    except (json.JSONDecodeError, SerializeError, GeometryError) as exc:
+        _fail(1, f"line renderer wrote {line!r}, which does not load: {exc}")
+    expected = dumps(dissection_to_json(named)) + "\n"
+    if line != expected:
+        _fail(1, f"line renderer wrote {line!r}, the JSON encoder {expected!r}")
+    with _output(out) as fh:
+        fh.write(line)
+        fh.writelines(lines)
 
 
 @main.command("quiver")
@@ -227,69 +232,63 @@ def enumerate_cmd(n: int, m: int, cap: int, out: str | None) -> None:
     show_default=True,
 )
 @_out_opt
+@_guarded
 def quiver_cmd(infile: str, fmt: str, out: str | None) -> None:
     """Build the quiver with relations of a dissection."""
 
-    def work() -> None:
-        t = dissection_from_json(_load_json(infile))
-        q = quiver_of(t)
-        text = dumps(quiver_to_json(q)) + "\n" if fmt == "json" else render(q, fmt)
-        _emit(text, out)
-
-    _guarded(work)
+    t = dissection_from_json(_load_json(infile))
+    q = quiver_of(t)
+    text = dumps(quiver_to_json(q)) + "\n" if fmt == "json" else render(q, fmt)
+    _emit(text, out)
 
 
 @main.command("invariants")
 @_in_opt
 @_out_opt
+@_guarded
 def invariants_cmd(infile: str, out: str | None) -> None:
     """Derived invariant of each component, one JSON object per line."""
 
-    def work() -> None:
-        lines = [
-            dumps(invariant_to_json(derived_invariant(comp)))
-            for comp in _components(infile)
-        ]
-        _emit("\n".join(lines) + "\n", out)
-
-    _guarded(work)
+    lines = [
+        dumps(invariant_to_json(derived_invariant(comp)))
+        for comp in _components(infile)
+    ]
+    _emit("\n".join(lines) + "\n", out)
 
 
 @main.command("mutate")
 @_in_opt
 @click.option("--move", "move_spec", required=True, help='Move spec "d(a,b):+1".')
 @_out_opt
+@_guarded
 def mutate_cmd(infile: str, move_spec: str, out: str | None) -> None:
     """Rotate one diagonal; refuses moves that change the derived class."""
 
-    def work() -> None:
-        t = dissection_from_json(_load_json(infile))
-        d, k = _parse_move(move_spec)
-        if len(t.diagonals) < t.params.n:
-            # A move's rotation assumes that every cell is an (m+2)-gon.
-            _fail(2, f"{infile}: a move needs all n={t.params.n} diagonals, not {len(t.diagonals)}")
-        if d not in t.diagonals:
-            _fail(2, f"{d!r} is not a diagonal of the dissection")
-        if not preserves_invariant(t, d, k):
-            _fail(1, f"moving {d!r} by {k:+d} changes the derived invariant")
-        before = quiver_of(t)
-        assert before.vertex_labels is not None
-        moved = apply_move(t, d, k)
-        moved_q = quiver_of(moved)
-        rec = record_move(
-            "plus" if k > 0 else "minus",
-            (before.vertex_labels.index(d),),
-            before,
-            moved_q,
-        )
-        payload = {
-            "dissection": dissection_to_json(moved),
-            "quiver": quiver_to_json(moved_q),
-            "record": move_to_json(rec),
-        }
-        _emit(dumps(payload) + "\n", out)
-
-    _guarded(work)
+    t = dissection_from_json(_load_json(infile))
+    d, k = _parse_move(move_spec)
+    if len(t.diagonals) < t.params.n:
+        # A move's rotation assumes that every cell is an (m+2)-gon.
+        _fail(2, f"{infile}: a move needs all n={t.params.n} diagonals, not {len(t.diagonals)}")
+    if d not in t.diagonals:
+        _fail(2, f"{d!r} is not a diagonal of the dissection")
+    if not preserves_invariant(t, d, k):
+        _fail(1, f"moving {d!r} by {k:+d} changes the derived invariant")
+    before = quiver_of(t)
+    assert before.vertex_labels is not None
+    moved = apply_move(t, d, k)
+    moved_q = quiver_of(moved)
+    rec = record_move(
+        "plus" if k > 0 else "minus",
+        (before.vertex_labels.index(d),),
+        before,
+        moved_q,
+    )
+    payload = {
+        "dissection": dissection_to_json(moved),
+        "quiver": quiver_to_json(moved_q),
+        "record": move_to_json(rec),
+    }
+    _emit(dumps(payload) + "\n", out)
 
 
 @main.command("reduce")
@@ -297,79 +296,68 @@ def mutate_cmd(infile: str, move_spec: str, out: str | None) -> None:
 @click.option("--component", "comp_idx", type=int, default=0, show_default=True)
 @click.option("--cap", type=_CAP, default=None, help="Step cap override.")
 @_out_opt
+@_guarded
 def reduce_cmd(infile: str, comp_idx: int, cap: int | None, out: str | None) -> None:
     """Reduce one component to its normal form and print the trace."""
 
-    def work() -> None:
-        comps = _components(infile)
-        if not 0 <= comp_idx < len(comps):
-            _fail(2, f"component {comp_idx} out of range; quiver has {len(comps)}")
-        trace = reduce_component(comps[comp_idx], cap)
-        _emit(dumps(trace_to_json(trace)) + "\n", out)
-
-    _guarded(work)
+    comps = _components(infile)
+    if not 0 <= comp_idx < len(comps):
+        _fail(2, f"component {comp_idx} out of range; quiver has {len(comps)}")
+    trace = reduce_component(comps[comp_idx], cap)
+    _emit(dumps(trace_to_json(trace)) + "\n", out)
 
 
 @main.command("equiv")
 @click.argument("left", type=click.Path(exists=True, dir_okay=False))
 @click.argument("right", type=click.Path(exists=True, dir_okay=False))
 @_out_opt
+@_guarded
 def equiv_cmd(left: str, right: str, out: str | None) -> None:
     """Decide derived equivalence of two connected components."""
 
-    def work() -> None:
-        sides = {}
-        for name, path in (("left", left), ("right", right)):
-            comps = _components(path)
-            if len(comps) != 1:
-                _fail(
-                    2,
-                    f"{name} input has {len(comps)} components; "
-                    "equivalence compares connected algebras",
-                )
-            sides[name] = comps[0]
-        if sides["left"].m != sides["right"].m:
-            _fail(2, f'levels differ: {sides["left"].m} vs {sides["right"].m}')
-        answer = derived_equivalent(sides["left"], sides["right"])
-        payload = {
-            "equivalent": answer,
-            "left": invariant_to_json(derived_invariant(sides["left"])),
-            "right": invariant_to_json(derived_invariant(sides["right"])),
-        }
-        _emit(dumps(payload) + "\n", out)
-
-    _guarded(work)
+    sides = {}
+    for name, path in (("left", left), ("right", right)):
+        comps = _components(path)
+        if len(comps) != 1:
+            _fail(
+                2,
+                f"{name} input has {len(comps)} components; "
+                "equivalence compares connected algebras",
+            )
+        sides[name] = comps[0]
+    if sides["left"].m != sides["right"].m:
+        _fail(2, f'levels differ: {sides["left"].m} vs {sides["right"].m}')
+    answer = derived_equivalent(sides["left"], sides["right"])
+    payload = {
+        "equivalent": answer,
+        "left": invariant_to_json(derived_invariant(sides["left"])),
+        "right": invariant_to_json(derived_invariant(sides["right"])),
+    }
+    _emit(dumps(payload) + "\n", out)
 
 
 @main.command("census")
 @click.option("--n", type=int, required=True)
 @click.option("--m", type=int, required=True)
 @_out_opt
+@_guarded
 def census_cmd(n: int, m: int, out: str | None) -> None:
     """Component counts of every (s, r) class across all dissections."""
 
-    def work() -> None:
-        tally = census_counts(PolygonParams(n, m))
-        lines = [dumps({"s": s, "r": r, "count": count}) for (s, r), count in tally.items()]
-        _emit("\n".join(lines) + "\n", out)
-
-    _guarded(work)
+    tally = census_counts(PolygonParams(n, m))
+    lines = [dumps({"s": s, "r": r, "count": count}) for (s, r), count in tally.items()]
+    _emit("\n".join(lines) + "\n", out)
 
 
 @main.command("render")
 @_in_opt
 @click.option("--format", "fmt", type=click.Choice(["svg", "dot"]), required=True)
 @_out_opt
+@_guarded
 def render_cmd(infile: str, fmt: str, out: str | None) -> None:
     """Draw a dissection or quiver as an SVG or DOT document."""
 
-    def work() -> None:
-        try:
-            _emit(render(_load_object(infile), fmt), out)
-        except RenderError as exc:
-            _fail(2, str(exc))
-
-    _guarded(work)
+    _emit(render(_load_object(infile), fmt), out)
 
 
 def _check_component(q: QuiverWithRelations, where: str) -> tuple[tuple[int, int], tuple]:
@@ -475,18 +463,16 @@ def _check_cell(
     show_default=True,
     help="Admissible moves checked per cell.",
 )
+@_guarded
 def check_cmd(n: int, m: int, seed: int, samples: int) -> None:
     """Run the invariant suite over every cell n' <= n, m' <= m."""
 
-    def work() -> None:
-        rng = random.Random(seed)
-        decided: dict[QuiverWithRelations, tuple[tuple[int, int], tuple]] = {}
-        for mm in range(1, m + 1):
-            for nn in range(1, n + 1):
-                click.echo(_check_cell(nn, mm, rng, samples, decided))
-        click.echo("all checks passed")
-
-    _guarded(work)
+    rng = random.Random(seed)
+    decided: dict[QuiverWithRelations, tuple[tuple[int, int], tuple]] = {}
+    for mm in range(1, m + 1):
+        for nn in range(1, n + 1):
+            click.echo(_check_cell(nn, mm, rng, samples, decided))
+    click.echo("all checks passed")
 
 
 if __name__ == "__main__":

@@ -12,6 +12,8 @@ result in a bounded ``functools.lru_cache`` keyed by the immutable matrix,
 so a matrix met again while it is cached is not recomputed or re-audited.
 ``cartan_matrix`` has a small memo of its own, keyed by the quiver value,
 so consecutive reduction steps, which share a state, count its paths once.
+``happel_hom_dims`` predicts the Cartan matrix after a tilting move from the
+one complex that replaces the moved vertex's stalk.
 """
 
 from __future__ import annotations
@@ -56,11 +58,6 @@ class IntMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         return self.rows[i][j]
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.size != other.size:
-            raise HomologyError("size mismatch in matrix product")
-        return IntMatrix(tuple(map(tuple, _product(self.rows, other.rows))))
 
     @staticmethod
     def diagonal(entries: Sequence[int]) -> "IntMatrix":
@@ -169,10 +166,14 @@ def _smith(
 ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Audited Smith normal form of a square matrix given as rows: (d, u, v).
 
-    Classic elimination: repeatedly move the smallest nonzero entry of the
+    Classic elimination in one loop: move the smallest nonzero entry of the
     working block to the pivot (the scan stops at the first unit, which is
-    as small as an entry gets), clear its row and column with integer row
-    and column operations, and fix up divisibility afterwards.  All row
+    as small as an entry gets) and clear its row and column with integer
+    row and column operations.  The pivot is final once no remainder is
+    left and it divides every entry of the rest of the block, which a unit
+    always does; otherwise the smallest remainder becomes the next pivot,
+    or a row holding an entry it does not divide is added to the pivot's
+    row.  So d[t] | d[t+1] holds as the pivots are fixed.  All row
     operations are mirrored on ``u`` and all column operations on ``v``,
     and ``u @ m @ v == d`` is checked before returning.
     """
@@ -224,55 +225,28 @@ def _smith(
         return best
 
     for t in range(n):
-        while True:
-            pivot = smallest(t)
-            if pivot is None:
-                break
+        while (pivot := smallest(t)) is not None:
             swap_rows(t, pivot[0])
             swap_cols(t, pivot[1])
+            p = a[t][t]
             for i in range(t + 1, n):
                 if a[i][t]:
-                    add_row(i, t, -(a[i][t] // a[t][t]))
+                    add_row(i, t, -(a[i][t] // p))
             for j in range(t + 1, n):
                 if a[t][j]:
-                    add_col(j, t, -(a[t][j] // a[t][t]))
-            if all(a[i][t] == 0 for i in range(t + 1, n)) and all(
-                a[t][j] == 0 for j in range(t + 1, n)
-            ):
+                    add_col(j, t, -(a[t][j] // p))
+            if any(a[i][t] for i in range(t + 1, n)) or any(a[t][t + 1 :]):
+                continue
+            if abs(p) == 1:
                 break
+            bad = next(
+                (i for i in range(t + 1, n) if any(x % p for x in a[i][t + 1 :])), None
+            )
+            if bad is None:
+                break
+            add_row(t, bad, 1)
         if a[t][t] < 0:
             negate_row(t)
-
-    # Enforce the divisibility chain d[t] | d[t+1].
-    changed = True
-    while changed:
-        changed = False
-        for t in range(n - 1):
-            x, y = a[t][t], a[t + 1][t + 1]
-            if x and y % x == 0:
-                continue
-            if x == 0 and y != 0:
-                swap_rows(t, t + 1)
-                swap_cols(t, t + 1)
-                changed = True
-                continue
-            if x == 0:
-                continue
-            # Fold entry t+1 into the pivot block and re-run elimination
-            # on the 2x2 corner: gcd lands at (t, t), lcm at (t+1, t+1).
-            add_row(t, t + 1, 1)
-            while a[t][t + 1] or a[t + 1][t]:
-                if a[t][t] == 0 or (a[t][t + 1] and abs(a[t][t + 1]) < abs(a[t][t])):
-                    swap_cols(t, t + 1)
-                if a[t][t + 1]:
-                    add_col(t + 1, t, -(a[t][t + 1] // a[t][t]))
-                if a[t + 1][t]:
-                    add_row(t + 1, t, -(a[t + 1][t] // a[t][t]))
-            if a[t][t] < 0:
-                negate_row(t)
-            if a[t + 1][t + 1] < 0:
-                negate_row(t + 1)
-            changed = True
 
     if _product(_product(u, rows), v) != a:
         raise HomologyError("transform bookkeeping broke: u @ m @ v != d")
@@ -367,43 +341,26 @@ def derived_invariant(q: QuiverWithRelations) -> DerivedInvariant:
 Complex = Mapping[int, Sequence[int]]
 
 
-def happel_hom_dims(complexes: Sequence[Complex], cartan: IntMatrix) -> IntMatrix:
-    """Euler-form prediction for the Cartan matrix of a tilting complex.
+def happel_hom_dims(cartan: IntMatrix, mut: int, complex_: Complex) -> IntMatrix:
+    """Happel's prediction for the Cartan matrix after a one-vertex tilt.
 
-    Each complex is a map from cohomological degree to the multiset of
-    vertices whose projectives appear there.  Entry (i, j) is the
-    alternating sum over degree pairs of relation-free path counts, one
-    term per (summand of complex i, summand of complex j) pair.  Between
-    two stalks ``{0: [u]}`` and ``{0: [v]}`` that sum is the single term
-    ``cartan[u, v]``, which is read off directly; the sum is formed only in
-    the rows and columns of the other complexes, so a move's prediction
-    costs a copy of its state's Cartan matrix plus one row and one column.
+    The tilting complex is the stalk ``{0: [v]}`` at every vertex v other
+    than ``mut``, and ``complex_`` at ``mut``: a map from cohomological
+    degree to the multiset of vertices whose projectives appear there.  Its
+    class is the signed sum of the vertices of ``complex_``, each (-1)^degree,
+    which is row ``mut`` of the class matrix X; the prediction is X·C·Xᵀ
+    (Happel, "Triangulated categories in the representation theory of
+    finite-dimensional algebras", 1988).  Between two stalks that is the
+    entry of ``cartan`` itself, so only row and column ``mut`` are summed.
     """
 
     rows = cartan.rows
-
-    def entry(ti: Complex, tj: Complex) -> int:
-        total = 0
-        for r, us in ti.items():
-            for s, vs in tj.items():
-                sign = -1 if (r - s) % 2 else 1
-                total += sign * sum(rows[u][v] for u in us for v in vs)
-        return total
-
-    stalks = [
-        t[0][0] if len(t) == 1 and 0 in t and len(t[0]) == 1 else None
-        for t in complexes
-    ]
-    out = []
-    for ti, u in zip(complexes, stalks):
-        if u is None:
-            out.append(tuple(entry(ti, tj) for tj in complexes))
-        else:
-            row = rows[u]
-            out.append(
-                tuple(
-                    entry(ti, tj) if v is None else row[v]
-                    for tj, v in zip(complexes, stalks)
-                )
-            )
-    return IntMatrix(tuple(out))
+    signed = [(-1 if r % 2 else 1, u) for r, us in complex_.items() for u in us]
+    out = [list(row) for row in rows]
+    for v, row in enumerate(rows):
+        out[mut][v] = sum(sign * rows[u][v] for sign, u in signed)
+        out[v][mut] = sum(sign * row[u] for sign, u in signed)
+    out[mut][mut] = sum(
+        si * sj * rows[ui][uj] for si, ui in signed for sj, uj in signed
+    )
+    return IntMatrix(tuple(map(tuple, out)))

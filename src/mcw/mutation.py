@@ -93,49 +93,42 @@ class _Builder:
         )
 
 
-def mutation_complexes(q: QuiverWithRelations, mut: int) -> list[dict[int, list[int]]]:
-    """Complex family of the plus move at ``mut``, for the Happel
-    alternating-sum prediction.
+def mutation_complex(q: QuiverWithRelations, mut: int) -> dict[int, list[int]]:
+    """The complex of the plus move at ``mut`` that replaces its stalk, for
+    the Happel prediction ``happel_hom_dims(cartan, mut, complex_)``; every
+    other vertex keeps its degree-0 stalk.
 
-    Every vertex other than ``mut`` contributes a degree-0 stalk.  At a
-    vertex with in-arrows, the two-term complex has the in-neighbors in
-    degree 0 and ``mut`` in degree 1.  At a source, the zero-chain of each
-    out-arrow is laid out with alternating signs: ``mut`` sits in the top
-    degree and each chain descends one degree per arrow.  The prediction is
-    exact on all moves whose chains have equal length, which covers every
-    admissible site; it is not a single-complex tilt for unequal chains, so
-    callers must not rely on it there.  The minus move's family is this one
-    in the opposite quiver, ``mutation_complexes(opposite(q), mut)``.
+    At a vertex with in-arrows, the two-term complex has the in-neighbors
+    in degree 0 and ``mut`` in degree 1.  At a source, the zero-chain of
+    each out-arrow is laid out with alternating signs: ``mut`` sits in the
+    top degree and each chain descends one degree per arrow.  The
+    prediction is exact on all moves whose chains have equal length, which
+    covers every admissible site; it is not a single-complex tilt for
+    unequal chains, so callers must not rely on it there.  An isolated
+    vertex keeps its stalk.  The minus move's complex is this one in the
+    opposite quiver, ``mutation_complex(opposite(q), mut)``.
     """
 
-    out: list[dict[int, list[int]]] = [{0: [v]} for v in range(q.vertex_count)]
     ins = q.in_arrows[mut]
     if ins:
-        out[mut] = {0: [a.source for a in ins], 1: [mut]}
-    elif q.out_arrows[mut]:
-        chains = [_chase_zero_chain(q, o) for o in q.out_arrows[mut]]
-        top = max(len(c) for c in chains)
-        at_mut: dict[int, list[int]] = {top: [mut]}
-        for chain in chains:
-            for depth, a in enumerate(chain, start=1):
-                at_mut.setdefault(top - depth, []).append(a.target)
-        out[mut] = at_mut
-    return out
+        return {0: [a.source for a in ins], 1: [mut]}
+    chains = [_chase_zero_chain(q, o) for o in q.out_arrows[mut]]
+    top = max(map(len, chains), default=0)
+    complex_: dict[int, list[int]] = {top: [mut]}
+    for chain in chains:
+        for depth, a in enumerate(chain, start=1):
+            complex_.setdefault(top - depth, []).append(a.target)
+    return complex_
 
 
 def _chase_zero_chain(q: QuiverWithRelations, start: Arrow) -> list[Arrow]:
     """The rest of ``start``'s relation run, from ``start`` on.
 
     From a source, a zero-chain can come back on itself only through an
-    arrow that ends two relations, where ``q.runs`` refuses."""
+    arrow that ends two relations, where ``q.runs`` raises ``AlgebraError``;
+    ``_mutate`` reads the runs first and refuses the move there."""
 
-    try:
-        runs = q.runs
-    except AlgebraError as exc:
-        raise MoveRejected(
-            f"zero-chain from the mutation vertex wraps a cycle or branches: {exc}"
-        ) from exc
-    closed, run = next(r for r in runs if start.id in r[1])
+    closed, run = next(r for r in q.runs if start.id in r[1])
     if closed:
         raise MoveRejected("zero-chain from the mutation vertex wraps a cycle")
     return [q.arrow_by_id[a] for a in run[run.index(start.id) :]]
@@ -169,8 +162,8 @@ def _mutate(q: QuiverWithRelations, mut: int, minus: bool) -> QuiverWithRelation
     minus move), then every check once, on ``q`` and the result.  None of
     them sees orientation: ``cartan_matrix(opposite(p))`` is the transpose
     of ``cartan_matrix(p)``, and ``happel_hom_dims`` reads degrees only by
-    the parity of their difference, so the frame's complexes predict the
-    result's Cartan matrix from ``q``'s own, the state's memoised one."""
+    their parity, so the frame's complex predicts the result's Cartan
+    matrix from ``q``'s own, the state's memoised one."""
 
     if not 0 <= mut < q.vertex_count:
         raise AlgebraError(f"vertex {mut} out of range")
@@ -193,6 +186,16 @@ def _mutate(q: QuiverWithRelations, mut: int, minus: bool) -> QuiverWithRelation
         raise MoveRejected(
             f"out-arrow {o.source}->{o.target} composes to zero with every in-arrow"
         )
+    if not ins:
+        # A source's zero-chains follow the relation runs.  Read as q's own:
+        # opposite(q).runs raises exactly where q.runs does, and the refusal
+        # names the arrow and its role as they stand in q.
+        try:
+            q.runs
+        except AlgebraError as exc:
+            raise MoveRejected(
+                f"zero-chain from the mutation vertex wraps a cycle or branches: {exc}"
+            ) from exc
     b = _regular_plus(frame, mut) if ins else _source_plus(frame, mut)
     try:
         new = b.build(flip=minus)
@@ -211,7 +214,7 @@ def _mutate(q: QuiverWithRelations, mut: int, minus: bool) -> QuiverWithRelation
         if snf_diagonal(cartan_matrix(new)) != snf_diagonal(cartan_matrix(q)):
             raise MutationError(f"source mutation at {mut} changed the Cartan class")
     elif cartan_matrix(new) != happel_hom_dims(
-        mutation_complexes(frame, mut), cartan_matrix(q)
+        cartan_matrix(q), mut, mutation_complex(frame, mut)
     ):
         raise MutationError(
             f"mutation at {mut} disagrees with the alternating-sum prediction"

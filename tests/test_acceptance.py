@@ -27,7 +27,7 @@ from mcw.homology import (
 )
 from mcw.mutation import (
     MoveRejected,
-    mutation_complexes,
+    mutation_complex,
     preserves_invariant,
     realizability_report,
     remove_relation_chain,
@@ -196,7 +196,7 @@ def test_criterion_4_mutation_matches_geometry_and_happel():
                 assert iso_quivers(algebra, geo) is not None, (t, d, k)
                 frame = opposite(q) if kind == "minus" else q
                 predicted = happel_hom_dims(
-                    mutation_complexes(frame, site), cartan_matrix(q)
+                    cartan_matrix(q), site, mutation_complex(frame, site)
                 )
                 assert cartan_matrix(algebra) == predicted, (t, d, k, kind)
                 moves += 1

@@ -120,9 +120,12 @@ square = st.integers(1, 5).flatmap(
 @settings(max_examples=120, deadline=None)
 @given(square)
 def test_snf_transforms_and_divisibility(rows):
+    sympy = pytest.importorskip("sympy")
     m = IntMatrix(tuple(tuple(r) for r in rows))
     res = smith_normal_form(m)
-    assert res.u @ m @ res.v == res.d
+    # The product is sympy's, not the audit's own.
+    u, v, d = (sympy.Matrix(x.rows) for x in (res.u, res.v, res.d))
+    assert u * sympy.Matrix(rows) * v == d
     assert abs(determinant(res.u)) == 1
     assert abs(determinant(res.v)) == 1
     diag = res.diagonal
@@ -198,17 +201,40 @@ def test_derived_invariant_of_quivers():
     assert lin.snf == (1, 1, 1)
 
 
+@pytest.mark.parametrize(
+    "rows, diagonal",
+    [
+        (((2, 0), (0, 3)), (1, 6)),
+        (((4, 0), (0, 6)), (2, 12)),
+        (((0, 0), (0, 5)), (5, 0)),
+        (((-2, 0), (0, 0)), (2, 0)),
+    ],
+)
+def test_snf_mends_divisibility_and_order_on_diagonal_input(rows, diagonal):
+    # Diagonal input whose entries do not divide each other, or whose zero
+    # or negative entry comes first: the pivot's divisibility test must
+    # fold, reorder and sign them into the chain.
+    sympy = pytest.importorskip("sympy")
+    res = smith_normal_form(IntMatrix(rows))
+    assert res.diagonal == diagonal
+    assert res.d == IntMatrix.diagonal(diagonal)
+    u, v = sympy.Matrix(res.u.rows), sympy.Matrix(res.v.rows)
+    assert u * sympy.Matrix(rows) * v == sympy.Matrix(res.d.rows)
+    assert abs(determinant(res.u)) == abs(determinant(res.v)) == 1
+    snf_diagonal.cache_clear()
+    assert snf_diagonal(IntMatrix(rows)) == diagonal
+
+
 def test_happel_stalk_complexes_reproduce_cartan():
     q = quiver_of(dissection(3, 2, [(0, 3), (3, 6), (6, 9)]))
     c = cartan_matrix(q)
-    stalks = [{0: [i]} for i in range(q.vertex_count)]
-    assert happel_hom_dims(stalks, c) == c
+    for v in range(q.vertex_count):
+        assert happel_hom_dims(c, v, {0: [v]}) == c
 
 
 def test_happel_two_term_complex_a2():
     c = IntMatrix(((1, 1), (0, 1)))
-    complexes = [{0: [0]}, {0: [0], 1: [1]}]
-    assert happel_hom_dims(complexes, c).rows == ((1, 0), (1, 1))
+    assert happel_hom_dims(c, 1, {0: [0], 1: [1]}).rows == ((1, 0), (1, 1))
 
 
 def test_intmatrix_rejects_ragged():
@@ -322,9 +348,9 @@ def generic_hom_dims(complexes, cartan):
 
 
 @st.composite
-def complex_families(draw):
-    """A square integer matrix and a family of complexes over its vertices:
-    stalks at their own or another vertex, two-term complexes, and complexes
+def one_vertex_tilts(draw):
+    """A square integer matrix, a vertex, and a complex to put there: a
+    stalk at its own or another vertex, a two-term complex, or a complex
     spread over several degrees and vertices."""
 
     n = draw(st.integers(1, 7))
@@ -341,17 +367,17 @@ def complex_families(draw):
             st.integers(-2, 3), st.lists(vertex, min_size=1, max_size=3), min_size=1, max_size=4
         ),
     ]
-    family = [
-        {0: [i]} if draw(st.booleans()) else draw(st.one_of(shapes)) for i in range(n)
-    ]
-    return family, IntMatrix(tuple(map(tuple, rows)))
+    return IntMatrix(tuple(map(tuple, rows))), draw(vertex), draw(st.one_of(shapes))
 
 
 @settings(max_examples=200, deadline=None)
-@given(complex_families())
-def test_happel_row_wise_prediction_matches_the_generic_sum(family):
-    complexes, cartan = family
-    assert happel_hom_dims(complexes, cartan) == generic_hom_dims(complexes, cartan)
+@given(one_vertex_tilts())
+def test_happel_row_wise_prediction_matches_the_generic_sum(tilt):
+    # The reference sums every entry over the full family: stalks at every
+    # other vertex, the drawn complex at the moved one.
+    cartan, mut, complex_ = tilt
+    family = [complex_ if v == mut else {0: [v]} for v in range(cartan.size)]
+    assert happel_hom_dims(cartan, mut, complex_) == generic_hom_dims(family, cartan)
 
 
 def test_cartan_memo_ignores_labels_and_returns_the_cold_value():

@@ -40,7 +40,7 @@ from mcw.mutation import (
     MoveRejected,
     MutationError,
     apply_mutation,
-    mutation_complexes,
+    mutation_complex,
     preserves_invariant,
     realizability_report,
     record_move,
@@ -196,6 +196,18 @@ def test_minus_refusal_names_the_arrow_as_it_stands_in_q():
     assert str(refused.value) == "in-arrow 0->1 composes to zero with every out-arrow"
 
 
+def test_minus_zero_chain_refusal_names_the_arrow_as_it_stands_in_q():
+    # q's arrow 1 -> 0 starts two relations; in the opposite frame, where
+    # the source move at 2 is rewritten, it is 0 -> 1 and ends them.
+    q = quiver(1, 3, [(0, 1), (0, 2), (1, 0)], [(2, 0), (2, 1)])
+    with pytest.raises(MoveRejected) as refused:
+        tilting_mutation_minus(q, 2)
+    assert str(refused.value) == (
+        "zero-chain from the mutation vertex wraps a cycle or branches: "
+        "arrow 1->0 starts two relations"
+    )
+
+
 def test_isolated_vertex_is_a_fixed_point():
     q = quiver(1, 3, [(0, 1)])
     assert tilting_mutation_plus(q, 2) == q
@@ -241,18 +253,23 @@ def test_heptagon_cycle_vertex():
 def test_happel_prediction_on_source_shape():
     q = quiver(2, 3, [(0, 1), (1, 2)], [(0, 1)])
     moved = tilting_mutation_plus(q, 0)
-    predicted = happel_hom_dims(mutation_complexes(q, 0), cartan_matrix(q))
+    predicted = happel_hom_dims(cartan_matrix(q), 0, mutation_complex(q, 0))
     assert cartan_matrix(moved) == predicted
 
 
-def test_mutation_complexes_minus_mirrors_plus():
-    # The minus move's family is the plus family of the opposite quiver,
+def test_mutation_complex_minus_mirrors_plus():
+    # The minus move's complex is the plus complex of the opposite quiver,
     # and it predicts the minus result's Cartan matrix from q's own.
     q = quiver_of(dissection(3, 2, [(0, 3), (3, 6), (6, 9)]))
-    minus = mutation_complexes(opposite(q), 0)
-    assert minus[0] != mutation_complexes(q, 0)[0]
-    predicted = happel_hom_dims(minus, cartan_matrix(q))
+    minus = mutation_complex(opposite(q), 0)
+    assert minus != mutation_complex(q, 0)
+    predicted = happel_hom_dims(cartan_matrix(q), 0, minus)
     assert cartan_matrix(tilting_mutation_minus(q, 0)) == predicted
+
+
+def test_mutation_complex_is_the_stalk_at_an_isolated_vertex():
+    q = quiver(1, 3, [(0, 1)])
+    assert mutation_complex(q, 2) == {0: [2]}
 
 
 def minus_by_composition(q, v):
