@@ -11,11 +11,10 @@ is zero.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
 
-from .geometry import Diagonal, Dissection, faces
+from .geometry import Diagonal, Dissection, Sealed, faces
 
 
 class AlgebraError(ValueError):
@@ -28,43 +27,55 @@ class Arrow(NamedTuple):
     target: int
 
 
-@dataclass(frozen=True)
-class QuiverWithRelations:
-    m: int
-    vertex_count: int
-    arrows: tuple[Arrow, ...]
-    relations: frozenset[tuple[int, int]]
-    vertex_labels: tuple[Diagonal, ...] | None = field(default=None, compare=False)
+class QuiverWithRelations(
+    NamedTuple(
+        "QuiverWithRelations",
+        [
+            ("m", int),
+            ("vertex_count", int),
+            ("arrows", tuple[Arrow, ...]),
+            ("relations", frozenset[tuple[int, int]]),
+        ],
+    ),
+    Sealed,
+):
+    """The tuple (m, vertex_count, arrows, relations), arrows renumbered in
+    (source, target) order.  ``vertex_labels`` is kept outside the tuple, in
+    the instance ``__dict__`` with the cached properties, so equality and
+    hashing ignore it."""
 
-    def __post_init__(self) -> None:
-        by_pair = sorted(self.arrows, key=lambda a: (a.source, a.target))
+    vertex_labels: tuple[Diagonal, ...] | None
+
+    def __new__(cls, m, vertex_count, arrows, relations, vertex_labels=None):
+        by_pair = sorted(arrows, key=lambda a: (a.source, a.target))
         remap = {a.id: i for i, a in enumerate(by_pair)}
-        if len(remap) != len(self.arrows):
+        if len(remap) != len(arrows):
             raise AlgebraError("duplicate arrow ids")
         arrows = tuple(Arrow(i, a.source, a.target) for i, a in enumerate(by_pair))
         seen_pairs = set()
         for a in arrows:
-            if not (0 <= a.source < self.vertex_count and 0 <= a.target < self.vertex_count):
+            if not (0 <= a.source < vertex_count and 0 <= a.target < vertex_count):
                 raise AlgebraError(f"arrow {a} out of vertex range")
             if a.source == a.target:
                 raise AlgebraError(f"loop at vertex {a.source}")
             if (a.source, a.target) in seen_pairs:
                 raise AlgebraError(f"parallel arrows {a.source}->{a.target}")
             seen_pairs.add((a.source, a.target))
-        for first, second in self.relations:
+        for first, second in relations:
             if first not in remap or second not in remap:
                 raise AlgebraError(
                     f"relation ({first},{second}) references missing arrow"
                 )
         relations = frozenset(
-            (remap[first], remap[second]) for first, second in self.relations
+            (remap[first], remap[second]) for first, second in relations
         )
         lookup = {a.id: a for a in arrows}
         for first, second in relations:
             if lookup[first].target != lookup[second].source:
                 raise AlgebraError(f"relation ({first},{second}) is not composable")
-        object.__setattr__(self, "arrows", arrows)
-        object.__setattr__(self, "relations", relations)
+        self = tuple.__new__(cls, (m, vertex_count, arrows, relations))
+        self.__dict__["vertex_labels"] = vertex_labels
+        return self
 
     @cached_property
     def arrow_by_id(self) -> dict[int, Arrow]:
@@ -205,8 +216,7 @@ def quiver_of(t: Dissection) -> QuiverWithRelations:
     )
 
 
-@dataclass(frozen=True)
-class GentleReport:
+class GentleReport(NamedTuple):
     ok: bool
     problem: str | None = None
 
@@ -237,8 +247,7 @@ def is_gentle(q: QuiverWithRelations) -> GentleReport:
     return GentleReport(True)
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     """A connected component, vertices renumbered 0..k-1; vertices[i] is the
     index of component vertex i in the parent quiver."""
 

@@ -249,11 +249,11 @@ def quiver_cmd(infile: str, fmt: str, out: str | None) -> None:
 def invariants_cmd(infile: str, out: str | None) -> None:
     """Derived invariant of each component, one JSON object per line."""
 
-    lines = [
-        dumps(invariant_to_json(derived_invariant(comp)))
+    text = "".join(
+        dumps(invariant_to_json(derived_invariant(comp))) + "\n"
         for comp in _components(infile)
-    ]
-    _emit("\n".join(lines) + "\n", out)
+    )
+    _emit(text, out)
 
 
 @main.command("mutate")

@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, product
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 
 _V = TypeVar("_V")
@@ -63,16 +62,33 @@ def diagonal(a: int, b: int) -> Diagonal:
     return Diagonal(a, b)
 
 
-@dataclass(frozen=True)
-class PolygonParams:
+class Sealed:
+    """Mixin for a tuple-backed value that keeps an instance ``__dict__``,
+    for ``cached_property`` or for a field left out of its tuple: it refuses
+    attribute assignment and deletion.  ``cached_property`` and pickle write
+    the ``__dict__`` directly."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# The value types are tuples: a typing.NamedTuple where no field needs
+# checking, and a subclass of one whose __new__ checks and normalizes where
+# a field does.  _replace and _make skip __new__, so nothing calls them.
+class PolygonParams(NamedTuple("PolygonParams", [("n", int), ("m", int)])):
     """Rank n, level m; the polygon has N = (n+1)*m + 2 vertices."""
 
-    n: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.m < 1:
-            raise GeometryError(f"need n >= 1 and m >= 1, got n={self.n}, m={self.m}")
+    def __new__(cls, n: int, m: int) -> PolygonParams:
+        if n < 1 or m < 1:
+            raise GeometryError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+        return tuple.__new__(cls, (n, m))
 
     @property
     def N(self) -> int:
@@ -109,8 +125,10 @@ def crosses(d1: Diagonal, d2: Diagonal) -> bool:
     return a < c < b < d or c < a < d < b
 
 
-@dataclass(frozen=True)
-class Dissection:
+class Dissection(
+    NamedTuple("Dissection", [("params", PolygonParams), ("diagonals", tuple[Diagonal, ...])]),
+    Sealed,
+):
     """A set of pairwise non-crossing m-allowable diagonals.
 
     Maximal dissections (|diagonals| = n) are the main objects; partial sets
@@ -119,19 +137,18 @@ class Dissection:
     counts the diagonals, and the other commands screen each component of
     the quiver with ``realizability_report``.  Construction refuses a
     diagonal with an endpoint outside 0..N-1, on which the cell walk would
-    never end; crossing and allowability are check_chords'.
+    never end; crossing and allowability are check_chords'.  The diagonals
+    are stored sorted, each once.  It keeps an instance ``__dict__`` for its
+    cached neighbour map.
     """
 
-    params: PolygonParams
-    diagonals: tuple[Diagonal, ...]
-
-    def __post_init__(self) -> None:
-        diags = tuple(sorted(set(self.diagonals)))
-        N = self.params.N
+    def __new__(cls, params: PolygonParams, diagonals: Iterable[Diagonal]) -> Dissection:
+        diags = tuple(sorted(set(diagonals)))
+        N = params.N
         # Sorted, so diags[0] has the smallest first endpoint.
         if diags and (diags[0][0] < 0 or max(map(itemgetter(1), diags)) >= N):
             raise _out_of_range(next(d for d in diags if d[0] < 0 or d[1] >= N), N)
-        object.__setattr__(self, "diagonals", diags)
+        return tuple.__new__(cls, (params, diags))
 
     @cached_property
     def _neighbors(self) -> dict[int, list[int]]:
@@ -157,22 +174,34 @@ def dissection(n: int, m: int, chords: list[tuple[int, int]] | list[Diagonal]) -
     return Dissection(PolygonParams(n, m), diags)
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     """One cell of the dissection.
 
     corners: cell vertices starting from the smallest label, then proceeding
     clockwise (decreasing labels), per the fixed storage convention.
     side_diagonals[i] is the index of the diagonal joining corners[i] to
     corners[i+1] (cyclically), or None for a boundary edge of the polygon.
+    Equality and hashing read the corners alone.
     """
 
     corners: tuple[int, ...]
-    side_diagonals: tuple[int | None, ...] = field(compare=False)
+    side_diagonals: tuple[int | None, ...]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Face):
+            return NotImplemented
+        return self.corners == other.corners
+
+    def __ne__(self, other: object) -> bool:
+        if not isinstance(other, Face):
+            return NotImplemented
+        return self.corners != other.corners
+
+    def __hash__(self) -> int:
+        return hash((self.corners,))
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(NamedTuple):
     ok: bool
     problem: str | None = None
     detail: str | None = None

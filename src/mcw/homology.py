@@ -18,11 +18,10 @@ one complex that replaces the moved vertex's stalk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 from operator import mul
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .algebra import QuiverWithRelations
 
@@ -31,17 +30,15 @@ class HomologyError(ValueError):
     """Raised for malformed matrices or quivers outside the supported shape."""
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """A square integer matrix stored as a tuple of row tuples."""
+class IntMatrix(NamedTuple("IntMatrix", [("rows", tuple[tuple[int, ...], ...])])):
+    """A square integer matrix stored as a tuple of row tuples.  ``m[i, j]``
+    reads one entry."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        rows = self.rows
+    def __new__(cls, rows: Sequence[Sequence[int]]) -> IntMatrix:
         if type(rows) is not tuple or any(type(row) is not tuple for row in rows):
             rows = tuple(map(tuple, rows))
-            object.__setattr__(self, "rows", rows)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise HomologyError("matrix must be square")
@@ -50,6 +47,7 @@ class IntMatrix:
             raise HomologyError(
                 f"matrix entries must be int, got {bad!r} ({type(bad).__name__})"
             )
+        return tuple.__new__(cls, (rows,))
 
     @property
     def size(self) -> int:
@@ -144,8 +142,7 @@ def cartan_matrix(q: QuiverWithRelations) -> IntMatrix:
     return IntMatrix(tuple(tuple(row) for row in counts))
 
 
-@dataclass(frozen=True)
-class SmithNormalForm:
+class SmithNormalForm(NamedTuple):
     """Diagonal form ``d`` with unimodular ``u``, ``v`` so u @ m @ v == d."""
 
     d: IntMatrix
@@ -304,8 +301,7 @@ def bh_diagonal(q: QuiverWithRelations) -> IntMatrix:
     return IntMatrix.diagonal([2] * odd + [0] * even + [1] * rest)
 
 
-@dataclass(frozen=True, eq=False)
-class DerivedInvariant:
+class DerivedInvariant(NamedTuple):
     """Vertex count and cycle count, with corroborating Cartan data.
 
     Equality deliberately compares only (s, r): the Smith normal form and
@@ -317,12 +313,17 @@ class DerivedInvariant:
     s: int
     r: int
     snf: tuple[int, ...]
-    cycle_parity_counts: tuple[int, int] = field(default=(0, 0))
+    cycle_parity_counts: tuple[int, int] = (0, 0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DerivedInvariant):
             return NotImplemented
         return (self.s, self.r) == (other.s, other.r)
+
+    def __ne__(self, other: object) -> bool:
+        if not isinstance(other, DerivedInvariant):
+            return NotImplemented
+        return (self.s, self.r) != (other.s, other.r)
 
     def __hash__(self) -> int:
         return hash((self.s, self.r))

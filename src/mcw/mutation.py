@@ -26,8 +26,7 @@ recompute what the step before it computed for the same state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import (
     AlgebraError,
@@ -426,24 +425,31 @@ def apply_mutation(
     raise MutationError(f"unknown move kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class MoveRecord:
+class MoveRecord(
+    NamedTuple(
+        "MoveRecord",
+        [
+            ("kind", str),
+            ("site", tuple[int, ...]),
+            ("invariant_before", DerivedInvariant),
+            ("invariant_after", DerivedInvariant),
+        ],
+    )
+):
     """Audit entry for one accepted move."""
 
-    kind: str
-    site: tuple[int, ...]
-    invariant_before: DerivedInvariant
-    invariant_after: DerivedInvariant
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("plus", "minus", "rel_rem"):
-            raise MutationError(f"unknown move kind {self.kind!r}")
-        before, after = self.invariant_before, self.invariant_after
+    def __new__(cls, kind, site, invariant_before, invariant_after):
+        if kind not in ("plus", "minus", "rel_rem"):
+            raise MutationError(f"unknown move kind {kind!r}")
+        before, after = invariant_before, invariant_after
         if (before.s, before.r, before.snf) != (after.s, after.r, after.snf):
             raise MutationError(
-                f"accepted {self.kind} move at {self.site} changed the "
+                f"accepted {kind} move at {site} changed the "
                 f"invariant: {before} -> {after}"
             )
+        return tuple.__new__(cls, (kind, site, before, after))
 
 
 def record_move(
@@ -457,8 +463,7 @@ def record_move(
     )
 
 
-@dataclass(frozen=True)
-class RealizabilityReport:
+class RealizabilityReport(NamedTuple):
     """Outcome of the structural screen for dissection-derived quivers."""
 
     ok: bool

@@ -39,8 +39,7 @@ moves need not be the shortest script.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import (
     QuiverWithRelations,
@@ -66,28 +65,26 @@ class NormalFormError(ValueError):
     """Infeasible normal-form parameters or an impossible reduction request."""
 
 
-@dataclass(frozen=True)
-class NormalFormSpec:
+class NormalFormSpec(NamedTuple("NormalFormSpec", [("s", int), ("r", int), ("m", int)])):
     """Parameters (s, r, m) of a normal form.
 
     Chaining r cycles through shared connectors uses r*(m+1) + 1 vertices,
     so s must cover at least that many (one vertex suffices when r = 0).
     """
 
-    s: int
-    r: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise NormalFormError(f"level m must be positive, got {self.m}")
-        if self.r < 0 or self.s < 1:
-            raise NormalFormError(f"need r >= 0 and s >= 1, got (s={self.s}, r={self.r})")
-        if self.r > 0 and self.s < self.r * (self.m + 1) + 1:
+    def __new__(cls, s: int, r: int, m: int) -> NormalFormSpec:
+        if m < 1:
+            raise NormalFormError(f"level m must be positive, got {m}")
+        if r < 0 or s < 1:
+            raise NormalFormError(f"need r >= 0 and s >= 1, got (s={s}, r={r})")
+        if r > 0 and s < r * (m + 1) + 1:
             raise NormalFormError(
-                f"{self.r} chained {self.m + 2}-cycles need at least "
-                f"{self.r * (self.m + 1) + 1} vertices, got {self.s}"
+                f"{r} chained {m + 2}-cycles need at least "
+                f"{r * (m + 1) + 1} vertices, got {s}"
             )
+        return tuple.__new__(cls, (s, r, m))
 
     @property
     def tail_length(self) -> int:
@@ -139,8 +136,17 @@ def build_normal_form(spec: NormalFormSpec) -> QuiverWithRelations:
 PHASES = ("relations", "chain", "tail")
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(
+    NamedTuple(
+        "ReductionTrace",
+        [
+            ("steps", tuple[MoveRecord, ...]),
+            ("final", QuiverWithRelations),
+            ("iso_witness", tuple[int, ...]),
+            ("phases", tuple[str, ...]),
+        ],
+    )
+):
     """An accepted move sequence ending at the normal form.
 
     ``phases[i]`` names the proof phase that took ``steps[i]``;
@@ -148,19 +154,15 @@ class ReductionTrace:
     of ``final``.
     """
 
-    steps: tuple[MoveRecord, ...]
-    final: QuiverWithRelations
-    iso_witness: tuple[int, ...]
-    phases: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.phases) != len(self.steps):
-            raise NormalFormError(
-                f"{len(self.steps)} steps but {len(self.phases)} phase labels"
-            )
-        unknown = set(self.phases) - set(PHASES)
+    def __new__(cls, steps, final, iso_witness, phases):
+        if len(phases) != len(steps):
+            raise NormalFormError(f"{len(steps)} steps but {len(phases)} phase labels")
+        unknown = set(phases) - set(PHASES)
         if unknown:
             raise NormalFormError(f"unknown phase labels {sorted(unknown)}")
+        return tuple.__new__(cls, (steps, final, iso_witness, phases))
 
 
 def step_cap(s: int, m: int) -> int:

@@ -8,7 +8,7 @@ constructors so a hand-edited file gets the same validation as code.
 from __future__ import annotations
 
 import json
-from typing import Any, Iterator, Mapping
+from typing import Any, Hashable, Iterable, Iterator, Mapping
 
 from .algebra import QuiverWithRelations, quiver
 from .geometry import (
@@ -16,6 +16,7 @@ from .geometry import (
     GeometryError,
     PolygonParams,
     check_chords,
+    diagonal,
     dissection,
     lex_dissections,
 )
@@ -69,6 +70,16 @@ def _int_pairs(value: Any, what: str) -> list[tuple[int, int]]:
     return pairs
 
 
+def _repeated(items: Iterable[Hashable]) -> Hashable | None:
+    """The first item equal to an earlier one, or None."""
+    seen = set()
+    for x in items:
+        if x in seen:
+            return x
+        seen.add(x)
+    return None
+
+
 def _int_list(value: Any, what: str) -> list[int]:
     if not isinstance(value, (list, tuple)) or not all(_is_int(x) for x in value):
         raise SerializeError(f"{what} must be a list of integers, got {value!r}")
@@ -100,7 +111,8 @@ def dissection_lines(p: PolygonParams, cap: int | None = 10**6) -> Iterator[str]
 
 
 def dissection_from_json(obj: Any) -> Dissection:
-    """Load a dissection, rejecting non-allowable and crossing diagonals.
+    """Load a dissection, rejecting repeated, non-allowable and crossing
+    diagonals.
 
     Non-crossing partial dissections are accepted, as ``Dissection`` allows.
     """
@@ -111,6 +123,10 @@ def dissection_from_json(obj: Any) -> Dissection:
         t = dissection(n, m, chords)
     except GeometryError as exc:
         raise SerializeError(f"invalid dissection: {exc}") from exc
+    # The constructor keeps one of each diagonal; a file lists each once.
+    twice = _repeated(diagonal(a, b) for a, b in chords)
+    if twice is not None:
+        raise SerializeError(f"invalid dissection: duplicate diagonal {twice}")
     report = check_chords(t)
     if not report.ok:
         raise SerializeError(f"invalid dissection: {report.detail}")
@@ -127,15 +143,23 @@ def quiver_to_json(q: QuiverWithRelations) -> dict[str, Any]:
 
 
 def quiver_from_json(obj: Any) -> QuiverWithRelations:
+    """Load a quiver, rejecting a level below 1, a negative vertex count and
+    a relation listed twice; the constructor checks the arrows and that each
+    relation composes."""
     _require(obj, "m", "vertices", "arrows", "relations")
+    m, vertices = _int_field(obj, "m"), _int_field(obj, "vertices")
+    if m < 1:
+        raise SerializeError(f"need m >= 1, got m={m}")
+    if vertices < 0:
+        raise SerializeError(f"need vertices >= 0, got vertices={vertices}")
+    arrows = _int_pairs(obj["arrows"], "arrows")
+    relations = _int_pairs(obj["relations"], "relations")
+    twice = _repeated(relations)
+    if twice is not None:
+        raise SerializeError("duplicate relation ({},{})".format(*twice))
     # Arrows are serialized in id order, which is the constructor's
     # normalized order, so relation indices survive the round trip.
-    return quiver(
-        _int_field(obj, "m"),
-        _int_field(obj, "vertices"),
-        _int_pairs(obj["arrows"], "arrows"),
-        _int_pairs(obj["relations"], "relations"),
-    )
+    return quiver(m, vertices, arrows, relations)
 
 
 def matrix_to_json(mat: IntMatrix) -> dict[str, Any]:

@@ -469,6 +469,72 @@ def test_crossing_dissection_is_rejected(runner, tmp_path, command):
     assert "d(0,2) crosses d(1,3)" in result.output
 
 
+DUPLICATE = {
+    "dissection": (
+        {"n": 3, "m": 1, "diagonals": [[0, 2], [0, 3], [0, 4], [2, 0]]},
+        "invalid dissection: duplicate diagonal d(0,2)",
+    ),
+    "quiver": (
+        {"m": 2, "vertices": 3, "arrows": [[0, 1], [1, 2]], "relations": [[0, 1], [0, 1]]},
+        "duplicate relation (0,1)",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command, kind",
+    [(c, "dissection") for c in ("quiver", "invariants", "reduce", "render")]
+    + [(c, "quiver") for c in ("invariants", "reduce", "render")],
+)
+def test_a_repeated_diagonal_or_relation_is_invalid_input(runner, tmp_path, command, kind):
+    # Both used to be merged into one, and every command exited 0.
+    doc, problem = DUPLICATE[kind]
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(doc))
+    args = [command, "--in", str(src)] + (["--format", "dot"] if command == "render" else [])
+    result = invoke(runner, *args)
+    assert result.exit_code == 2
+    assert f"error: {problem}\n" in result.output
+
+
+@pytest.mark.parametrize(
+    "field, value, problem",
+    [("m", 0, "need m >= 1, got m=0"), ("vertices", -2, "need vertices >= 0, got vertices=-2")],
+)
+@pytest.mark.parametrize("command", ["invariants", "reduce", "render"])
+def test_quiver_level_and_size_are_checked_on_load(runner, tmp_path, command, field, value, problem):
+    # m = 0 used to reach the realizability screen, which named a relation
+    # chain "of length 0 exceeding bound -1"; render drew either quiver.
+    doc = {"m": 1, "vertices": 3, "arrows": [[0, 1], [1, 2]], "relations": [], field: value}
+    if field == "vertices":
+        doc["arrows"] = []
+    src = tmp_path / "q.json"
+    src.write_text(json.dumps(doc))
+    args = [command, "--in", str(src)] + (["--format", "svg"] if command == "render" else [])
+    result = invoke(runner, *args)
+    assert result.exit_code == 2
+    assert f"error: {problem}\n" in result.output
+    assert "bound" not in result.output
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 3, "m": 1, "diagonals": []},
+        {"m": 1, "vertices": 0, "arrows": [], "relations": []},
+    ],
+)
+def test_invariants_of_no_component_writes_nothing(runner, tmp_path, doc):
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(doc))
+    result = invoke(runner, "invariants", "--in", str(src))
+    assert result.exit_code == 0
+    assert result.stdout == ""
+    out = tmp_path / "inv.jsonl"
+    assert invoke(runner, "invariants", "--in", str(src), "--out", str(out)).exit_code == 0
+    assert out.read_text() == ""
+
+
 def test_reduce_component_range(runner, tmp_path):
     src = write_dissection(tmp_path / "t.json", 2, 1, [(0, 2), (0, 3)])
     assert invoke(runner, "reduce", "--in", src, "--component", "7").exit_code == 2
