@@ -69,17 +69,12 @@ class QuiverWithRelations(
         relations = frozenset(
             (remap[first], remap[second]) for first, second in relations
         )
-        lookup = {a.id: a for a in arrows}
         for first, second in relations:
-            if lookup[first].target != lookup[second].source:
+            if arrows[first].target != arrows[second].source:
                 raise AlgebraError(f"relation ({first},{second}) is not composable")
         self = tuple.__new__(cls, (m, vertex_count, arrows, relations))
         self.__dict__["vertex_labels"] = vertex_labels
         return self
-
-    @cached_property
-    def arrow_by_id(self) -> dict[int, Arrow]:
-        return {a.id: a for a in self.arrows}
 
     @cached_property
     def out_arrows(self) -> dict[int, tuple[Arrow, ...]]:
@@ -119,7 +114,7 @@ class QuiverWithRelations(
         for first, second in sorted(self.relations):
             for arrow, side, role in ((first, after, "starts"), (second, before, "ends")):
                 if arrow in side:
-                    a = self.arrow_by_id[arrow]
+                    a = self.arrows[arrow]
                     raise AlgebraError(
                         f"arrow {a.source}->{a.target} {role} two relations"
                     )
@@ -152,9 +147,9 @@ class QuiverWithRelations(
     def relation_triples(self) -> frozenset[tuple[int, int, int]]:
         """Relations as (start, middle, end) vertex triples; well-defined
         because there is at most one arrow per ordered vertex pair."""
-        look = self.arrow_by_id
+        arrows = self.arrows
         return frozenset(
-            (look[f].source, look[f].target, look[s].target)
+            (arrows[f].source, arrows[f].target, arrows[s].target)
             for f, s in self.relations
         )
 

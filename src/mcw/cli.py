@@ -117,7 +117,10 @@ def _guarded(command: Callable[..., None]) -> Callable[..., None]:
 
 def _load_json(path: str) -> Any:
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise SerializeError(f"{path}: JSON nested too deeply to read") from None
 
 
 def _load_object(path: str) -> Dissection | QuiverWithRelations:

@@ -125,20 +125,21 @@ def cartan_matrix(q: QuiverWithRelations) -> IntMatrix:
     cap = len(q.arrows) + 1
     forbidden = q.relations
     counts = [[0] * n for _ in range(n)]
-
-    def walk(start: int, vertex: int, last_arrow: int | None, depth: int) -> None:
-        if depth > cap:
-            raise HomologyError(
-                "relation-free cycle detected while counting paths"
-            )
-        counts[start][vertex] += 1
-        for a in q.out_arrows.get(vertex, ()):
-            if last_arrow is not None and (last_arrow, a.id) in forbidden:
-                continue
-            walk(start, a.target, a.id, depth + 1)
-
-    for v in range(n):
-        walk(v, v, None, 0)
+    for start in range(n):
+        row = counts[start]
+        # (vertex, last arrow, depth) per path still to extend, depth-first
+        # on an explicit stack: a path may be as long as the quiver.
+        stack: list[tuple[int, int | None, int]] = [(start, None, 0)]
+        while stack:
+            vertex, last_arrow, depth = stack.pop()
+            if depth > cap:
+                raise HomologyError(
+                    "relation-free cycle detected while counting paths"
+                )
+            row[vertex] += 1
+            for a in q.out_arrows[vertex]:
+                if last_arrow is None or (last_arrow, a.id) not in forbidden:
+                    stack.append((a.target, a.id, depth + 1))
     return IntMatrix(tuple(tuple(row) for row in counts))
 
 

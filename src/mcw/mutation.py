@@ -101,9 +101,14 @@ def mutation_complex(q: QuiverWithRelations, mut: int) -> dict[int, list[int]]:
     in degree 0 and ``mut`` in degree 1.  At a source, the zero-chain of
     each out-arrow is laid out with alternating signs: ``mut`` sits in the
     top degree and each chain descends one degree per arrow.  The
-    prediction is exact on all moves whose chains have equal length, which
-    covers every admissible site; it is not a single-complex tilt for
-    unequal chains, so callers must not rely on it there.  An isolated
+    prediction is exact on all moves whose chains have equal length; it is
+    not a single-complex tilt for unequal chains, so callers must not rely
+    on it there.  ``_mutate`` accepts such source moves too, checking every
+    source move by its Smith form alone: at N <= 13 there are 10 distinct
+    ones, all at m = 2 with chains of 1 and 2 arrows, and at each the
+    prediction differs from the result's Cartan matrix.  None is the
+    algebra move of an admissible diagonal move, where acceptance
+    criterion 4 asserts the prediction for n <= 4, m <= 3.  An isolated
     vertex keeps its stalk.  The minus move's complex is this one in the
     opposite quiver, ``mutation_complex(opposite(q), mut)``.
     """
@@ -130,7 +135,7 @@ def _chase_zero_chain(q: QuiverWithRelations, start: Arrow) -> list[Arrow]:
     closed, run = next(r for r in q.runs if start.id in r[1])
     if closed:
         raise MoveRejected("zero-chain from the mutation vertex wraps a cycle")
-    return [q.arrow_by_id[a] for a in run[run.index(start.id) :]]
+    return [q.arrows[a] for a in run[run.index(start.id) :]]
 
 
 def tilting_mutation_plus(q: QuiverWithRelations, mut: int) -> QuiverWithRelations:
@@ -499,7 +504,7 @@ def realizability_report(q: QuiverWithRelations) -> RealizabilityReport:
         problems.append(str(exc))
         return RealizabilityReport(False, tuple(problems))
     for run in cycles:
-        vertices = tuple(q.arrow_by_id[a].source for a in run)
+        vertices = tuple(q.arrows[a].source for a in run)
         if len(set(vertices)) != len(vertices):
             problems.append(f"closed relation run through {vertices} repeats a vertex")
         elif len(run) != q.m + 2:

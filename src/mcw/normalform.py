@@ -21,7 +21,8 @@ searches over states and nothing is memoized between calls.
    cycles slide along the single arrows between them until neighbours share
    a vertex, the tree of cycles is compacted into a chain, the remaining
    arrows are moved onto one side of the root, and the connectors are
-   turned to the positions ``connector_position`` names.
+   turned to the positions ``connector_position`` names.  Each step reads
+   the tree of cycles off one walk, ``_tree``, and moves through ``turn``.
 3. ``tail``: the tail is oriented away from the last connector
    (``orient``); with r = 0 the whole tree is a path, oriented from one of
    its leaves.
@@ -196,16 +197,16 @@ class _Shape:
     order."""
 
     def __init__(self, q: QuiverWithRelations):
-        arrow = q.arrow_by_id
+        arrows = q.arrows
         self.cells: list[_Cell] = []
         for closed, run in q.runs:
             if closed:
-                cyc = [arrow[x].source for x in run]
+                cyc = [arrows[x].source for x in run]
                 low = cyc.index(min(cyc))
                 self.cells.append((True, tuple(cyc[low:] + cyc[:low])))
             else:
                 self.cells.append(
-                    (False, (arrow[run[0]].source,) + tuple(arrow[x].target for x in run))
+                    (False, (arrows[run[0]].source,) + tuple(arrows[x].target for x in run))
                 )
         self.where: dict[int, list[int]] = {v: [] for v in range(q.vertex_count)}
         for i, (_, vs) in enumerate(self.cells):
@@ -258,14 +259,11 @@ class _Reduction:
         self.phases: list[str] = []
         self.anchor = -1
 
-    def _check_cap(self) -> None:
+    def _take(self, kind: str, site: Sequence[int], phase: str) -> None:
         if len(self.steps) >= self.limit:
             raise CapExceeded(
                 f"reduction needs more than the cap of {self.limit} steps"
             )
-
-    def _take(self, kind: str, site: Sequence[int], phase: str) -> None:
-        self._check_cap()
         try:
             moved = apply_mutation(self.state, kind, site)
         except (MoveRejected, MutationError) as exc:
@@ -366,52 +364,53 @@ class _Reduction:
                     best = (len(path), v)
         self.anchor = best[1]
 
-    def _close_bridges(self) -> None:
-        """Slide each cycle along the arrows between it and the cycles nearer
-        the root until the two share a vertex; the arrows pass to the far
-        side of the sliding cycle."""
-        while True:
-            shape = self.shape
-            order, bridge = [shape.cycle(self.anchor)], None
-            for c in order:
-                for v in shape.cells[c][1]:
-                    path, far = shape.beyond(c, v)
-                    if far is None or far in order:
-                        continue
-                    if len(path) == 1:
-                        order.append(far)
-                    elif bridge is None:
-                        bridge = (path[-1], far)
-            if bridge is None:
-                return
-            w, far = bridge
-            link = shape.cells[shape.other(w, far)][1]
-            self.turn(w, 1 if link[0] == w else -1, "chain")
-
-    def _cycle_tree(self) -> list[tuple[int, int, int]]:
-        """(cell, entry side, depth) per cycle, from the root outward."""
+    def _tree(self) -> list[tuple[int, int, int, list[int]]]:
+        """(cell, entry side, depth, bridge path) per cycle, from the root,
+        entered at the anchor, outward; the bridge path runs from the
+        parent's side to the entry, one vertex where the two share it."""
         shape = self.shape
-        tree = [(shape.cycle(self.anchor), self.anchor, 0)]
-        for c, entry, depth in tree:
+        tree = [(shape.cycle(self.anchor), self.anchor, 0, [self.anchor])]
+        for c, entry, depth, _ in tree:
             for v in shape.cells[c][1]:
-                child = shape.cycle(v, avoid=c) if v != entry else None
-                if child is not None:
-                    tree.append((child, v, depth + 1))
+                if v != entry:
+                    path, far = shape.beyond(c, v)
+                    if far is not None:
+                        tree.append((far, path[-1], depth + 1, path))
         return tree
+
+    def _chain(self) -> list[tuple[int, int]]:
+        """(cell, entry side) along the chain from the root."""
+        return [(c, entry) for c, entry, _, _ in self._tree()]
+
+    def _slide(self, v: int, cell: int) -> bool:
+        """Slide cycle ``cell`` one vertex along the single arrow across its
+        side v, which passes to the cycle's far side; False, with no step,
+        where a cycle lies across v."""
+        full, link = self.shape.cells[self.shape.other(v, cell)]
+        if full:
+            return False
+        self.turn(v, 1 if link[0] == v else -1, "chain")
+        return True
+
+    def _close_bridges(self) -> None:
+        """Slide each cycle along the arrows between it and its parent, the
+        first such cycle from the root outward each time, until the two
+        share a vertex."""
+        while bridged := next((t for t in self._tree() if len(t[3]) > 1), None):
+            self._slide(bridged[1], bridged[0])
 
     def _compact(self) -> None:
         """Make the tree of cycles a chain: each cycle keeps its one child
         on the side right after its entry.  The deepest cycle out of shape
         turns its last child back one side at a time; the side handed over
         (a sibling, a pendant path or a leaf) moves into the child."""
-        m = self.state.m
         while True:
             shape = self.shape
             todo = None
-            for c, entry, depth in self._cycle_tree():
+            for c, entry, depth, _ in self._tree():
                 kids = [
                     p
-                    for p in range(1, m + 2)
+                    for p in range(1, self.state.m + 2)
                     if shape.cycle(shape.slot(c, entry, p), avoid=c) is not None
                 ]
                 if kids and kids != [1] and (todo is None or depth >= todo[0]):
@@ -420,40 +419,19 @@ class _Reduction:
                 return
             self.turn(todo[1], -1, "chain")
 
-    def _chain(self) -> list[tuple[int, int]]:
-        """(cell, entry side) along the chain from the root."""
-        shape = self.shape
-        chain = [(shape.cycle(self.anchor), self.anchor)]
-        while True:
-            c, entry = chain[-1]
-            nxt = None
-            for v in shape.cells[c][1]:
-                if v != entry:
-                    path, far = shape.beyond(c, v)
-                    if far is not None:
-                        nxt = (far, path[-1])
-            if nxt is None:
-                return chain
-            chain.append(nxt)
-
     def _gather_arrows(self) -> None:
         """Move every single arrow off the chain onto the root's anchor side,
         deepest cycle first: each cycle's pendant paths slide round to the
         side before its entry and then through it, and the parent cycle pulls
         them off the bridge this makes."""
-        m = self.state.m
         n = len(self._chain())
         for i in range(n - 1, -1, -1):
-            for p in range(1 if i == n - 1 else 2, m + 2):
+            for p in range(1 if i == n - 1 else 2, self.state.m + 2):
                 self._shift_pendant(i, p)
             while i:
-                shape = self.shape
                 c, entry = self._chain()[i - 1]
-                y = shape.slot(c, entry, 1)
-                link = shape.other(y, c)
-                if shape.cells[link][0]:
+                if not self._slide(self.shape.slot(c, entry, 1), c):
                     break
-                self.turn(y, 1 if shape.cells[link][1][0] == y else -1, "chain")
 
     def _shift_pendant(self, i: int, p: int) -> None:
         """Slide the pendant path on side p of chain cycle i to side p + 1."""
@@ -508,17 +486,18 @@ class _Reduction:
         with ``either`` make it a directed path one way or the other.
 
         From the far end inward, a stretch that disagrees with the arrow
-        before it is reversed whole; a linear path [x, u1, ..., uk] toward x
-        reverses by minus at u1, ..., uk in turn, away from x by plus."""
+        before it is reversed whole; ahead of the first arrow (j = -1) stands
+        one away from x, or with ``either`` one that agrees.  A linear path
+        [x, u1, ..., uk] toward x reverses by minus at u1, ..., uk in turn,
+        away from x by plus; u1, ..., uk lie on no cycle, so the anchor stays."""
         path = self._pendant(x, near)
-        for j in range(len(path) - 3, -1, -1):
+        for j in range(len(path) - 3, -2, -1):
             sub = self._away(path[j + 1], path[j + 2])
-            if sub != self._away(path[j], path[j + 1]):
-                self._reverse(path[j + 1 :], sub, phase)
+            before = self._away(path[j], path[j + 1]) if j >= 0 else sub or not either
+            if sub != before:
+                for v in path[j + 2 :]:
+                    self.turn(v, -1 if sub else 1, phase)
                 path = self._pendant(x, near)
-        if len(path) > 1 and not self._away(path[0], path[1]) and not either:
-            self._reverse(path, False, phase)
-            path = self._pendant(x, near)
         ways = {self._away(a, b) for a, b in zip(path, path[1:])}
         if len(ways) > 1 or ways == {False} and not either:
             raise NormalFormError(f"{phase} phase: path at {x} did not orient")
@@ -528,11 +507,7 @@ class _Reduction:
         return self.shape.beyond(cell, x)[0]
 
     def _away(self, a: int, b: int) -> bool:
-        return (a, b) in self.state.arrow_pairs()
-
-    def _reverse(self, path: list[int], away: bool, phase: str) -> None:
-        for v in path[1:]:
-            self._take("plus" if away else "minus", (v,), phase)
+        return any(arrow.target == b for arrow in self.state.out_arrows[a])
 
     def orient_tree(self) -> None:
         """r = 0: the relation-free tree is a path; make it a directed path

@@ -8,6 +8,7 @@ module-scoped fixtures, so the whole file stays within a few minutes.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 
@@ -41,6 +42,7 @@ from mcw.normalform import (
     reduce_component,
     step_cap,
 )
+from mcw.serialize import dumps, trace_to_json
 from test_mutation import golden_moves
 
 COUNT_RANGE = small_range(6, 4)
@@ -250,6 +252,7 @@ def reduction_sweep():
     classes: dict[tuple[int, int, int], dict] = {}
     comps = 0
     total_steps = 0
+    digest = hashlib.sha256()
     start = time.time()
     for n, m in MOVE_RANGE:
         for t in all_dissections(n, m):
@@ -258,6 +261,7 @@ def reduction_sweep():
                 inv = derived_invariant(comp.quiver)
                 trace = reduce_component(comp.quiver)
                 total_steps += len(trace.steps)
+                digest.update(dumps(trace_to_json(trace)).encode())
                 if len(trace.steps) > step_cap(inv.s, m):
                     failures.append(f"{t!r}: step cap exceeded")
                 for rec in trace.steps:
@@ -282,6 +286,7 @@ def reduction_sweep():
         "classes": classes,
         "components": comps,
         "steps": total_steps,
+        "digest": digest.hexdigest(),
         "elapsed": time.time() - start,
     }
 
@@ -295,6 +300,14 @@ def test_criterion_6_reduction_terminates_on_normal_form(reduction_sweep):
         f"every step invariant-preserving, finals isomorphic to the normal "
         f"form ({reduction_sweep['elapsed']:.1f}s)"
     )
+
+
+def test_criterion_6_traces_match_their_pin(reduction_sweep):
+    """sha256 over every trace JSON of the sweep, in sweep order.  A change
+    that alters reduce output on purpose re-pins it and says so in
+    CHANGES.md."""
+    pinned = "dfa3c28d53e81be8671e60aec0c8678d70ee26bd47927534a3836ec93c5b89a6"
+    assert reduction_sweep["digest"] == pinned
 
 
 def test_criterion_7_partitions_coincide(reduction_sweep):

@@ -237,6 +237,18 @@ def test_quiver_rejects_malformed_file(runner, tmp_path):
     assert "missing keys" in result.output
 
 
+@pytest.mark.parametrize("command", ["invariants", "quiver", "equiv"])
+def test_deeply_nested_json_is_invalid_input(runner, tmp_path, command):
+    # The JSON reader recurses once per level of nesting; a file nested past
+    # the interpreter's recursion limit is refused as input, by name.
+    src = tmp_path / "deep.json"
+    src.write_text("[" * 100_000)
+    args = ["equiv", str(src), str(src)] if command == "equiv" else [command, "--in", str(src)]
+    result = invoke(runner, *args)
+    assert result.exit_code == 2
+    assert f"error: {src}: JSON nested too deeply to read" in result.output
+
+
 def test_invariants_one_line_per_component(runner, tmp_path):
     src = write_dissection(tmp_path / "t.json", 4, 2, [(0, 3), (6, 9)])
     result = invoke(runner, "invariants", "--in", src)

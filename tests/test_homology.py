@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from itertools import pairwise
 from math import factorial
@@ -91,6 +92,18 @@ def test_cartan_four_cycle():
 def test_cartan_rejects_relation_free_cycle():
     loop = quiver(1, 3, [(0, 1), (1, 2), (2, 0)])
     with pytest.raises(HomologyError):
+        cartan_matrix(loop)
+
+
+def test_cartan_walks_paths_longer_than_the_recursion_limit():
+    # A relation-free path of 1,199 arrows counts every path; closing it
+    # into a cycle trips the depth guard, not the interpreter's limit.
+    n = 1200
+    assert sys.getrecursionlimit() < n
+    c = cartan_matrix(quiver(1, n, [(i, i + 1) for i in range(n - 1)]))
+    assert c.rows == tuple(tuple(int(j >= i) for j in range(n)) for i in range(n))
+    loop = quiver(1, n, [(i, (i + 1) % n) for i in range(n)])
+    with pytest.raises(HomologyError, match="relation-free cycle"):
         cartan_matrix(loop)
 
 

@@ -4,6 +4,7 @@ sizes, and the equivalence decision."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import time
@@ -43,7 +44,7 @@ from mcw.normalform import (
     reduce_component,
     step_cap,
 )
-from mcw.serialize import dissection_from_json, quiver_from_json
+from mcw.serialize import dissection_from_json, dumps, quiver_from_json, trace_to_json
 
 DATA = Path(__file__).parent / "data"
 
@@ -501,11 +502,23 @@ def check_trace(q, trace):
     assert iso_quivers(state, target) is not None
 
 
+# sha256 of each sampled reduction's trace JSON.  A change that alters
+# reduce output on purpose re-pins these and says so in CHANGES.md.
+SAMPLED_TRACE_DIGESTS = {
+    (20, 1, 0): "8391d200a7b1f9a26b4c3105f7d967090558c27b07ac4befe5b1de50de369247",
+    (40, 1, 0): "2686589fbd36e6bca6e0eade7580493f24c8de3bc8c89f8d1026af558722a506",
+    (30, 2, 0): "f84d110e1a7eee2dd99f2255fe9b813b3a341ee05c543b1caad512044323f805",
+    (60, 2, 1): "8f51b7006f0fa65e9e93b88c9d61f6c393686b42cd5438f6d3de80f4de755425",
+}
+
+
 @pytest.mark.parametrize(
     "n,m,seed,size",
     [(20, 1, 0, 20), (40, 1, 0, 40), (30, 2, 0, 20), (60, 2, 1, 40)],
 )
 def test_reduce_sampled_components_past_exhaustive_sizes(n, m, seed, size):
+    """Each sampled reduction replays through its checks and reproduces its
+    pinned trace byte for byte (``SAMPLED_TRACE_DIGESTS``)."""
     q = largest_component(n, m, seed)
     assert q.vertex_count >= size
     start = time.perf_counter()
@@ -514,6 +527,15 @@ def test_reduce_sampled_components_past_exhaustive_sizes(n, m, seed, size):
     assert elapsed < 30.0, elapsed
     assert len(trace.steps) <= step_cap(q.vertex_count, m)
     check_trace(q, trace)
+    digest = hashlib.sha256(dumps(trace_to_json(trace)).encode()).hexdigest()
+    assert digest == SAMPLED_TRACE_DIGESTS[n, m, seed]
+
+
+def test_m2_reduce_fixture_is_the_sampled_component():
+    # CI reduces tests/data/reduce_s41_m2.json for its relation runs; it is
+    # the quiver of the (60, 2, 1) case above.
+    q = quiver_from_json(json.loads((DATA / "reduce_s41_m2.json").read_text()))
+    assert q == largest_component(60, 2, 1) and q.vertex_count == 41
 
 
 def test_a_failed_check_inside_a_turn_ends_the_reduction(monkeypatch):

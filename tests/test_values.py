@@ -188,10 +188,24 @@ def test_quiver_constructor_refusals(arrows, relations, message):
         QuiverWithRelations(1, 3, arrows, frozenset(relations))
 
 
+def test_arrow_ids_are_positions_after_renumbering():
+    # Arrows given out of (source, target) order, with ids that are not
+    # positions, are renumbered so that an arrow's id is its position;
+    # relations follow their arrows.
+    pairs = [(3, 4), (0, 1), (2, 3), (1, 2), (4, 0), (0, 2)]
+    order = [4, 0, 5, 2, 3, 1]
+    arrows = tuple(Arrow(10 + i, *pairs[i]) for i in order)
+    q = QuiverWithRelations(1, 5, arrows, frozenset({(13, 12), (12, 10)}))
+    assert [(a.source, a.target) for a in q.arrows] == sorted(pairs)
+    for a in q.arrows:
+        assert q.arrows[a.id] is a
+    assert q.relation_triples() == {(1, 2, 3), (2, 3, 4)}
+
+
 def test_quiver_caches_and_pickles():
     q = quiver_of(dissection(3, 1, [(0, 2), (2, 4), (0, 4)]))
     runs = q.runs
-    assert q.runs is runs and q.arrow_by_id is q.arrow_by_id
+    assert q.runs is runs
     assert q.full_cycle_count == 1 and q.component_count == 1
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(q, protocol))
