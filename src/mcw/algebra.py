@@ -94,7 +94,7 @@ class QuiverWithRelations(
     def component_count(self) -> int:
         """Number of connected components, counted by union-find without
         building them; computed once per quiver value."""
-        return sum(1 for v, root in enumerate(_component_roots(self)) if v == root)
+        return len(set(_component_roots(self.vertex_count, self.arrows)))
 
     @cached_property
     def runs(self) -> tuple[tuple[bool, tuple[int, ...]], ...]:
@@ -250,10 +250,10 @@ class Component(NamedTuple):
     vertices: tuple[int, ...]
 
 
-def _component_roots(q: QuiverWithRelations) -> list[int]:
-    """Union-find over the arrows: entry v is the smallest vertex of v's
+def _component_roots(vertex_count: int, arrows: Iterable[Arrow]) -> list[int]:
+    """Union-find over ``arrows``: entry v is the smallest vertex of v's
     connected component."""
-    parent = list(range(q.vertex_count))
+    parent = list(range(vertex_count))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -261,17 +261,17 @@ def _component_roots(q: QuiverWithRelations) -> list[int]:
             x = parent[x]
         return x
 
-    for a in q.arrows:
+    for a in arrows:
         ra, rb = find(a.source), find(a.target)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
-    return [find(v) for v in range(q.vertex_count)]
+    return [find(v) for v in range(vertex_count)]
 
 
 def components(q: QuiverWithRelations) -> list[Component]:
     """Connected components of the underlying undirected graph, ordered by
     smallest parent vertex."""
-    roots = _component_roots(q)
+    roots = _component_roots(q.vertex_count, q.arrows)
     groups: dict[int, list[int]] = {}
     for v, root in enumerate(roots):
         groups.setdefault(root, []).append(v)

@@ -58,8 +58,7 @@ from .mutation import (
     preserves_invariant,
     realizability_report,
     record_move,
-    tilting_mutation_minus,
-    tilting_mutation_plus,
+    rotation_move,
 )
 from .normalform import NormalFormError, derived_equivalent, reduce_component
 from .render import RenderError, render
@@ -429,19 +428,10 @@ def _check_cell(
     for t, d, k in islice(admissible, samples):
         q = quivers[t]
         assert q.vertex_labels is not None
-        site = q.vertex_labels.index(d)
-        movers = [tilting_mutation_plus, tilting_mutation_minus]
-        if k == -1:
-            movers.reverse()
-        if m >= 2:
-            movers = movers[:1]
-        outcome = None
-        for mover in movers:
-            try:
-                outcome = mover(q, site)
-                break
-            except MoveRejected:
-                continue
+        try:
+            outcome = rotation_move(q, q.vertex_labels.index(d), k)[1]
+        except MoveRejected:
+            outcome = None
         geo = quiver_of(apply_move(t, d, k))
         if outcome is None or iso_quivers(outcome, geo) is None:
             raise MutationError(

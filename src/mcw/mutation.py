@@ -5,9 +5,10 @@ arrows into a vertex (``tilting_mutation_minus`` the arrows out of one),
 rewrites the relations around that vertex, and accepts the move only when
 the result is again gentle with the same component and cycle structure.
 Both are one checked move: a minus move is the plus rewrite done in the
-opposite quiver and turned back, and the acceptance, Happel and Smith
-checks run once, on the quiver and the result.  ``preserves_invariant``
-decides on a dissection whether a diagonal move keeps the derived class.
+opposite quiver and turned back, and the acceptance checks and Happel's
+prediction run once, on the quiver and the result.  ``preserves_invariant``
+decides on a dissection whether a diagonal move keeps the derived class;
+``rotation_move`` is the algebra move of that rotation.
 ``remove_relation_chain`` trades a run of consecutive zero-relations for a
 reversed arrow chain, which preserves the Cartan invariants but can leave
 the class of dissection-realizable presentations.
@@ -32,6 +33,7 @@ from .algebra import (
     AlgebraError,
     Arrow,
     QuiverWithRelations,
+    _component_roots,
     full_relation_cycles,
     is_gentle,
     max_relation_chain,
@@ -100,17 +102,10 @@ def mutation_complex(q: QuiverWithRelations, mut: int) -> dict[int, list[int]]:
     At a vertex with in-arrows, the two-term complex has the in-neighbors
     in degree 0 and ``mut`` in degree 1.  At a source, the zero-chain of
     each out-arrow is laid out with alternating signs: ``mut`` sits in the
-    top degree and each chain descends one degree per arrow.  The
-    prediction is exact on all moves whose chains have equal length; it is
-    not a single-complex tilt for unequal chains, so callers must not rely
-    on it there.  ``_mutate`` accepts such source moves too, checking every
-    source move by its Smith form alone: at N <= 13 there are 10 distinct
-    ones, all at m = 2 with chains of 1 and 2 arrows, and at each the
-    prediction differs from the result's Cartan matrix.  None is the
-    algebra move of an admissible diagonal move, where acceptance
-    criterion 4 asserts the prediction for n <= 4, m <= 3.  An isolated
-    vertex keeps its stalk.  The minus move's complex is this one in the
-    opposite quiver, ``mutation_complex(opposite(q), mut)``.
+    top degree and each chain descends one degree per arrow (``_source_plus``
+    refuses chains of unequal length, where this is not a tilt).  An
+    isolated vertex keeps its stalk.  The minus move's complex is this one
+    in the opposite quiver, ``mutation_complex(opposite(q), mut)``.
     """
 
     ins = q.in_arrows[mut]
@@ -142,12 +137,12 @@ def tilting_mutation_plus(q: QuiverWithRelations, mut: int) -> QuiverWithRelatio
     """Reverse the arrows into ``mut`` and rewrite the local relations.
 
     At a vertex with in-arrows this implements the reflection-with-
-    shortcuts rewrite and cross-checks the resulting Cartan matrix against
-    the alternating-sum prediction (a mismatch is a hard error).  At a
-    source it reattaches each out-arrow at the far end of its zero-chain
-    and checks that the Cartan Smith form is kept.  Isolated vertices
-    mutate to themselves.  Moves whose result would not be gentle, or
-    would change the component or cycle structure, raise
+    shortcuts rewrite.  At a source it reattaches each out-arrow at the far
+    end of its zero-chain, and refuses the move if the chains differ in
+    length.  Either way the result's Cartan matrix is checked against the
+    alternating-sum prediction (a mismatch is a hard error).  Isolated
+    vertices mutate to themselves.  Moves whose result would not be gentle,
+    or would change the component or cycle structure, raise
     :class:`MoveRejected`.
     """
 
@@ -214,10 +209,7 @@ def _mutate(q: QuiverWithRelations, mut: int, minus: bool) -> QuiverWithRelation
     if new.full_cycle_count != q.full_cycle_count:
         raise MoveRejected("move changes the number of full-relation cycles")
 
-    if not ins:
-        if snf_diagonal(cartan_matrix(new)) != snf_diagonal(cartan_matrix(q)):
-            raise MutationError(f"source mutation at {mut} changed the Cartan class")
-    elif cartan_matrix(new) != happel_hom_dims(
+    if cartan_matrix(new) != happel_hom_dims(
         cartan_matrix(q), mut, mutation_complex(frame, mut)
     ):
         raise MutationError(
@@ -283,11 +275,15 @@ def _regular_plus(q: QuiverWithRelations, mut: int) -> _Builder:
 def _source_plus(q: QuiverWithRelations, mut: int) -> _Builder:
     """Reattach each out-arrow of the source ``mut`` at the far end of its
     zero-chain, pointing back; the last arrow of a chain of two or more
-    composes to zero with it."""
+    composes to zero with it.  Chains of unequal length are refused: no
+    one-complex tilt is known there."""
 
+    chains = {o: _chase_zero_chain(q, o) for o in q.out_arrows[mut]}
+    lengths = sorted({len(chain) for chain in chains.values()})
+    if len(lengths) > 1:
+        raise MoveRejected(f"zero-chains of {lengths[0]} and {lengths[1]} arrows: no one-complex tilt")
     b = _Builder(q)
-    for o in q.out_arrows[mut]:
-        chain = _chase_zero_chain(q, o)
+    for o, chain in chains.items():
         b.delete(o.id)
         new_arrow = b.add(chain[-1].target, mut)
         if len(chain) > 1:
@@ -376,18 +372,8 @@ def remove_relation_chain(
             raise MoveRejected(f"interior vertex {v} has arrows off the chain")
 
     chain_ids = {a.id for a in arrows}
-    neighbors: dict[int, set[int]] = {v: set() for v in range(q.vertex_count)}
-    for a in q.arrows:
-        if a.id not in chain_ids:
-            neighbors[a.source].add(a.target)
-            neighbors[a.target].add(a.source)
-    stack, reached = [verts[0]], {verts[0]}
-    while stack:
-        for w in neighbors[stack.pop()]:
-            if w not in reached:
-                reached.add(w)
-                stack.append(w)
-    if verts[-1] in reached:
+    roots = _component_roots(q.vertex_count, [a for a in q.arrows if a.id not in chain_ids])
+    if roots[verts[0]] == roots[verts[-1]]:
         raise MoveRejected("chain ends stay connected without the chain")
 
     continuation = [
@@ -428,6 +414,27 @@ def apply_mutation(
     if kind == "rel_rem":
         return remove_relation_chain(q, site)
     raise MutationError(f"unknown move kind {kind!r}")
+
+
+def rotation_move(
+    q: QuiverWithRelations, v: int, k: int
+) -> tuple[tuple[str, ...], QuiverWithRelations]:
+    """The algebra move of rotating the diagonal at vertex ``v`` by ``k``,
+    as the kinds of the moves taken and their result: the matching move
+    (plus for k = +1, minus for k = -1), or where that is refused m moves
+    of the other kind, since in the rotation's 2(m+1)-gon one step one way
+    is m steps the other.  Each move is checked as ``apply_mutation`` does."""
+
+    if k not in (1, -1):
+        raise AlgebraError(f"rotation step k must be +1 or -1, got {k}")
+    match, other = ("plus", "minus") if k == 1 else ("minus", "plus")
+    try:
+        return (match,), apply_mutation(q, match, (v,))
+    except MoveRejected:
+        pass
+    for _ in range(q.m):
+        q = apply_mutation(q, other, (v,))
+    return (other,) * q.m, q
 
 
 class MoveRecord(

@@ -28,12 +28,12 @@ from mcw.homology import (
 )
 from mcw.mutation import (
     MoveRejected,
+    apply_mutation,
     mutation_complex,
     preserves_invariant,
     realizability_report,
     remove_relation_chain,
-    tilting_mutation_minus,
-    tilting_mutation_plus,
+    rotation_move,
 )
 from mcw.normalform import (
     NormalFormSpec,
@@ -159,20 +159,6 @@ def test_criterion_3_cartan_smith_consistency(structure_sweep):
 # --- criterion 4: mutation equivalence ----------------------------------------
 
 
-def _mover_with_kind(q, vertex: int, k: int):
-    order = [("plus", tilting_mutation_plus), ("minus", tilting_mutation_minus)]
-    if k == -1:
-        order.reverse()
-    if q.m >= 2:
-        order = order[:1]
-    for kind, mover in order:
-        try:
-            return kind, mover(q, vertex)
-        except MoveRejected:
-            continue
-    return None, None
-
-
 def test_criterion_4_mutation_matches_geometry_and_happel():
     start = time.time()
     moves = 0
@@ -192,15 +178,19 @@ def test_criterion_4_mutation_matches_geometry_and_happel():
             for a, b, k in sorted(admissible):
                 d = next(x for x in t.diagonals if (x.a, x.b) == (a, b))
                 site = q.vertex_labels.index(d)
-                kind, algebra = _mover_with_kind(q, site, k)
-                assert algebra is not None, (t, d, k)
+                kinds, algebra = rotation_move(q, site, k)
                 geo = quiver_of(apply_move(t, d, k))
                 assert iso_quivers(algebra, geo) is not None, (t, d, k)
-                frame = opposite(q) if kind == "minus" else q
-                predicted = happel_hom_dims(
-                    cartan_matrix(q), site, mutation_complex(frame, site)
-                )
-                assert cartan_matrix(algebra) == predicted, (t, d, k, kind)
+                # Happel's prediction, asserted on every move taken.
+                state = q
+                for kind in kinds:
+                    frame = opposite(state) if kind == "minus" else state
+                    predicted = happel_hom_dims(
+                        cartan_matrix(state), site, mutation_complex(frame, site)
+                    )
+                    state = apply_mutation(state, kind, (site,))
+                    assert cartan_matrix(state) == predicted, (t, d, k, kind)
+                assert state == algebra, (t, d, k)
                 moves += 1
     print(
         f"criterion 4: PASS - {moves} admissible moves match geometry and "

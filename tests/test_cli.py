@@ -625,7 +625,7 @@ def test_check_tests_moves_only_until_the_sample_is_full(runner, monkeypatch, sa
         return True
 
     monkeypatch.setattr(mcw.cli, "preserves_invariant", admissible)
-    monkeypatch.setattr(mcw.cli, "tilting_mutation_plus", lambda q, site: q)
+    monkeypatch.setattr(mcw.cli, "rotation_move", lambda q, site, k: (("plus",), q))
     monkeypatch.setattr(mcw.cli, "iso_quivers", lambda a, b: ())
     result = invoke(runner, "check", "--n", "3", "--m", "2", "--samples", str(samples))
     assert result.exit_code == 0

@@ -45,11 +45,12 @@ from mcw.mutation import (
     realizability_report,
     record_move,
     remove_relation_chain,
+    rotation_move,
     tilting_mutation_minus,
     tilting_mutation_plus,
 )
 from mcw.mutation import _chase_zero_chain
-from mcw.serialize import quiver_from_json
+from mcw.serialize import dumps, quiver_from_json, quiver_to_json
 
 DATA = Path(__file__).parent / "data"
 
@@ -74,27 +75,6 @@ def golden_moves(n: int, m: int) -> dict[tuple, set[tuple[int, int, int]]]:
         key = tuple(tuple(d) for d in entry["diagonals"])
         out[key] = {tuple(mv) for mv in entry["admissible"]}
     return out
-
-
-def pick_mover(q, vertex: int, k: int):
-    """The algebra move matching a geometric step of sign k.
-
-    For m >= 2 the sign fixes the mover.  For m = 1 a flip is its own
-    inverse, so an admissible step may be realized by either mover; fall
-    back to the other one when the sign-matched move is rejected.
-    """
-
-    movers = [tilting_mutation_plus, tilting_mutation_minus]
-    if k == -1:
-        movers.reverse()
-    if q.m >= 2:
-        movers = movers[:1]
-    for fn in movers:
-        try:
-            return fn(q, vertex)
-        except MoveRejected:
-            continue
-    return None
 
 
 # --- plus and minus moves --------------------------------------------------
@@ -272,6 +252,43 @@ def test_mutation_complex_minus_mirrors_plus():
     assert cartan_matrix(tilting_mutation_minus(q, 0)) == predicted
 
 
+UNEQUAL_CHAINS = json.loads((DATA / "unequal_chain_sources_m2.json").read_text())
+
+
+@pytest.mark.parametrize("case", UNEQUAL_CHAINS)
+def test_source_move_with_unequal_zero_chains_is_refused(case):
+    # A source (in the move's frame) whose zero-chains differ in length has
+    # no one-complex tilt: the prediction differs from the rewrite's Cartan
+    # matrix, so the move is refused and the refusal names both lengths.
+    q, kind, v = quiver_from_json(case["quiver"]), case["kind"], case["vertex"]
+    frame = opposite(q) if kind == "minus" else q
+    assert not frame.in_arrows[v]
+    chains = sorted(len(_chase_zero_chain(frame, o)) for o in frame.out_arrows[v])
+    assert chains == case["chains"] == [1, 2]
+    with pytest.raises(MoveRejected, match=r"^zero-chains of 1 and 2 arrows"):
+        apply_mutation(q, kind, (v,))
+
+
+def test_unequal_chain_refusals_at_4_2_are_the_listed_ten():
+    # Over the distinct components of 4/2, the source moves refused for
+    # unequal chains are exactly the data file's; every other source move
+    # there is accepted or refused for another reason.
+    listed = {(dumps(c["quiver"]), c["kind"], c["vertex"]) for c in UNEQUAL_CHAINS}
+    assert len(listed) == 10
+    refused = set()
+    for t in all_dissections(4, 2):
+        for comp in components(quiver_of(t)):
+            key = dumps(quiver_to_json(comp.quiver))
+            for v in range(comp.quiver.vertex_count):
+                for kind in ("plus", "minus"):
+                    try:
+                        apply_mutation(comp.quiver, kind, (v,))
+                    except MoveRejected as exc:
+                        if str(exc).startswith("zero-chains of"):
+                            refused.add((key, kind, v))
+    assert refused == listed
+
+
 def test_mutation_complex_is_the_stalk_at_an_isolated_vertex():
     q = quiver(1, 3, [(0, 1)])
     assert mutation_complex(q, 2) == {0: [2]}
@@ -429,10 +446,41 @@ def test_moves_match_geometry_and_prediction_on_sample():
                 for k in (+1, -1):
                     if not preserves_invariant(t, d, k):
                         continue
-                    moved = pick_mover(q, v, k)
-                    assert moved is not None, (n, m, t, d, k)
+                    moved = rotation_move(q, v, k)[1]
                     geo = quiver_of(apply_move(t, d, k))
                     assert iso_quivers(moved, geo) is not None, (n, m, t, d, k)
+
+
+def test_rotation_move_replaces_a_refused_matching_move_by_m_others():
+    # Every admitted move of 6/2 whose matching move is refused (a sweep over
+    # all 7,752 dissections): 16 with k = +1 and 16 with k = -1.  In the
+    # rotation's 2(m+1)-gon one step one way is m steps the other, and m
+    # moves of the other kind at the same vertex realise the rotation.
+    data = json.loads((DATA / "rotation_m2_sites.json").read_text())
+    n, m = data["n"], data["m"]
+    assert sorted(site["move"][2] for site in data["sites"]) == [-1] * 16 + [1] * 16
+    for site in data["sites"]:
+        t = dissection(n, m, [tuple(pair) for pair in site["diagonals"]])
+        a, b, k = site["move"]
+        d = diagonal(a, b)
+        assert preserves_invariant(t, d, k), site
+        q = quiver_of(t)
+        assert q.vertex_labels is not None
+        v = q.vertex_labels.index(d)
+        matching = tilting_mutation_plus if k == 1 else tilting_mutation_minus
+        with pytest.raises(MoveRejected, match=re.escape(site["refusal"])):
+            matching(q, v)
+        kinds, moved = rotation_move(q, v, k)
+        assert kinds == (("minus",) if k == 1 else ("plus",)) * m, site
+        assert iso_quivers(moved, quiver_of(apply_move(t, d, k))) is not None, site
+
+
+def test_rotation_move_takes_the_matching_move_where_it_is_accepted():
+    q = quiver_of(dissection(3, 2, [(0, 3), (3, 6), (6, 9)]))
+    assert rotation_move(q, 0, 1) == (("plus",), tilting_mutation_plus(q, 0))
+    assert rotation_move(q, 0, -1) == (("minus",), tilting_mutation_minus(q, 0))
+    with pytest.raises(AlgebraError, match="rotation step k must be"):
+        rotation_move(q, 0, 2)
 
 
 # --- relation-chain removal ------------------------------------------------
