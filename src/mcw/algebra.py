@@ -20,6 +20,8 @@ from .geometry import Diagonal, Dissection, Sealed, faces
 class AlgebraError(ValueError):
     """Structurally invalid quiver input."""
 
+    exit_code = 2
+
 
 class Arrow(NamedTuple):
     id: int

@@ -22,17 +22,8 @@ from typing import Any, Callable, Iterator, Mapping, NoReturn, TextIO
 
 import click
 
-from .algebra import (
-    AlgebraError,
-    QuiverWithRelations,
-    canonical_form,
-    components,
-    iso_quivers,
-    quiver_of,
-)
+from . import algebra, homology, mutation, normalform, render
 from .geometry import (
-    CapExceeded,
-    CensusError,
     Diagonal,
     Dissection,
     GeometryError,
@@ -43,25 +34,6 @@ from .geometry import (
     enumerate_dissections,
     fuss_catalan,
 )
-from .homology import (
-    HomologyError,
-    bh_diagonal,
-    cartan_matrix,
-    cycle_parity_counts,
-    derived_invariant,
-    determinant,
-    snf_diagonal,
-)
-from .mutation import (
-    MoveRejected,
-    MutationError,
-    preserves_invariant,
-    realizability_report,
-    record_move,
-    rotation_move,
-)
-from .normalform import NormalFormError, derived_equivalent, reduce_component
-from .render import RenderError, render
 from .serialize import (
     SerializeError,
     dissection_from_json,
@@ -102,14 +74,15 @@ def _guarded(command: Callable[..., None]) -> Callable[..., None]:
             command(*args, **kwargs)
         except BrokenPipeError:
             _closed_pipe()
-        except CapExceeded as exc:
-            _fail(3, str(exc))
-        except (NormalFormError, MutationError, HomologyError, CensusError) as exc:
-            _fail(1, str(exc))
-        except (
-            GeometryError, AlgebraError, SerializeError, RenderError, json.JSONDecodeError
-        ) as exc:
+        except json.JSONDecodeError as exc:
             _fail(2, str(exc))
+        except (ValueError, RuntimeError) as exc:
+            # Each domain error class names its code; reading it loads no
+            # layer that the command did not run.
+            code = getattr(exc, "exit_code", None)
+            if code is None:
+                raise
+            _fail(code, str(exc))
 
     return run
 
@@ -118,11 +91,17 @@ def _load_json(path: str) -> Any:
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
+        except json.JSONDecodeError:
+            raise  # a ValueError too; _guarded reports it as the decoder words it
         except RecursionError:
             raise SerializeError(f"{path}: JSON nested too deeply to read") from None
+        except ValueError as exc:
+            # Bytes that are not UTF-8, or an integer past the interpreter's
+            # digit limit for decimal conversion.
+            raise SerializeError(f"{path}: unreadable JSON: {exc}") from None
 
 
-def _load_object(path: str) -> Dissection | QuiverWithRelations:
+def _load_object(path: str) -> Dissection | algebra.QuiverWithRelations:
     obj = _load_json(path)
     if isinstance(obj, Mapping) and "diagonals" in obj:
         return dissection_from_json(obj)
@@ -131,7 +110,7 @@ def _load_object(path: str) -> Dissection | QuiverWithRelations:
     raise SerializeError("expected a dissection or quiver JSON object")
 
 
-def _components(path: str) -> list[QuiverWithRelations]:
+def _components(path: str) -> list[algebra.QuiverWithRelations]:
     """Connected components of a dissection or quiver file, each screened
     by ``realizability_report``: the invariants and the reduction are
     defined on the realizable class, and the canonical form's search grows
@@ -141,10 +120,10 @@ def _components(path: str) -> list[QuiverWithRelations]:
 
     obj = _load_object(path)
     if isinstance(obj, Dissection):
-        obj = quiver_of(obj)
-    comps = [c.quiver for c in components(obj)]
+        obj = algebra.quiver_of(obj)
+    comps = [c.quiver for c in algebra.components(obj)]
     for k, comp in enumerate(comps):
-        report = realizability_report(comp)
+        report = mutation.realizability_report(comp)
         if report.problems:
             _fail(2, f"{path}: component {k} is not realizable: {report.problems[0]}")
     return comps
@@ -159,7 +138,11 @@ def _output(out: str | None) -> Iterator[TextIO]:
         yield sys.stdout
         sys.stdout.flush()
     else:
-        with open(out, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(out, "w", encoding="utf-8")
+        except OSError as exc:
+            _fail(2, f"cannot write {out}: {exc.strerror}")
+        with fh:
             yield fh
 
 
@@ -239,8 +222,8 @@ def quiver_cmd(infile: str, fmt: str, out: str | None) -> None:
     """Build the quiver with relations of a dissection."""
 
     t = dissection_from_json(_load_json(infile))
-    q = quiver_of(t)
-    text = dumps(quiver_to_json(q)) + "\n" if fmt == "json" else render(q, fmt)
+    q = algebra.quiver_of(t)
+    text = dumps(quiver_to_json(q)) + "\n" if fmt == "json" else render.render(q, fmt)
     _emit(text, out)
 
 
@@ -252,7 +235,7 @@ def invariants_cmd(infile: str, out: str | None) -> None:
     """Derived invariant of each component, one JSON object per line."""
 
     text = "".join(
-        dumps(invariant_to_json(derived_invariant(comp))) + "\n"
+        dumps(invariant_to_json(homology.derived_invariant(comp))) + "\n"
         for comp in _components(infile)
     )
     _emit(text, out)
@@ -273,13 +256,13 @@ def mutate_cmd(infile: str, move_spec: str, out: str | None) -> None:
         _fail(2, f"{infile}: a move needs all n={t.params.n} diagonals, not {len(t.diagonals)}")
     if d not in t.diagonals:
         _fail(2, f"{d!r} is not a diagonal of the dissection")
-    if not preserves_invariant(t, d, k):
+    if not mutation.preserves_invariant(t, d, k):
         _fail(1, f"moving {d!r} by {k:+d} changes the derived invariant")
-    before = quiver_of(t)
+    before = algebra.quiver_of(t)
     assert before.vertex_labels is not None
     moved = apply_move(t, d, k)
-    moved_q = quiver_of(moved)
-    rec = record_move(
+    moved_q = algebra.quiver_of(moved)
+    rec = mutation.record_move(
         "plus" if k > 0 else "minus",
         (before.vertex_labels.index(d),),
         before,
@@ -305,7 +288,7 @@ def reduce_cmd(infile: str, comp_idx: int, cap: int | None, out: str | None) -> 
     comps = _components(infile)
     if not 0 <= comp_idx < len(comps):
         _fail(2, f"component {comp_idx} out of range; quiver has {len(comps)}")
-    trace = reduce_component(comps[comp_idx], cap)
+    trace = normalform.reduce_component(comps[comp_idx], cap)
     _emit(dumps(trace_to_json(trace)) + "\n", out)
 
 
@@ -329,11 +312,11 @@ def equiv_cmd(left: str, right: str, out: str | None) -> None:
         sides[name] = comps[0]
     if sides["left"].m != sides["right"].m:
         _fail(2, f'levels differ: {sides["left"].m} vs {sides["right"].m}')
-    answer = derived_equivalent(sides["left"], sides["right"])
+    answer = normalform.derived_equivalent(sides["left"], sides["right"])
     payload = {
         "equivalent": answer,
-        "left": invariant_to_json(derived_invariant(sides["left"])),
-        "right": invariant_to_json(derived_invariant(sides["right"])),
+        "left": invariant_to_json(homology.derived_invariant(sides["left"])),
+        "right": invariant_to_json(homology.derived_invariant(sides["right"])),
     }
     _emit(dumps(payload) + "\n", out)
 
@@ -359,26 +342,26 @@ def census_cmd(n: int, m: int, out: str | None) -> None:
 def render_cmd(infile: str, fmt: str, out: str | None) -> None:
     """Draw a dissection or quiver as an SVG or DOT document."""
 
-    _emit(render(_load_object(infile), fmt), out)
+    _emit(render.render(_load_object(infile), fmt), out)
 
 
-def _check_component(q: QuiverWithRelations, where: str) -> tuple[tuple[int, int], tuple]:
+def _check_component(q: algebra.QuiverWithRelations, where: str) -> tuple[tuple[int, int], tuple]:
     """Reduce one component and audit its Smith form and Cartan determinant;
     returns its class (s, r) and the canonical key of its reduced form."""
 
     # reduce_component screens the component's realizability first.
     try:
-        final = reduce_component(q).final
-    except NormalFormError as exc:
-        raise MutationError(f"{where}: {exc}") from exc
-    inv = derived_invariant(q)
-    cartan = cartan_matrix(q)
-    if snf_diagonal(cartan) != snf_diagonal(bh_diagonal(q)):
-        raise HomologyError(f"{where}: Smith form mismatch")
-    odd, _ = cycle_parity_counts(q)
-    if determinant(cartan) not in (0, 2**odd):
-        raise HomologyError(f"{where}: Cartan determinant")
-    return (inv.s, inv.r), canonical_form(final)[0]
+        final = normalform.reduce_component(q).final
+    except normalform.NormalFormError as exc:
+        raise mutation.MutationError(f"{where}: {exc}") from exc
+    inv = homology.derived_invariant(q)
+    cartan = homology.cartan_matrix(q)
+    if homology.snf_diagonal(cartan) != homology.snf_diagonal(homology.bh_diagonal(q)):
+        raise homology.HomologyError(f"{where}: Smith form mismatch")
+    odd, _ = homology.cycle_parity_counts(q)
+    if homology.determinant(cartan) not in (0, 2**odd):
+        raise homology.HomologyError(f"{where}: Cartan determinant")
+    return (inv.s, inv.r), algebra.canonical_form(final)[0]
 
 
 def _check_cell(
@@ -386,7 +369,7 @@ def _check_cell(
     m: int,
     rng: random.Random,
     samples: int,
-    decided: dict[QuiverWithRelations, tuple[tuple[int, int], tuple]],
+    decided: dict[algebra.QuiverWithRelations, tuple[tuple[int, int], tuple]],
 ) -> str:
     """All structural invariants for one (n, m) cell; returns a summary.
 
@@ -400,14 +383,14 @@ def _check_cell(
     ts = list(enumerate_dissections(PolygonParams(n, m)))
     expected = fuss_catalan(n, m)
     if len(ts) != expected:
-        raise MutationError(
+        raise mutation.MutationError(
             f"n={n} m={m}: enumerated {len(ts)} dissections, expected {expected}"
         )
 
-    quivers = {t: quiver_of(t) for t in ts}
+    quivers = {t: algebra.quiver_of(t) for t in ts}
     classes: defaultdict[tuple[int, int], set] = defaultdict(set)
     for t, q in quivers.items():
-        for comp in components(q):
+        for comp in algebra.components(q):
             found = decided.get(comp.quiver)
             if found is None:
                 found = _check_component(comp.quiver, f"n={n} m={m} {t!r}")
@@ -417,24 +400,24 @@ def _check_cell(
 
     for pair, keys in classes.items():
         if len(keys) != 1:
-            raise NormalFormError(
+            raise normalform.NormalFormError(
                 f"n={n} m={m}: class {pair} reduced to {len(keys)} distinct forms"
             )
 
     checked = 0
     moves = [(t, d, k) for t in ts for d in t.diagonals for k in (1, -1)]
     rng.shuffle(moves)
-    admissible = (move for move in moves if preserves_invariant(*move))
+    admissible = (move for move in moves if mutation.preserves_invariant(*move))
     for t, d, k in islice(admissible, samples):
         q = quivers[t]
         assert q.vertex_labels is not None
         try:
-            outcome = rotation_move(q, q.vertex_labels.index(d), k)[1]
-        except MoveRejected:
+            outcome = mutation.rotation_move(q, q.vertex_labels.index(d), k)[1]
+        except mutation.MoveRejected:
             outcome = None
-        geo = quiver_of(apply_move(t, d, k))
-        if outcome is None or iso_quivers(outcome, geo) is None:
-            raise MutationError(
+        geo = algebra.quiver_of(apply_move(t, d, k))
+        if outcome is None or algebra.iso_quivers(outcome, geo) is None:
+            raise mutation.MutationError(
                 f"n={n} m={m} {t!r}: algebra move at {d!r} k={k:+d} "
                 "disagrees with geometry"
             )
@@ -461,7 +444,7 @@ def check_cmd(n: int, m: int, seed: int, samples: int) -> None:
     """Run the invariant suite over every cell n' <= n, m' <= m."""
 
     rng = random.Random(seed)
-    decided: dict[QuiverWithRelations, tuple[tuple[int, int], tuple]] = {}
+    decided: dict[algebra.QuiverWithRelations, tuple[tuple[int, int], tuple]] = {}
     for mm in range(1, m + 1):
         for nn in range(1, n + 1):
             click.echo(_check_cell(nn, mm, rng, samples, decided))

@@ -24,13 +24,19 @@ _V = TypeVar("_V")
 class GeometryError(ValueError):
     """Invalid geometric input (bad chord, missing diagonal, ...)."""
 
+    exit_code = 2
+
 
 class CapExceeded(RuntimeError):
     """An enumeration or reduction exceeded its configured cap."""
 
+    exit_code = 3
+
 
 class CensusError(RuntimeError):
     """A census failed one of its counting identities."""
+
+    exit_code = 1
 
 
 class Diagonal(tuple):
@@ -455,6 +461,12 @@ def _convolve(dst: dict[int, int], x: dict[int, int], y: dict[int, int]) -> None
             dst[key] = get(key, 0) + vx * vy
 
 
+# census_counts keeps a fold per arc length: a process peaks at about 2 KB
+# per polygon vertex (95 MB at 3/10000, N = 40,002; 815 MB at 3/100000), so
+# a larger polygon is refused before any table is built.
+CENSUS_MAX_VERTICES = 100_000
+
+
 def census_counts(p: PolygonParams) -> dict[tuple[int, int], int]:
     """Components of each class (s, r) summed over every maximal dissection,
     counted without building one, as {(s, r): count} in increasing (s, r)
@@ -475,13 +487,19 @@ def census_counts(p: PolygonParams) -> dict[tuple[int, int], int]:
     other closes; a cell of diagonals only adds a full cycle.  The root
     cell lies on the boundary edge (N-1, 0), so all its runs close.
 
-    The work grows polynomially in N, not with FC(n, m), so no cap bounds
-    it.  Raises CensusError unless the dissections counted are
-    fuss_catalan(n, m) and the component sizes sum to n times that, every
-    diagonal being a vertex of exactly one component.
+    The work grows polynomially in N, not with FC(n, m), so no cap on FC
+    bounds it; a polygon of more than CENSUS_MAX_VERTICES vertices raises
+    CapExceeded before any table is built.  Raises CensusError unless the
+    dissections counted are fuss_catalan(n, m) and the component sizes sum
+    to n times that, every diagonal being a vertex of exactly one component.
     """
-    total = fuss_catalan(p.n, p.m)
     N, m = p.N, p.m
+    if N > CENSUS_MAX_VERTICES:
+        raise CapExceeded(
+            f"a census of the {N}-gon (n={p.n}, m={m}) exceeds the cap of "
+            f"{CENSUS_MAX_VERTICES} polygon vertices"
+        )
+    total = fuss_catalan(p.n, m)
     K = p.n + 1  # (s, r) is keyed s*K + r, as r <= s <= n < K
     # region[L] = (count, open, closed) below a diagonal over an arc of length L
     region: dict[int, tuple[int, dict[int, int], dict[int, int]]] = {}
@@ -542,9 +560,9 @@ def census_counts(p: PolygonParams) -> dict[tuple[int, int], int]:
             closed = dict(lead.closed)
             _add(closed, trail.closed)
             region[length] = (lead.count + trail.count, opened, closed)
-        for i in range(1, m + 1):
-            if length >= i and (length - i) % m == 0:
-                prefix[i][length] = fold(i, length)
+        # Every gap spans 1 mod m, so i gaps span i mod m: one slot fits.
+        i = (length - 1) % m + 1
+        prefix[i][length] = fold(i, length)
 
     # The root cell: its last side is the boundary edge (N-1, 0), so the
     # leading run closes too, apart from the trailing one.

@@ -29,6 +29,8 @@ from .algebra import QuiverWithRelations
 class HomologyError(ValueError):
     """Raised for malformed matrices or quivers outside the supported shape."""
 
+    exit_code = 1
+
 
 class IntMatrix(NamedTuple("IntMatrix", [("rows", tuple[tuple[int, ...], ...])])):
     """A square integer matrix stored as a tuple of row tuples.  ``m[i, j]``

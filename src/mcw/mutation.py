@@ -52,6 +52,8 @@ from .homology import (
 class MutationError(RuntimeError):
     """A move that should have been safe broke a guaranteed invariant."""
 
+    exit_code = 1
+
 
 class MoveRejected(Exception):
     """The requested move is not admissible on this quiver."""

@@ -65,6 +65,8 @@ from .mutation import (
 class NormalFormError(ValueError):
     """Infeasible normal-form parameters or an impossible reduction request."""
 
+    exit_code = 1
+
 
 class NormalFormSpec(NamedTuple("NormalFormSpec", [("s", int), ("r", int), ("m", int)])):
     """Parameters (s, r, m) of a normal form.

@@ -24,6 +24,8 @@ Renderable = Union[Dissection, QuiverWithRelations]
 class RenderError(ValueError):
     """Unknown format or object kind."""
 
+    exit_code = 2
+
 
 def _point(i: int, count: int, radius: float) -> tuple[float, float]:
     # Vertex 0 at the top, indices increasing anti-clockwise; SVG's y axis

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import Any, Hashable, Iterable, Iterator, Mapping
 
-from .algebra import QuiverWithRelations, quiver
+from . import algebra, homology, mutation, normalform
 from .geometry import (
     Dissection,
     GeometryError,
@@ -20,13 +20,12 @@ from .geometry import (
     dissection,
     lex_dissections,
 )
-from .homology import DerivedInvariant, HomologyError, IntMatrix
-from .mutation import MoveRecord
-from .normalform import PHASES, ReductionTrace
 
 
 class SerializeError(ValueError):
     """A JSON document does not match the expected shape."""
+
+    exit_code = 2
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(", ", ": "))
@@ -133,7 +132,7 @@ def dissection_from_json(obj: Any) -> Dissection:
     return t
 
 
-def quiver_to_json(q: QuiverWithRelations) -> dict[str, Any]:
+def quiver_to_json(q: algebra.QuiverWithRelations) -> dict[str, Any]:
     return {
         "m": q.m,
         "vertices": q.vertex_count,
@@ -142,7 +141,7 @@ def quiver_to_json(q: QuiverWithRelations) -> dict[str, Any]:
     }
 
 
-def quiver_from_json(obj: Any) -> QuiverWithRelations:
+def quiver_from_json(obj: Any) -> algebra.QuiverWithRelations:
     """Load a quiver, rejecting a level below 1, a negative vertex count and
     a relation listed twice; the constructor checks the arrows and that each
     relation composes."""
@@ -159,28 +158,28 @@ def quiver_from_json(obj: Any) -> QuiverWithRelations:
         raise SerializeError("duplicate relation ({},{})".format(*twice))
     # Arrows are serialized in id order, which is the constructor's
     # normalized order, so relation indices survive the round trip.
-    return quiver(m, vertices, arrows, relations)
+    return algebra.quiver(m, vertices, arrows, relations)
 
 
-def matrix_to_json(mat: IntMatrix) -> dict[str, Any]:
+def matrix_to_json(mat: homology.IntMatrix) -> dict[str, Any]:
     return {"size": mat.size, "rows": [list(row) for row in mat.rows]}
 
 
-def matrix_from_json(obj: Any) -> IntMatrix:
+def matrix_from_json(obj: Any) -> homology.IntMatrix:
     _require(obj, "size", "rows")
     rows = obj["rows"]
     if not isinstance(rows, (list, tuple)):
         raise SerializeError(f"rows must be a list of integer lists, got {rows!r}")
     try:
-        mat = IntMatrix(tuple(tuple(_int_list(row, "each row")) for row in rows))
-    except HomologyError as exc:
+        mat = homology.IntMatrix(tuple(tuple(_int_list(row, "each row")) for row in rows))
+    except homology.HomologyError as exc:
         raise SerializeError(f"rows must form a square matrix: {exc}") from exc
     if mat.size != _int_field(obj, "size"):
         raise SerializeError(f"size {obj['size']} does not match {mat.size} rows")
     return mat
 
 
-def invariant_to_json(inv: DerivedInvariant) -> dict[str, Any]:
+def invariant_to_json(inv: homology.DerivedInvariant) -> dict[str, Any]:
     return {
         "s": inv.s,
         "r": inv.r,
@@ -189,12 +188,12 @@ def invariant_to_json(inv: DerivedInvariant) -> dict[str, Any]:
     }
 
 
-def invariant_from_json(obj: Any) -> DerivedInvariant:
+def invariant_from_json(obj: Any) -> homology.DerivedInvariant:
     _require(obj, "s", "r", "snf", "parity")
     parity = _int_list(obj["parity"], "parity")
     if len(parity) != 2:
         raise SerializeError(f"parity must be an (odd, even) pair, got {parity!r}")
-    return DerivedInvariant(
+    return homology.DerivedInvariant(
         _int_field(obj, "s"),
         _int_field(obj, "r"),
         tuple(_int_list(obj["snf"], "snf")),
@@ -202,7 +201,7 @@ def invariant_from_json(obj: Any) -> DerivedInvariant:
     )
 
 
-def move_to_json(rec: MoveRecord) -> dict[str, Any]:
+def move_to_json(rec: mutation.MoveRecord) -> dict[str, Any]:
     return {
         "kind": rec.kind,
         "site": list(rec.site),
@@ -211,9 +210,9 @@ def move_to_json(rec: MoveRecord) -> dict[str, Any]:
     }
 
 
-def move_from_json(obj: Any) -> MoveRecord:
+def move_from_json(obj: Any) -> mutation.MoveRecord:
     _require(obj, "kind", "site", "before", "after")
-    return MoveRecord(
+    return mutation.MoveRecord(
         str(obj["kind"]),
         tuple(_int_list(obj["site"], "site")),
         invariant_from_json(obj["before"]),
@@ -221,7 +220,7 @@ def move_from_json(obj: Any) -> MoveRecord:
     )
 
 
-def trace_to_json(trace: ReductionTrace) -> dict[str, Any]:
+def trace_to_json(trace: normalform.ReductionTrace) -> dict[str, Any]:
     return {
         "steps": [
             {**move_to_json(rec), "phase": phase}
@@ -232,15 +231,15 @@ def trace_to_json(trace: ReductionTrace) -> dict[str, Any]:
     }
 
 
-def trace_from_json(obj: Any) -> ReductionTrace:
+def trace_from_json(obj: Any) -> normalform.ReductionTrace:
     _require(obj, "steps", "final", "iso")
     if not isinstance(obj["steps"], list):
         raise SerializeError("steps must be a list")
     for rec in obj["steps"]:
         _require(rec, "phase")
-        if rec["phase"] not in PHASES:
+        if rec["phase"] not in normalform.PHASES:
             raise SerializeError(f"unknown phase {rec['phase']!r}")
-    return ReductionTrace(
+    return normalform.ReductionTrace(
         tuple(move_from_json(rec) for rec in obj["steps"]),
         quiver_from_json(obj["final"]),
         tuple(_int_list(obj["iso"], "iso")),

@@ -23,7 +23,11 @@ from click.testing import CliRunner
 import mcw.algebra
 import mcw.cli
 import mcw.geometry
+import mcw.homology
+import mcw.mutation
 import mcw.normalform
+import mcw.render
+import mcw.serialize
 from conftest import gentle_by_lists
 from mcw.algebra import components, is_gentle, quiver, quiver_of
 from mcw.cli import main
@@ -247,6 +251,48 @@ def test_deeply_nested_json_is_invalid_input(runner, tmp_path, command):
     result = invoke(runner, *args)
     assert result.exit_code == 2
     assert f"error: {src}: JSON nested too deeply to read" in result.output
+
+
+@pytest.mark.parametrize("command", ["invariants", "reduce", "equiv"])
+def test_bytes_that_are_not_utf8_are_invalid_input(runner, tmp_path, command):
+    src = tmp_path / "bad.json"
+    src.write_bytes(b"\xff\xfe{")
+    args = ["equiv", str(src), str(src)] if command == "equiv" else [command, "--in", str(src)]
+    result = invoke(runner, *args)
+    assert result.exit_code == 2
+    assert f"error: {src}: unreadable JSON: 'utf-8' codec can't decode byte 0xff" in result.output
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter converts integers of any length",
+)
+@pytest.mark.parametrize("command", ["invariants", "reduce", "quiver"])
+def test_an_integer_past_the_digit_limit_is_invalid_input(runner, tmp_path, command):
+    digits = sys.get_int_max_str_digits() + 1
+    src = tmp_path / "long.json"
+    src.write_text(f'{{"n": {"9" * digits}, "m": 1, "diagonals": []}}')
+    result = invoke(runner, command, "--in", str(src))
+    assert result.exit_code == 2
+    assert f"error: {src}: unreadable JSON: Exceeds the limit" in result.output
+
+
+@pytest.mark.parametrize("command", ["census", "enumerate", "reduce"])
+def test_out_into_a_missing_directory_is_invalid_input(runner, tmp_path, command):
+    src = write_dissection(tmp_path / "t.json", 2, 1, [(0, 2), (0, 3)])
+    args = [command, "--in", src] if command == "reduce" else [command, "--n", "3", "--m", "1"]
+    out = tmp_path / "missing" / "x.json"
+    result = invoke(runner, *args, "--out", str(out))
+    assert result.exit_code == 2
+    assert f"error: cannot write {out}: No such file or directory" in result.output
+    assert not out.parent.exists()
+
+
+def test_refused_enumeration_into_a_missing_directory_is_a_cap(runner, tmp_path):
+    out = tmp_path / "missing" / "x.jsonl"
+    result = invoke(runner, "enumerate", "--n", "6", "--m", "1", "--cap", "10", "--out", str(out))
+    assert result.exit_code == 3
+    assert not out.parent.exists()
 
 
 def test_invariants_one_line_per_component(runner, tmp_path):
@@ -600,6 +646,20 @@ def test_census_has_no_cap(runner):
     assert "No such option" in result.output
 
 
+def test_census_refuses_a_polygon_past_its_vertex_cap(runner, monkeypatch):
+    # Refused before any table is built: the fold tables of m = 10^11 would
+    # take far more memory than the machine has.
+    result = invoke(runner, "census", "--n", "3", "--m", "99999999999")
+    assert result.exit_code == 3
+    assert result.stderr == (
+        "error: a census of the 399999999998-gon (n=3, m=99999999999) exceeds "
+        "the cap of 100000 polygon vertices\n"
+    )
+    monkeypatch.setattr(mcw.geometry, "CENSUS_MAX_VERTICES", PolygonParams(4, 2).N)
+    assert invoke(runner, "census", "--n", "4", "--m", "2").exit_code == 0
+    assert invoke(runner, "census", "--n", "5", "--m", "2").exit_code == 3
+
+
 def test_check_refuses_negative_samples(runner):
     result = invoke(runner, "check", "--n", "3", "--m", "1", "--samples", "-1")
     assert result.exit_code == 2
@@ -624,9 +684,9 @@ def test_check_tests_moves_only_until_the_sample_is_full(runner, monkeypatch, sa
         tested.append(t.params)
         return True
 
-    monkeypatch.setattr(mcw.cli, "preserves_invariant", admissible)
-    monkeypatch.setattr(mcw.cli, "rotation_move", lambda q, site, k: (("plus",), q))
-    monkeypatch.setattr(mcw.cli, "iso_quivers", lambda a, b: ())
+    monkeypatch.setattr(mcw.mutation, "preserves_invariant", admissible)
+    monkeypatch.setattr(mcw.mutation, "rotation_move", lambda q, site, k: (("plus",), q))
+    monkeypatch.setattr(mcw.algebra, "iso_quivers", lambda a, b: ())
     result = invoke(runner, "check", "--n", "3", "--m", "2", "--samples", str(samples))
     assert result.exit_code == 0
     lines = result.output.splitlines()
@@ -643,8 +703,10 @@ def test_census_counts_without_enumerating(runner, monkeypatch):
     def enumerating(*args):
         raise AssertionError("census built a dissection")
 
-    for name in ("enumerate_dissections", "quiver_of", "components", "derived_invariant"):
-        monkeypatch.setattr(mcw.cli, name, enumerating)
+    monkeypatch.setattr(mcw.cli, "enumerate_dissections", enumerating)
+    for name in ("quiver_of", "components"):
+        monkeypatch.setattr(mcw.algebra, name, enumerating)
+    monkeypatch.setattr(mcw.homology, "derived_invariant", enumerating)
     result = invoke(runner, "census", "--n", "9", "--m", "1")
     assert result.exit_code == 0
     rows = [json.loads(line) for line in result.output.splitlines()]
@@ -664,7 +726,7 @@ def test_census_refuses_a_miscount(runner, monkeypatch):
 
 @unrealizable
 def test_check_names_the_dissection_of_an_unrealizable_quiver(runner, monkeypatch, q, problem):
-    monkeypatch.setattr(mcw.cli, "quiver_of", lambda t: q)
+    monkeypatch.setattr(mcw.algebra, "quiver_of", lambda t: q)
     result = invoke(runner, "check", "--n", "1", "--m", "1")
     assert result.exit_code == 1
     assert "error: n=1 m=1 Dissection(n=1, m=1, {d(0,2)}): " in result.output
@@ -698,7 +760,7 @@ def test_check_screens_each_component_once(runner, monkeypatch):
         screened.append(q)
         return real(q)
 
-    for module in (mcw.cli, mcw.normalform):
+    for module in (mcw.mutation, mcw.normalform):
         monkeypatch.setattr(module, "realizability_report", counting)
     result = invoke(runner, "check", "--n", "3", "--m", "2", "--samples", "0")
     assert result.exit_code == 0
@@ -708,13 +770,13 @@ def test_check_screens_each_component_once(runner, monkeypatch):
 
 def test_check_reduces_each_distinct_component_once(runner, monkeypatch):
     reduced = []
-    real = mcw.cli.reduce_component
+    real = mcw.normalform.reduce_component
 
     def counting(q, cap=None):
         reduced.append(q)
         return real(q, cap)
 
-    monkeypatch.setattr(mcw.cli, "reduce_component", counting)
+    monkeypatch.setattr(mcw.normalform, "reduce_component", counting)
     result = invoke(runner, "check", "--n", "4", "--m", "2", "--samples", "0")
     assert result.exit_code == 0
     assert len(reduced) == len(set(reduced)) == 102
@@ -737,9 +799,9 @@ def test_check_splits_a_class_against_a_component_reduced_earlier(runner, monkey
         for t in cell[1:]
         for comp in components(quiver_of(t))
     )
-    real_quiver_of, real_reduce = mcw.cli.quiver_of, mcw.cli.reduce_component
+    real_quiver_of, real_reduce = mcw.algebra.quiver_of, mcw.normalform.reduce_component
     monkeypatch.setattr(
-        mcw.cli, "quiver_of", lambda t: new if t == cell[0] else real_quiver_of(t)
+        mcw.algebra, "quiver_of", lambda t: new if t == cell[0] else real_quiver_of(t)
     )
 
     def reduce(q, cap=None):
@@ -747,10 +809,89 @@ def test_check_splits_a_class_against_a_component_reduced_earlier(runner, monkey
             return SimpleNamespace(final=quiver(2, 3, []))
         return real_reduce(q, cap)
 
-    monkeypatch.setattr(mcw.cli, "reduce_component", reduce)
+    monkeypatch.setattr(mcw.normalform, "reduce_component", reduce)
     result = invoke(runner, "check", "--n", "4", "--m", "2", "--samples", "0")
     assert result.exit_code == 1
     assert "error: n=4 m=2: class (3, 0) reduced to 2 distinct forms" in result.output
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (mcw.geometry.GeometryError, 2),
+        (mcw.geometry.CapExceeded, 3),
+        (mcw.geometry.CensusError, 1),
+        (mcw.algebra.AlgebraError, 2),
+        (mcw.homology.HomologyError, 1),
+        (mcw.mutation.MutationError, 1),
+        (mcw.normalform.NormalFormError, 1),
+        (mcw.serialize.SerializeError, 2),
+        (mcw.render.RenderError, 2),
+        (lambda message: json.JSONDecodeError(message, "", 0), 2),
+    ],
+)
+def test_each_domain_error_keeps_its_exit_code(runner, monkeypatch, error, code):
+    exc = error("boom")
+
+    def failing(p):
+        raise exc
+
+    monkeypatch.setattr(mcw.cli, "census_counts", failing)
+    result = invoke(runner, "census", "--n", "3", "--m", "1")
+    assert result.exit_code == code
+    assert result.stderr == f"error: {exc}\n"
+
+
+def test_an_error_of_no_domain_is_not_mapped(runner, monkeypatch):
+    def failing(p):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(mcw.cli, "census_counts", failing)
+    with pytest.raises(ValueError, match="boom"):
+        invoke(runner, "census", "--n", "3", "--m", "1")
+
+
+_LOADED_LAYERS = """
+import json, sys, types
+import mcw
+from mcw.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit:
+    pass
+executed = [n for n in mcw._LAYERS if type(sys.modules["mcw." + n]) is types.ModuleType]
+print(json.dumps(executed), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "command, layers",
+    [
+        ("--help", {"geometry", "serialize"}),
+        ("census", {"geometry", "serialize"}),
+        ("enumerate", {"geometry", "serialize"}),
+        ("render", {"geometry", "algebra", "serialize", "render"}),
+        ("reduce", {"geometry", "algebra", "homology", "mutation", "normalform", "serialize"}),
+    ],
+)
+def test_a_command_executes_only_the_layers_it_runs(tmp_path, command, layers):
+    # A layer stays an unexecuted lazy module until something reads from it;
+    # an executed one is a plain module again.
+    src = write_dissection(tmp_path / "t.json", 3, 1, [(0, 2), (0, 3), (0, 4)])
+    args = {
+        "--help": ["--help"],
+        "census": ["census", "--n", "7", "--m", "1"],
+        "enumerate": ["enumerate", "--n", "4", "--m", "1"],
+        "render": ["render", "--in", src, "--format", "dot"],
+        "reduce": ["reduce", "--in", src],
+    }[command]
+    env = {**os.environ, "PYTHONPATH": str(Path(mcw.cli.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_LAYERS, *args], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+    assert set(json.loads(proc.stderr.splitlines()[-1])) == layers
 
 
 def test_render_svg_and_determinism(runner, tmp_path):

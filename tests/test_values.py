@@ -52,13 +52,29 @@ INV = DerivedInvariant(3, 0, (1, 1, 1), (0, 0))
 
 
 def test_importing_the_cli_builds_no_dataclass():
-    # Every mcw process imports the whole package, and a frozen dataclass
-    # costs about 1 ms to build; the value types are tuples instead.
+    # Every mcw process executes each layer its command runs, and a frozen
+    # dataclass costs about 1 ms to build; the value types are tuples
+    # instead.  The layers are lazy modules, so each is executed here by
+    # reading from it.
     src = Path(mcw.__file__).resolve().parents[1]
-    code = "import sys, mcw.cli; assert 'dataclasses' not in sys.modules"
+    code = (
+        "import sys, mcw, mcw.cli\n"
+        "for name in mcw._LAYERS: vars(getattr(mcw, name))\n"
+        "assert 'dataclasses' not in sys.modules"
+    )
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_exported_name_resolves():
+    for name in mcw.__all__:
+        assert getattr(mcw, name) is not None, name
+    from mcw import reduce
+
+    assert reduce is mcw.normalform.reduce
+    with pytest.raises(AttributeError, match="no attribute 'missing'"):
+        mcw.missing
 
 
 def assert_equal_values(x, y) -> None:
