@@ -8,7 +8,7 @@ Both are one checked move: a minus move is the plus rewrite done in the
 opposite quiver and turned back, and the acceptance checks and Happel's
 prediction run once, on the quiver and the result.  ``preserves_invariant``
 decides on a dissection whether a diagonal move keeps the derived class;
-``rotation_move`` is the algebra move of that rotation.
+``rotation_move`` is its algebra move, which ``rotate`` checks label for label.
 ``remove_relation_chain`` trades a run of consecutive zero-relations for a
 reversed arrow chain, which preserves the Cartan invariants but can leave
 the class of dissection-realizable presentations.
@@ -38,8 +38,9 @@ from .algebra import (
     is_gentle,
     max_relation_chain,
     opposite,
+    quiver_of,
 )
-from .geometry import Diagonal, Dissection, rotation_cycle
+from .geometry import Diagonal, Dissection, apply_move, rotation_cycle
 from .homology import (
     DerivedInvariant,
     cartan_matrix,
@@ -72,7 +73,6 @@ class _Builder:
         }
         self.relations: set[tuple[int, int]] = set(q.relations)
         self._next = max(self.ends, default=-1) + 1
-        self.labels = q.vertex_labels
 
     def add(self, source: int, target: int) -> int:
         aid = self._next
@@ -91,9 +91,7 @@ class _Builder:
         turn = slice(None, None, -1 if flip else 1)
         arrows = tuple(Arrow(aid, *ends[turn]) for aid, ends in self.ends.items())
         relations = frozenset(pair[turn] for pair in self.relations)
-        return QuiverWithRelations(
-            self.m, self.vertex_count, arrows, relations, self.labels
-        )
+        return QuiverWithRelations(self.m, self.vertex_count, arrows, relations)
 
 
 def mutation_complex(q: QuiverWithRelations, mut: int) -> dict[int, list[int]]:
@@ -418,27 +416,6 @@ def apply_mutation(
     raise MutationError(f"unknown move kind {kind!r}")
 
 
-def rotation_move(
-    q: QuiverWithRelations, v: int, k: int
-) -> tuple[tuple[str, ...], QuiverWithRelations]:
-    """The algebra move of rotating the diagonal at vertex ``v`` by ``k``,
-    as the kinds of the moves taken and their result: the matching move
-    (plus for k = +1, minus for k = -1), or where that is refused m moves
-    of the other kind, since in the rotation's 2(m+1)-gon one step one way
-    is m steps the other.  Each move is checked as ``apply_mutation`` does."""
-
-    if k not in (1, -1):
-        raise AlgebraError(f"rotation step k must be +1 or -1, got {k}")
-    match, other = ("plus", "minus") if k == 1 else ("minus", "plus")
-    try:
-        return (match,), apply_mutation(q, match, (v,))
-    except MoveRejected:
-        pass
-    for _ in range(q.m):
-        q = apply_mutation(q, other, (v,))
-    return (other,) * q.m, q
-
-
 class MoveRecord(
     NamedTuple(
         "MoveRecord",
@@ -475,6 +452,66 @@ def record_move(
     return MoveRecord(
         kind, tuple(site), derived_invariant(before), derived_invariant(after)
     )
+
+
+def rotation_move(
+    q: QuiverWithRelations, v: int, k: int
+) -> tuple[tuple[MoveRecord, ...], QuiverWithRelations]:
+    """The algebra move of rotating the diagonal at vertex ``v`` by ``k``,
+    as the records of the moves taken and their result: the matching move
+    (plus for k = +1, minus for k = -1), or where that is refused m moves
+    of the other kind, since in the rotation's 2(m+1)-gon one step one way
+    is m steps the other.  The records, ``apply_mutation``'s moves, replay
+    to the result; where both kinds are refused, both refusals are named."""
+
+    if k not in (1, -1):
+        raise AlgebraError(f"rotation step k must be +1 or -1, got {k}")
+    match, other = ("plus", "minus") if k == 1 else ("minus", "plus")
+    try:
+        kind, states = match, [q, apply_mutation(q, match, (v,))]
+    except MoveRejected as refused:
+        kind, states = other, [q]
+        for i in range(1, q.m + 1):
+            try:
+                states.append(apply_mutation(states[-1], other, (v,)))
+            except MoveRejected as exc:
+                why = f"{match} refused: {refused}; {other} {i} of {q.m} refused: {exc}"
+                raise MoveRejected(why) from exc
+    records = (record_move(kind, (v,), *pair) for pair in zip(states, states[1:]))
+    return tuple(records), states[-1]
+
+
+def rotate(
+    t: Dissection, d: Diagonal, k: int
+) -> tuple[Dissection, QuiverWithRelations, tuple[MoveRecord, ...]]:
+    """Rotate ``d`` by ``k`` in the geometry, and by ``rotation_move`` on
+    ``quiver_of(t)``; returns the moved dissection, its quiver and the move
+    records.  The two results must agree label for label: vertex i of the
+    algebra's carries t's i-th diagonal, and the vertex of ``d`` its image.
+    A refusal or a difference raises ``MutationError`` naming t, d, k and
+    the refusal or the first arrow or relation that differs."""
+
+    moved = apply_move(t, d, k)
+    geo = quiver_of(moved)
+    where = f"{t!r}: rotating {d!r} by {k:+d}"
+    try:
+        records, result = rotation_move(quiver_of(t), t.diagonals.index(d), k)
+    except MoveRejected as exc:
+        raise MutationError(f"{where}: {exc}") from exc
+    (image,) = set(moved.diagonals) - set(t.diagonals)
+    labels = tuple(image if x == d else x for x in t.diagonals)
+    for what, ours, theirs in (
+        ("arrow", result.arrow_pairs(), geo.arrow_pairs()),
+        ("relation", result.relation_triples(), geo.relation_triples()),
+    ):
+        got = {tuple(labels[x] for x in p) for p in ours}
+        want = {tuple(moved.diagonals[x] for x in p) for p in theirs}
+        if got != want:
+            first = min(got ^ want)
+            side = "algebra move" if first in got else "geometry"
+            named = "->".join(map(repr, first))
+            raise MutationError(f"{where}: {what} {named} only in the {side}")
+    return moved, geo, records
 
 
 class RealizabilityReport(NamedTuple):

@@ -161,24 +161,6 @@ def quiver_from_json(obj: Any) -> algebra.QuiverWithRelations:
     return algebra.quiver(m, vertices, arrows, relations)
 
 
-def matrix_to_json(mat: homology.IntMatrix) -> dict[str, Any]:
-    return {"size": mat.size, "rows": [list(row) for row in mat.rows]}
-
-
-def matrix_from_json(obj: Any) -> homology.IntMatrix:
-    _require(obj, "size", "rows")
-    rows = obj["rows"]
-    if not isinstance(rows, (list, tuple)):
-        raise SerializeError(f"rows must be a list of integer lists, got {rows!r}")
-    try:
-        mat = homology.IntMatrix(tuple(tuple(_int_list(row, "each row")) for row in rows))
-    except homology.HomologyError as exc:
-        raise SerializeError(f"rows must form a square matrix: {exc}") from exc
-    if mat.size != _int_field(obj, "size"):
-        raise SerializeError(f"size {obj['size']} does not match {mat.size} rows")
-    return mat
-
-
 def invariant_to_json(inv: homology.DerivedInvariant) -> dict[str, Any]:
     return {
         "s": inv.s,

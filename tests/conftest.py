@@ -3,14 +3,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from mcw.algebra import GentleReport, QuiverWithRelations
-from mcw.geometry import PolygonParams, enumerate_dissections
+from mcw.algebra import GentleReport, QuiverWithRelations, quiver
+from mcw.geometry import Diagonal, Dissection, PolygonParams, apply_move, enumerate_dissections
 
 
 @lru_cache(maxsize=None)
 def all_dissections(n: int, m: int):
     """Cached list of all maximal dissections for a parameter pair."""
     return list(enumerate_dissections(PolygonParams(n, m), cap=None))
+
+
+def in_moved_order(
+    q: QuiverWithRelations, t: Dissection, d: Diagonal, k: int
+) -> QuiverWithRelations:
+    """An algebra result ``q`` of rotating ``d`` of ``t`` by ``k``, renumbered
+    into the moved dissection's vertex order: vertex i of ``q`` carries t's
+    i-th diagonal, and the vertex of ``d`` its image.  It equals the moved
+    dissection's quiver exactly when the two agree label for label."""
+    moved = apply_move(t, d, k)
+    (image,) = set(moved.diagonals) - set(t.diagonals)
+    perm = [moved.diagonals.index(image if x == d else x) for x in t.diagonals]
+    arrows = [(perm[a.source], perm[a.target]) for a in q.arrows]
+    return quiver(q.m, q.vertex_count, arrows, q.relations)
 
 
 def small_range(n_plus_one_max: int, m_max: int):

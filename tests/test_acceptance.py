@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from conftest import all_dissections, small_range
+from conftest import all_dissections, in_moved_order, small_range
 from mcw.algebra import canonical_form, components, iso_quivers, opposite, quiver, quiver_of
 from mcw.geometry import PolygonParams, apply_move, enumerate_dissections
 from mcw.homology import (
@@ -178,23 +178,25 @@ def test_criterion_4_mutation_matches_geometry_and_happel():
             for a, b, k in sorted(admissible):
                 d = next(x for x in t.diagonals if (x.a, x.b) == (a, b))
                 site = q.vertex_labels.index(d)
-                kinds, algebra = rotation_move(q, site, k)
+                records, algebra = rotation_move(q, site, k)
                 geo = quiver_of(apply_move(t, d, k))
-                assert iso_quivers(algebra, geo) is not None, (t, d, k)
-                # Happel's prediction, asserted on every move taken.
+                assert in_moved_order(algebra, t, d, k) == geo, (t, d, k)
+                # The records replay to the result, and Happel's prediction
+                # holds on every move taken.
                 state = q
-                for kind in kinds:
-                    frame = opposite(state) if kind == "minus" else state
+                for rec in records:
+                    assert rec.site == (site,), (t, d, k, rec)
+                    frame = opposite(state) if rec.kind == "minus" else state
                     predicted = happel_hom_dims(
                         cartan_matrix(state), site, mutation_complex(frame, site)
                     )
-                    state = apply_mutation(state, kind, (site,))
-                    assert cartan_matrix(state) == predicted, (t, d, k, kind)
+                    state = apply_mutation(state, rec.kind, rec.site)
+                    assert cartan_matrix(state) == predicted, (t, d, k, rec.kind)
                 assert state == algebra, (t, d, k)
                 moves += 1
     print(
-        f"criterion 4: PASS - {moves} admissible moves match geometry and "
-        f"the alternating-sum Cartan prediction exactly "
+        f"criterion 4: PASS - {moves} admissible moves match geometry label "
+        f"for label and the alternating-sum Cartan prediction exactly "
         f"({time.time() - start:.1f}s)"
     )
 

@@ -28,16 +28,18 @@ import mcw.mutation
 import mcw.normalform
 import mcw.render
 import mcw.serialize
-from conftest import gentle_by_lists
+from conftest import gentle_by_lists, in_moved_order
 from mcw.algebra import components, is_gentle, quiver, quiver_of
 from mcw.cli import main
-from mcw.geometry import PolygonParams, dissection, enumerate_dissections, fuss_catalan
+from mcw.geometry import PolygonParams, diagonal, dissection, enumerate_dissections, fuss_catalan
+from mcw.mutation import apply_mutation
 from mcw.normalform import NormalFormSpec, build_normal_form
 from mcw.serialize import (
     dissection_from_json,
     dissection_lines,
     dissection_to_json,
     dumps,
+    quiver_from_json,
     quiver_to_json,
     trace_from_json,
 )
@@ -310,7 +312,7 @@ def test_mutate_admissible_move(runner, tmp_path):
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert payload["dissection"]["diagonals"] == [[0, 3], [1, 3]]
-    assert payload["record"]["kind"] == "plus"
+    assert [r["kind"] for r in payload["records"]] == ["plus"]
 
 
 def test_mutate_rejects_class_changing_move(runner, tmp_path):
@@ -318,6 +320,84 @@ def test_mutate_rejects_class_changing_move(runner, tmp_path):
     result = invoke(runner, "mutate", "--in", src, "--move", "d(0,2):+1")
     assert result.exit_code == 1
     assert "changes the derived invariant" in result.output
+
+
+def replay_mutate(runner, path, a, b, k):
+    """Run ``mcw mutate`` and replay its records from the input's quiver;
+    the replayed result must be the emitted quiver, label for label."""
+    t = dissection_from_json(json.loads(Path(path).read_text()))
+    result = invoke(runner, "mutate", "--in", str(path), "--move", f"d({a},{b}):{k:+d}")
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    state = quiver_of(t)
+    for rec in payload["records"]:
+        state = apply_mutation(state, rec["kind"], rec["site"])
+    assert in_moved_order(state, t, diagonal(a, b), k) == quiver_from_json(payload["quiver"])
+    return payload["records"]
+
+
+def test_mutate_records_the_moves_that_realise_the_rotation(runner):
+    # The minus move at d(3,12) is refused (its in-arrow 1->2 composes to
+    # zero with every out-arrow), and two plus moves at the same vertex
+    # realise the rotation.
+    records = replay_mutate(runner, DATA / "rotation_m2_found.json", 3, 12, -1)
+    assert [(r["kind"], r["site"]) for r in records] == [("plus", [2]), ("plus", [2])]
+
+
+def test_mutate_records_replay_at_every_m2_replacement_site(runner, tmp_path):
+    data = json.loads((DATA / "rotation_m2_sites.json").read_text())
+    for site in data["sites"]:
+        src = write_dissection(tmp_path / "t.json", data["n"], data["m"], site["diagonals"])
+        a, b, k = site["move"]
+        records = replay_mutate(runner, src, a, b, k)
+        assert [r["kind"] for r in records] == (["minus"] if k == 1 else ["plus"]) * 2, site
+
+
+def test_check_and_mutate_refuse_an_isomorphic_but_mislabelled_move(runner, tmp_path, monkeypatch):
+    # The stub's result is the right quiver with its first and last vertex
+    # swapped: isomorphic to the moved dissection's quiver, but not equal
+    # to it label for label.
+    real = mcw.mutation.rotation_move
+    swaps = []
+
+    def swapped(q, v, k):
+        records, moved = real(q, v, k)
+        perm = list(range(q.vertex_count))
+        perm[0], perm[-1] = perm[-1], perm[0]
+        arrows = [(perm[a.source], perm[a.target]) for a in moved.arrows]
+        out = quiver(q.m, q.vertex_count, arrows, moved.relations)
+        assert mcw.algebra.iso_quivers(out, moved) is not None
+        swaps.append(out != moved)
+        return records, out
+
+    monkeypatch.setattr(mcw.mutation, "rotation_move", swapped)
+    src = write_dissection(tmp_path / "t.json", 2, 1, [(0, 2), (0, 3)])
+    result = invoke(runner, "mutate", "--in", src, "--move", "d(0,2):+1")
+    assert result.exit_code == 1
+    assert result.output == (
+        "error: Dissection(n=2, m=1, {d(0,2), d(0,3)}): rotating d(0,2) by +1: "
+        "arrow d(0,3)->d(1,3) only in the geometry\n"
+    )
+    result = invoke(runner, "check", "--n", "3", "--m", "1")
+    assert result.exit_code == 1
+    assert result.output.splitlines()[-1] == (
+        "error: Dissection(n=2, m=1, {d(0,2), d(0,3)}): rotating d(0,2) by -1: "
+        "arrow d(0,3)->d(1,3) only in the geometry"
+    )
+    assert swaps == [True] + [False] * 4 + [True]  # n = 1 has one vertex to swap
+
+
+def test_check_names_a_refused_rotation_and_its_reasons(runner, monkeypatch):
+    def refuse(q, kind, site):
+        raise mcw.mutation.MoveRejected(f"no {kind} here")
+
+    monkeypatch.setattr(mcw.mutation, "apply_mutation", refuse)
+    result = invoke(runner, "check", "--n", "1", "--m", "1")
+    assert result.exit_code == 1
+    assert result.output == (
+        "error: Dissection(n=1, m=1, {d(1,3)}): rotating d(1,3) by +1: "
+        "plus refused: no plus here; minus 1 of 1 refused: no minus here\n"
+    )
 
 
 def test_mutate_input_validation(runner, tmp_path):
@@ -685,8 +765,7 @@ def test_check_tests_moves_only_until_the_sample_is_full(runner, monkeypatch, sa
         return True
 
     monkeypatch.setattr(mcw.mutation, "preserves_invariant", admissible)
-    monkeypatch.setattr(mcw.mutation, "rotation_move", lambda q, site, k: (("plus",), q))
-    monkeypatch.setattr(mcw.algebra, "iso_quivers", lambda a, b: ())
+    monkeypatch.setattr(mcw.mutation, "rotate", lambda t, d, k: (t, quiver_of(t), ()))
     result = invoke(runner, "check", "--n", "3", "--m", "2", "--samples", str(samples))
     assert result.exit_code == 0
     lines = result.output.splitlines()

@@ -12,14 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import all_dissections, gentle_by_lists, small_range
+from conftest import all_dissections, gentle_by_lists, in_moved_order, small_range
 from mcw.algebra import (
     AlgebraError,
     QuiverWithRelations,
     canonical_key,
     components,
     is_gentle,
-    iso_quivers,
     opposite,
     quiver,
     quiver_of,
@@ -229,7 +228,7 @@ def test_heptagon_cycle_vertex():
     for k in (+1, -1):
         assert preserves_invariant(t, diagonal(0, 3), k)
         geo = quiver_of(apply_move(t, diagonal(0, 3), k))
-        assert iso_quivers(moved, geo) is not None
+        assert in_moved_order(moved, t, diagonal(0, 3), k) == geo
 
 
 # --- Cartan prediction -----------------------------------------------------
@@ -448,7 +447,7 @@ def test_moves_match_geometry_and_prediction_on_sample():
                         continue
                     moved = rotation_move(q, v, k)[1]
                     geo = quiver_of(apply_move(t, d, k))
-                    assert iso_quivers(moved, geo) is not None, (n, m, t, d, k)
+                    assert in_moved_order(moved, t, d, k) == geo, (n, m, t, d, k)
 
 
 def test_rotation_move_replaces_a_refused_matching_move_by_m_others():
@@ -470,15 +469,17 @@ def test_rotation_move_replaces_a_refused_matching_move_by_m_others():
         matching = tilting_mutation_plus if k == 1 else tilting_mutation_minus
         with pytest.raises(MoveRejected, match=re.escape(site["refusal"])):
             matching(q, v)
-        kinds, moved = rotation_move(q, v, k)
-        assert kinds == (("minus",) if k == 1 else ("plus",)) * m, site
-        assert iso_quivers(moved, quiver_of(apply_move(t, d, k))) is not None, site
+        records, moved = rotation_move(q, v, k)
+        assert [r.kind for r in records] == (["minus"] if k == 1 else ["plus"]) * m, site
+        assert all(r.site == (v,) for r in records), site
+        assert in_moved_order(moved, t, d, k) == quiver_of(apply_move(t, d, k)), site
 
 
 def test_rotation_move_takes_the_matching_move_where_it_is_accepted():
     q = quiver_of(dissection(3, 2, [(0, 3), (3, 6), (6, 9)]))
-    assert rotation_move(q, 0, 1) == (("plus",), tilting_mutation_plus(q, 0))
-    assert rotation_move(q, 0, -1) == (("minus",), tilting_mutation_minus(q, 0))
+    plus, minus = tilting_mutation_plus(q, 0), tilting_mutation_minus(q, 0)
+    assert rotation_move(q, 0, 1) == ((record_move("plus", (0,), q, plus),), plus)
+    assert rotation_move(q, 0, -1) == ((record_move("minus", (0,), q, minus),), minus)
     with pytest.raises(AlgebraError, match="rotation step k must be"):
         rotation_move(q, 0, 2)
 

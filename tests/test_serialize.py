@@ -19,7 +19,7 @@ from mcw.geometry import (
     dissection_tuples,
     fuss_catalan,
 )
-from mcw.homology import cartan_matrix, derived_invariant
+from mcw.homology import derived_invariant
 from mcw.mutation import record_move, tilting_mutation_plus
 from mcw.normalform import reduce
 from mcw.serialize import (
@@ -30,8 +30,6 @@ from mcw.serialize import (
     dumps,
     invariant_from_json,
     invariant_to_json,
-    matrix_from_json,
-    matrix_to_json,
     move_from_json,
     move_to_json,
     quiver_from_json,
@@ -118,11 +116,6 @@ def test_quiver_round_trip_exhaustive():
         assert back.relation_triples() == q.relation_triples()
 
 
-def test_matrix_round_trip():
-    mat = cartan_matrix(quiver_of(dissection(3, 1, [(0, 2), (2, 4), (0, 4)])))
-    assert matrix_from_json(matrix_to_json(mat)) == mat
-
-
 def test_invariant_round_trip_keeps_all_fields():
     inv = derived_invariant(quiver_of(dissection(3, 1, [(0, 2), (2, 4), (0, 4)])))
     back = invariant_from_json(invariant_to_json(inv))
@@ -166,10 +159,6 @@ def test_shape_errors():
         quiver_from_json([1, 2, 3])
     with pytest.raises(SerializeError, match="integer pairs"):
         dissection_from_json({"n": 2, "m": 1, "diagonals": [[0, 2, 4]]})
-    with pytest.raises(SerializeError, match="does not match"):
-        matrix_from_json({"size": 3, "rows": [[1, 0], [0, 1]]})
-    with pytest.raises(SerializeError, match="square"):
-        matrix_from_json({"size": 2, "rows": [[1, 0], [0]]})
 
 
 def test_dissection_loader_rejects_malformed_diagonals():
@@ -233,7 +222,6 @@ def test_quiver_relation_indices_survive_unsorted_input():
             {"m": 1, "vertices": 2, "arrows": [], "relations": []},
             "vertices",
         ),
-        (matrix_from_json, {"size": 1, "rows": [[1]]}, "size"),
         (invariant_from_json, {"s": 1, "r": 0, "snf": [1], "parity": [0, 0]}, "s"),
     ],
     ids=[
@@ -241,7 +229,6 @@ def test_quiver_relation_indices_survive_unsorted_input():
         "dissection-m",
         "quiver-m",
         "quiver-vertices",
-        "matrix-size",
         "invariant-s",
     ],
 )
@@ -263,13 +250,6 @@ def test_pair_entries_must_be_integers(load, doc, key, bad):
     # A float endpoint used to be truncated: [0, 2.9] loaded as d(0,2).
     with pytest.raises(SerializeError, match=f"^{key} must be a list of integer pairs"):
         load({**doc, key: [[0, bad]]})
-
-
-def test_matrix_entries_must_be_integers():
-    # [[1.9]] used to load as ((1,),).
-    for rows in ([[1.9]], [["1"]], [[True]], [1], "11"):
-        with pytest.raises(SerializeError, match="must be a list of integer"):
-            matrix_from_json({"size": 1, "rows": rows})
 
 
 @pytest.mark.parametrize(
