@@ -14,7 +14,7 @@ from collections import Counter
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
 
-from .geometry import Diagonal, Dissection, Sealed, faces
+from .geometry import Dissection, Sealed, faces
 
 
 class AlgebraError(ValueError):
@@ -42,13 +42,9 @@ class QuiverWithRelations(
     Sealed,
 ):
     """The tuple (m, vertex_count, arrows, relations), arrows renumbered in
-    (source, target) order.  ``vertex_labels`` is kept outside the tuple, in
-    the instance ``__dict__`` with the cached properties, so equality and
-    hashing ignore it."""
+    (source, target) order."""
 
-    vertex_labels: tuple[Diagonal, ...] | None
-
-    def __new__(cls, m, vertex_count, arrows, relations, vertex_labels=None):
+    def __new__(cls, m, vertex_count, arrows, relations):
         by_pair = sorted(arrows, key=lambda a: (a.source, a.target))
         remap = {a.id: i for i, a in enumerate(by_pair)}
         if len(remap) != len(arrows):
@@ -74,9 +70,7 @@ class QuiverWithRelations(
         for first, second in relations:
             if arrows[first].target != arrows[second].source:
                 raise AlgebraError(f"relation ({first},{second}) is not composable")
-        self = tuple.__new__(cls, (m, vertex_count, arrows, relations))
-        self.__dict__["vertex_labels"] = vertex_labels
-        return self
+        return tuple.__new__(cls, (m, vertex_count, arrows, relations))
 
     @cached_property
     def out_arrows(self) -> dict[int, tuple[Arrow, ...]]:
@@ -168,19 +162,18 @@ def quiver(
     vertex_count: int,
     arrows: Iterable[tuple[int, int]],
     relations: Iterable[tuple[int, int]] = (),
-    labels: tuple[Diagonal, ...] | None = None,
 ) -> QuiverWithRelations:
     """Build a quiver from (source, target) pairs; relations are given as
     index pairs into the arrow list as written here."""
     arrs = tuple(Arrow(i, s, t) for i, (s, t) in enumerate(arrows))
-    return QuiverWithRelations(m, vertex_count, arrs, frozenset(relations), labels)
+    return QuiverWithRelations(m, vertex_count, arrs, frozenset(relations))
 
 
 def quiver_of(t: Dissection) -> QuiverWithRelations:
-    """The gentle presentation attached to a dissection: one vertex per
-    diagonal; one arrow for each corner of each cell where two diagonal sides
-    meet (earlier side to later side in the clockwise boundary walk); one
-    zero-relation for every composable arrow pair inside a single cell."""
+    """The gentle presentation attached to a dissection: vertex i is the
+    diagonal ``t.diagonals[i]``; one arrow per corner of a cell where two
+    diagonal sides meet (earlier side to later side in the clockwise
+    boundary walk); one zero-relation per composable arrow pair in a cell."""
     arrow_ids: dict[tuple[int, int], int] = {}
     arrow_list: list[tuple[int, int]] = []
     relation_list: list[tuple[int, int]] = []
@@ -204,13 +197,7 @@ def quiver_of(t: Dissection) -> QuiverWithRelations:
             if a is not None and b is not None and c is not None:
                 relation_list.append((arrow_id(a, b), arrow_id(b, c)))
 
-    return quiver(
-        t.params.m,
-        len(t.diagonals),
-        arrow_list,
-        relation_list,
-        labels=t.diagonals,
-    )
+    return quiver(t.params.m, len(t.diagonals), arrow_list, relation_list)
 
 
 class GentleReport(NamedTuple):
@@ -294,10 +281,7 @@ def components(q: QuiverWithRelations) -> list[Component]:
             for f, s in q.relations
             if f in id_pos and s in id_pos
         ]
-        labels = None
-        if q.vertex_labels is not None:
-            labels = tuple(q.vertex_labels[v] for v in verts)
-        out.append(Component(quiver(q.m, len(verts), arrs, rels, labels), tuple(verts)))
+        out.append(Component(quiver(q.m, len(verts), arrs, rels), tuple(verts)))
     return out
 
 
@@ -372,8 +356,7 @@ def canonical_key(q: QuiverWithRelations) -> tuple:
 
 # A reduction labels its input and its target to test for the zero-step
 # exit, then labels the final quiver and the target again to build the
-# witness, and `mcw check` labels each final quiver once more: on
-# `mcw check --n 4 --m 2 --seed 1`, 510 of 762 calls hit.
+# witness: on `mcw check --n 4 --m 2 --seed 1`, 253 of 408 calls hit.
 @lru_cache(maxsize=8)
 def canonical_form(q: QuiverWithRelations) -> tuple[tuple, tuple[int, ...]]:
     """(canonical key, relabeling) where relabeling[v] is the canonical index
@@ -420,8 +403,8 @@ def canonical_form(q: QuiverWithRelations) -> tuple[tuple, tuple[int, ...]]:
 
 
 def opposite(q: QuiverWithRelations) -> QuiverWithRelations:
-    """The opposite quiver: arrows reversed, relation pairs swapped, labels
-    preserved."""
+    """The opposite quiver: arrows reversed, relation pairs swapped, each
+    vertex kept."""
     arrows = tuple(Arrow(a.id, a.target, a.source) for a in q.arrows)
     relations = frozenset((second, first) for first, second in q.relations)
-    return QuiverWithRelations(q.m, q.vertex_count, arrows, relations, q.vertex_labels)
+    return QuiverWithRelations(q.m, q.vertex_count, arrows, relations)

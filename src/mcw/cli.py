@@ -9,14 +9,14 @@ explicit --seed.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import random
 import re
 import sys
-from collections import defaultdict
 from contextlib import contextmanager
-from functools import wraps
+from functools import cache, wraps
 from itertools import islice
 from typing import Any, Callable, Iterator, Mapping, NoReturn, TextIO
 
@@ -128,6 +128,22 @@ def _components(path: str) -> list[algebra.QuiverWithRelations]:
     return comps
 
 
+def _writable(out: str | None) -> None:
+    """Refuse an --out file that could not be opened for writing, before the
+    command does its work; nothing is created, so a command refused later
+    still leaves no file behind."""
+    if out is None:
+        return
+    parent = os.path.dirname(out) or "."
+    if not os.path.isdir(parent):
+        problem = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(out if os.path.exists(out) else parent, os.W_OK):
+        problem = errno.EACCES
+    else:
+        return
+    _fail(2, f"cannot write {out}: {os.strerror(problem)}")
+
+
 @contextmanager
 def _output(out: str | None) -> Iterator[TextIO]:
     """The text stream a command writes to: standard output or the --out file."""
@@ -192,6 +208,7 @@ def enumerate_cmd(n: int, m: int, cap: int, out: str | None) -> None:
     # The cap is checked on the first pull, so a refused enumeration
     # writes nothing and leaves no --out file behind.
     line = next(lines)
+    _writable(out)
     # The lines are rendered as text; the first must be the encoder's
     # text for the dissection of p that it names.
     try:
@@ -220,9 +237,13 @@ def enumerate_cmd(n: int, m: int, cap: int, out: str | None) -> None:
 def quiver_cmd(infile: str, fmt: str, out: str | None) -> None:
     """Build the quiver with relations of a dissection."""
 
+    _writable(out)
     t = dissection_from_json(_load_json(infile))
     q = algebra.quiver_of(t)
-    text = dumps(quiver_to_json(q)) + "\n" if fmt == "json" else render.render(q, fmt)
+    if fmt == "json":
+        text = dumps(quiver_to_json(q)) + "\n"
+    else:
+        text = (render.svg_quiver if fmt == "svg" else render.dot_quiver)(q, t.diagonals)
     _emit(text, out)
 
 
@@ -233,6 +254,7 @@ def quiver_cmd(infile: str, fmt: str, out: str | None) -> None:
 def invariants_cmd(infile: str, out: str | None) -> None:
     """Derived invariant of each component, one JSON object per line."""
 
+    _writable(out)
     text = "".join(
         dumps(invariant_to_json(homology.derived_invariant(comp))) + "\n"
         for comp in _components(infile)
@@ -248,6 +270,7 @@ def invariants_cmd(infile: str, out: str | None) -> None:
 def mutate_cmd(infile: str, move_spec: str, out: str | None) -> None:
     """Rotate one diagonal; refuses moves that change the derived class."""
 
+    _writable(out)
     t = dissection_from_json(_load_json(infile))
     d, k = _parse_move(move_spec)
     if len(t.diagonals) < t.params.n:
@@ -275,6 +298,7 @@ def mutate_cmd(infile: str, move_spec: str, out: str | None) -> None:
 def reduce_cmd(infile: str, comp_idx: int, cap: int | None, out: str | None) -> None:
     """Reduce one component to its normal form and print the trace."""
 
+    _writable(out)
     comps = _components(infile)
     if not 0 <= comp_idx < len(comps):
         _fail(2, f"component {comp_idx} out of range; quiver has {len(comps)}")
@@ -290,6 +314,7 @@ def reduce_cmd(infile: str, comp_idx: int, cap: int | None, out: str | None) -> 
 def equiv_cmd(left: str, right: str, out: str | None) -> None:
     """Decide derived equivalence of two connected components."""
 
+    _writable(out)
     sides = {}
     for name, path in (("left", left), ("right", right)):
         comps = _components(path)
@@ -319,6 +344,7 @@ def equiv_cmd(left: str, right: str, out: str | None) -> None:
 def census_cmd(n: int, m: int, out: str | None) -> None:
     """Component counts of every (s, r) class across all dissections."""
 
+    _writable(out)
     tally = census_counts(PolygonParams(n, m))
     lines = [dumps({"s": s, "r": r, "count": count}) for (s, r), count in tally.items()]
     _emit("\n".join(lines) + "\n", out)
@@ -332,16 +358,23 @@ def census_cmd(n: int, m: int, out: str | None) -> None:
 def render_cmd(infile: str, fmt: str, out: str | None) -> None:
     """Draw a dissection or quiver as an SVG or DOT document."""
 
+    _writable(out)
     _emit(render.render(_load_object(infile), fmt), out)
 
 
-def _check_component(q: algebra.QuiverWithRelations, where: str) -> tuple[tuple[int, int], tuple]:
-    """Reduce one component and audit its Smith form and Cartan determinant;
-    returns its class (s, r) and the canonical key of its reduced form."""
+def _check_component(
+    q: algebra.QuiverWithRelations,
+    where: str,
+    normal_form: Callable[[int, int], algebra.QuiverWithRelations],
+) -> tuple[int, int]:
+    """Reduce one component, audit its Smith form and Cartan determinant,
+    and check the reduction's witness against ``normal_form(s, r)``: a
+    bijection that maps the reduced form's arrows and relations exactly
+    onto the normal form's.  Returns the component's class (s, r)."""
 
     # reduce_component screens the component's realizability first.
     try:
-        final = normalform.reduce_component(q).final
+        trace = normalform.reduce_component(q)
     except normalform.NormalFormError as exc:
         raise mutation.MutationError(f"{where}: {exc}") from exc
     inv = homology.derived_invariant(q)
@@ -351,7 +384,19 @@ def _check_component(q: algebra.QuiverWithRelations, where: str) -> tuple[tuple[
     odd, _ = homology.cycle_parity_counts(q)
     if homology.determinant(cartan) not in (0, 2**odd):
         raise homology.HomologyError(f"{where}: Cartan determinant")
-    return (inv.s, inv.r), algebra.canonical_form(final)[0]
+    target, final, witness = normal_form(inv.s, inv.r), trace.final, trace.iso_witness
+    if final.vertex_count != inv.s or sorted(witness) != list(range(inv.s)) or any(
+        {tuple(witness[v] for v in p) for p in ours} != theirs
+        for ours, theirs in (
+            (final.arrow_pairs(), target.arrow_pairs()),
+            (final.relation_triples(), target.relation_triples()),
+        )
+    ):
+        raise normalform.NormalFormError(
+            f"{where}: witness {witness} does not map the reduced form onto "
+            f"the normal form of class {(inv.s, inv.r)}"
+        )
+    return inv.s, inv.r
 
 
 def _check_cell(
@@ -359,15 +404,15 @@ def _check_cell(
     m: int,
     rng: random.Random,
     samples: int,
-    decided: dict[algebra.QuiverWithRelations, tuple[tuple[int, int], tuple]],
+    decided: dict[algebra.QuiverWithRelations, tuple[int, int]],
 ) -> str:
     """All structural invariants for one (n, m) cell; returns a summary.
 
     ``decided`` maps each component value already checked in this run to
-    what ``_check_component`` returned for it.  Every step of that check is
-    a function of the quiver value alone, so a component that occurs again
-    is not checked again; it still enters its cell's class sets, and the
-    first dissection holding a failing component is the one named.
+    its class (s, r).  Every step of that check is a function of the
+    quiver value alone, so a component that occurs again is not checked
+    again, and the first dissection holding a failing component is the one
+    named.  Each class's normal form is built once per cell.
 
     Up to ``samples`` admissible moves then go through ``mutation.rotate``,
     which compares each with geometry label for label.
@@ -380,21 +425,18 @@ def _check_cell(
             f"n={n} m={m}: enumerated {len(ts)} dissections, expected {expected}"
         )
 
-    classes: defaultdict[tuple[int, int], set] = defaultdict(set)
+    @cache
+    def normal_form(s: int, r: int) -> algebra.QuiverWithRelations:
+        return normalform.build_normal_form(normalform.NormalFormSpec(s, r, m))
+
+    classes: set[tuple[int, int]] = set()
     for t in ts:
         for comp in algebra.components(algebra.quiver_of(t)):
-            found = decided.get(comp.quiver)
-            if found is None:
-                found = _check_component(comp.quiver, f"n={n} m={m} {t!r}")
-                decided[comp.quiver] = found
-            pair, key = found
-            classes[pair].add(key)
-
-    for pair, keys in classes.items():
-        if len(keys) != 1:
-            raise normalform.NormalFormError(
-                f"n={n} m={m}: class {pair} reduced to {len(keys)} distinct forms"
-            )
+            pair = decided.get(comp.quiver)
+            if pair is None:
+                pair = _check_component(comp.quiver, f"n={n} m={m} {t!r}", normal_form)
+                decided[comp.quiver] = pair
+            classes.add(pair)
 
     moves = [(t, d, k) for t in ts for d in t.diagonals for k in (1, -1)]
     rng.shuffle(moves)
@@ -424,7 +466,7 @@ def check_cmd(n: int, m: int, seed: int, samples: int) -> None:
     """Run the invariant suite over every cell n' <= n, m' <= m."""
 
     rng = random.Random(seed)
-    decided: dict[algebra.QuiverWithRelations, tuple[tuple[int, int], tuple]] = {}
+    decided: dict[algebra.QuiverWithRelations, tuple[int, int]] = {}
     for mm in range(1, m + 1):
         for nn in range(1, n + 1):
             click.echo(_check_cell(nn, mm, rng, samples, decided))

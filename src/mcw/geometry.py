@@ -69,9 +69,8 @@ def diagonal(a: int, b: int) -> Diagonal:
 
 
 class Sealed:
-    """Mixin for a tuple-backed value that keeps an instance ``__dict__``,
-    for ``cached_property`` or for a field left out of its tuple: it refuses
-    attribute assignment and deletion.  ``cached_property`` and pickle write
+    """Mixin for a tuple-backed value that keeps an instance ``__dict__`` for
+    ``cached_property``: it refuses attribute assignment and deletion.  ``cached_property`` and pickle write
     the ``__dict__`` directly."""
 
     __slots__ = ()
@@ -187,24 +186,10 @@ class Face(NamedTuple):
     clockwise (decreasing labels), per the fixed storage convention.
     side_diagonals[i] is the index of the diagonal joining corners[i] to
     corners[i+1] (cyclically), or None for a boundary edge of the polygon.
-    Equality and hashing read the corners alone.
     """
 
     corners: tuple[int, ...]
     side_diagonals: tuple[int | None, ...]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Face):
-            return NotImplemented
-        return self.corners == other.corners
-
-    def __ne__(self, other: object) -> bool:
-        if not isinstance(other, Face):
-            return NotImplemented
-        return self.corners != other.corners
-
-    def __hash__(self) -> int:
-        return hash((self.corners,))
 
 
 class ValidationResult(NamedTuple):

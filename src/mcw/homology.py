@@ -110,7 +110,6 @@ def determinant(m: IntMatrix) -> int:
 # in the move's Happel check and again in its MoveRecord, and the state
 # after one step is the state before the next: on the s = 40 reduction in
 # tests/data, 1,371 of 1,829 calls hit, one miss per state.
-# Quiver equality ignores vertex labels, and so does the count.
 @lru_cache(maxsize=8)
 def cartan_matrix(q: QuiverWithRelations) -> IntMatrix:
     """Count relation-free paths between vertices.
@@ -307,29 +306,17 @@ def bh_diagonal(q: QuiverWithRelations) -> IntMatrix:
 class DerivedInvariant(NamedTuple):
     """Vertex count and cycle count, with corroborating Cartan data.
 
-    Equality deliberately compares only (s, r): the Smith normal form and
-    the parity counts are determined by them for the algebras this package
-    produces, and carrying them as data lets the consistency be asserted
-    rather than assumed.
+    Like every value type it compares as its tuple.  The Smith normal form
+    and the parity counts are determined by (s, r) for the algebras this
+    package produces; carrying them as data lets the consistency be
+    asserted rather than assumed, and ``derived_equivalent`` is the one
+    rule that decides a class by (s, r).
     """
 
     s: int
     r: int
     snf: tuple[int, ...]
     cycle_parity_counts: tuple[int, int] = (0, 0)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DerivedInvariant):
-            return NotImplemented
-        return (self.s, self.r) == (other.s, other.r)
-
-    def __ne__(self, other: object) -> bool:
-        if not isinstance(other, DerivedInvariant):
-            return NotImplemented
-        return (self.s, self.r) != (other.s, other.r)
-
-    def __hash__(self) -> int:
-        return hash((self.s, self.r))
 
 
 def derived_invariant(q: QuiverWithRelations) -> DerivedInvariant:

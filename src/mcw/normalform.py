@@ -10,7 +10,9 @@ components by their (s, r) data.
 The reduction follows the classification proof (Murphy, arXiv:0807.3840,
 generalizing Buan & Vatne, arXiv:math/0701612) in three phases.  Each step
 is one accepted move whose site is read off the current quiver; nothing
-searches over states and nothing is memoized between calls.
+searches over states, and no state of one reduction steers the next.  The
+value-keyed memos of ``cartan_matrix``, ``snf_diagonal`` and
+``canonical_form`` may hit across calls, and return what a cold call would.
 
 1. ``relations``: off-cycle relations are cleared leaf-inward.  A run whose
    interior vertices carry no other arrow goes whole by ``rel_rem``; any

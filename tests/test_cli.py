@@ -290,6 +290,20 @@ def test_out_into_a_missing_directory_is_invalid_input(runner, tmp_path, command
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("parent, reason", [("missing", "No such file or directory"), ("file", "Not a directory")])
+def test_out_is_refused_before_any_work(runner, tmp_path, monkeypatch, parent, reason):
+    def never(p):
+        raise AssertionError("the census ran before its --out was checked")
+
+    monkeypatch.setattr(mcw.cli, "census_counts", never)
+    (tmp_path / "file").write_text("")
+    out = tmp_path / parent / "census.jsonl"
+    result = invoke(runner, "census", "--n", "3", "--m", "20000", "--out", str(out))
+    assert result.exit_code == 2
+    assert result.stderr == f"error: cannot write {out}: {reason}\n"
+    assert not (tmp_path / "missing").exists()
+
+
 def test_refused_enumeration_into_a_missing_directory_is_a_cap(runner, tmp_path):
     out = tmp_path / "missing" / "x.jsonl"
     result = invoke(runner, "enumerate", "--n", "6", "--m", "1", "--cap", "10", "--out", str(out))
@@ -867,8 +881,9 @@ def test_check_splits_a_class_against_a_component_reduced_earlier(runner, monkey
     # class (3, 0) there holds only components reduced in an earlier cell.
     # The first dissection of 4/2 is given a new value of that class, a path
     # through vertex 2 that no cell before yields, and the patched reduction
-    # sends it to a final with no arrows.  The split is caught only if the
-    # repeated components' keys still enter the cell's class sets.
+    # sends it to a final with no arrows.  The split is caught by checking
+    # its witness against the class's normal form, the one form that every
+    # earlier member was held to.
     new = quiver(2, 3, [(0, 2), (2, 1)])
     earlier = _component_values(3, 2)
     assert new not in earlier
@@ -885,13 +900,45 @@ def test_check_splits_a_class_against_a_component_reduced_earlier(runner, monkey
 
     def reduce(q, cap=None):
         if q == new:
-            return SimpleNamespace(final=quiver(2, 3, []))
+            return SimpleNamespace(final=quiver(2, 3, []), iso_witness=(0, 1, 2))
         return real_reduce(q, cap)
 
     monkeypatch.setattr(mcw.normalform, "reduce_component", reduce)
     result = invoke(runner, "check", "--n", "4", "--m", "2", "--samples", "0")
     assert result.exit_code == 1
-    assert "error: n=4 m=2: class (3, 0) reduced to 2 distinct forms" in result.output
+    assert (
+        f"error: n=4 m=2 {cell[0]!r}: witness (0, 1, 2) does not map the reduced "
+        "form onto the normal form of class (3, 0)"
+    ) in result.output
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [lambda w: (w[1], w[0], *w[2:]), lambda w: (w[0],) * len(w)],
+    ids=["two-entries-swapped", "not-a-bijection"],
+)
+def test_check_refuses_a_wrong_witness(runner, monkeypatch, spoil):
+    # The reduction reaches the normal form, but its witness is spoiled on
+    # every component with two or more vertices; the first is the path of
+    # the first dissection of 2/1.
+    real = mcw.normalform.reduce_component
+
+    def reduce(q, cap=None):
+        trace = real(q, cap)
+        if q.vertex_count < 2:
+            return trace
+        witness = spoil(trace.iso_witness)
+        return mcw.normalform.ReductionTrace(trace.steps, trace.final, witness, trace.phases)
+
+    monkeypatch.setattr(mcw.normalform, "reduce_component", reduce)
+    result = invoke(runner, "check", "--n", "3", "--m", "1", "--samples", "0")
+    assert result.exit_code == 1
+    t = next(enumerate_dissections(PolygonParams(2, 1)))
+    witness = spoil((0, 1))
+    assert result.stderr == (
+        f"error: n=2 m=1 {t!r}: witness {witness} does not map the reduced form "
+        "onto the normal form of class (2, 0)\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -194,12 +194,14 @@ def test_bh_matches_cartan_on_range():
             assert snf_diagonal(cartan_matrix(q)) == snf_diagonal(bh_diagonal(q))
 
 
-def test_derived_invariant_equality_is_s_r():
+def test_derived_invariant_equality_is_the_tuple():
+    # Equal (s, r) with other Smith forms is a different value; deciding
+    # the derived class by (s, r) is derived_equivalent's rule alone.
     a = DerivedInvariant(s=3, r=1, snf=(1, 1, 2), cycle_parity_counts=(1, 0))
     b = DerivedInvariant(s=3, r=1, snf=(1, 1, 0), cycle_parity_counts=(0, 1))
     c = DerivedInvariant(s=3, r=0, snf=(1, 1, 1))
-    assert a == b and hash(a) == hash(b)
-    assert a != c
+    assert a != b and a != c
+    assert a == DerivedInvariant(3, 1, (1, 1, 2), (1, 0)) and hash(a) == hash(tuple(a))
     assert a != "not an invariant"
 
 
@@ -394,13 +396,16 @@ def test_happel_row_wise_prediction_matches_the_generic_sum(tilt):
 
 
 def test_cartan_memo_ignores_labels_and_returns_the_cold_value():
+    # Two triangles cut by different diagonals, and a quiver cut by none,
+    # are one quiver value, so the memo keyed by it serves all three.
     labelled = quiver_of(dissection(3, 1, [(0, 2), (2, 4), (0, 4)]))
+    turned = quiver_of(dissection(3, 1, [(1, 3), (3, 5), (1, 5)]))
     bare = quiver(1, 3, [(a.source, a.target) for a in labelled.arrows], labelled.relations)
-    assert bare == labelled and bare.vertex_labels is None
+    assert bare == labelled == turned
     cartan_matrix.cache_clear()
     cold = cartan_matrix(bare)
-    assert cartan_matrix(labelled) is cold
-    assert cartan_matrix.cache_info().hits == 1
+    assert cartan_matrix(labelled) is cold and cartan_matrix(turned) is cold
+    assert cartan_matrix.cache_info().hits == 2
     assert cold == brute_force_cartan(labelled)
 
 

@@ -64,7 +64,7 @@ ADMISSIBLE_TOTALS = {
 
 def at_level(q: QuiverWithRelations, m: int) -> QuiverWithRelations:
     """q with its level set to m, built through the checking constructor."""
-    return QuiverWithRelations(m, q.vertex_count, q.arrows, q.relations, q.vertex_labels)
+    return QuiverWithRelations(m, q.vertex_count, q.arrows, q.relations)
 
 
 def golden_moves(n: int, m: int) -> dict[tuple, set[tuple[int, int, int]]]:
@@ -391,7 +391,7 @@ def rebuilt_profile(t: Dissection) -> tuple[set[frozenset[Diagonal]], int]:
     """The components of the dissection's quiver as sets of diagonals, and
     its number of full-relation cycles, from the rebuilt quiver."""
     q = quiver_of(t)
-    parts = {frozenset(q.vertex_labels[v] for v in c.vertices) for c in components(q)}
+    parts = {frozenset(t.diagonals[v] for v in c.vertices) for c in components(q)}
     return parts, q.full_cycle_count
 
 
@@ -439,9 +439,8 @@ def test_moves_match_geometry_and_prediction_on_sample():
     for n, m in cells:
         for t in all_dissections(n, m):
             q = quiver_of(t)
-            assert q.vertex_labels is not None
             for d in t.diagonals:
-                v = q.vertex_labels.index(d)
+                v = t.diagonals.index(d)
                 for k in (+1, -1):
                     if not preserves_invariant(t, d, k):
                         continue
@@ -464,8 +463,7 @@ def test_rotation_move_replaces_a_refused_matching_move_by_m_others():
         d = diagonal(a, b)
         assert preserves_invariant(t, d, k), site
         q = quiver_of(t)
-        assert q.vertex_labels is not None
-        v = q.vertex_labels.index(d)
+        v = t.diagonals.index(d)
         matching = tilting_mutation_plus if k == 1 else tilting_mutation_minus
         with pytest.raises(MoveRejected, match=re.escape(site["refusal"])):
             matching(q, v)
