@@ -46,6 +46,10 @@ from .serialize import (
     trace_to_json,
 )
 
+# Lines of `enumerate` output per write, about 32 KB of text: one write per
+# line costs a system call per line wherever standard output writes through.
+_BLOCK_LINES = 256
+
 _MOVE_RE = re.compile(r"^d\((\d+)\s*,\s*(\d+)\)\s*:\s*([+-]?\d+)$")
 
 
@@ -149,7 +153,9 @@ def _output(out: str | None) -> Iterator[TextIO]:
     """The text stream a command writes to: standard output or the --out file."""
     if out is None:
         # sys.stdout itself: click's stdout wrapper is line-buffered, which
-        # would flush once per line of a streamed listing.
+        # would flush once per line of a streamed listing.  sys.stdout
+        # writes through under PYTHONUNBUFFERED, one system call per write,
+        # so a command that streams many lines writes them in blocks.
         yield sys.stdout
         sys.stdout.flush()
     else:
@@ -220,7 +226,8 @@ def enumerate_cmd(n: int, m: int, cap: int, out: str | None) -> None:
         _fail(1, f"line renderer wrote {line!r}, the JSON encoder {expected!r}")
     with _output(out) as fh:
         fh.write(line)
-        fh.writelines(lines)
+        while block := "".join(islice(lines, _BLOCK_LINES)):
+            fh.write(block)
 
 
 @main.command("quiver")
@@ -280,7 +287,7 @@ def mutate_cmd(infile: str, move_spec: str, out: str | None) -> None:
         _fail(2, f"{d!r} is not a diagonal of the dissection")
     if not mutation.preserves_invariant(t, d, k):
         _fail(1, f"moving {d!r} by {k:+d} changes the derived invariant")
-    moved, moved_q, records = mutation.rotate(t, d, k)
+    moved, moved_q, records = mutation.rotate(t, d, k, algebra.quiver_of(t))
     payload = {
         "dissection": dissection_to_json(moved),
         "quiver": quiver_to_json(moved_q),
@@ -414,8 +421,10 @@ def _check_cell(
     again, and the first dissection holding a failing component is the one
     named.  Each class's normal form is built once per cell.
 
-    Up to ``samples`` admissible moves then go through ``mutation.rotate``,
-    which compares each with geometry label for label.
+    Up to ``samples`` admissible moves, drawn first, then go through
+    ``mutation.rotate``, which compares each with geometry label for label;
+    each is handed the quiver of its dissection that the component check
+    built.
     """
 
     ts = list(enumerate_dissections(PolygonParams(n, m)))
@@ -429,21 +438,27 @@ def _check_cell(
     def normal_form(s: int, r: int) -> algebra.QuiverWithRelations:
         return normalform.build_normal_form(normalform.NormalFormSpec(s, r, m))
 
+    moves = [(t, d, k) for t in ts for d in t.diagonals for k in (1, -1)]
+    rng.shuffle(moves)
+    admissible = (move for move in moves if mutation.preserves_invariant(*move))
+    sampled = list(islice(admissible, samples))
+    # The quivers of the sampled moves' dissections, kept from the loop below.
+    quivers = dict.fromkeys(t for t, _, _ in sampled)
+
     classes: set[tuple[int, int]] = set()
     for t in ts:
-        for comp in algebra.components(algebra.quiver_of(t)):
+        q = algebra.quiver_of(t)
+        if t in quivers:
+            quivers[t] = q
+        for comp in algebra.components(q):
             pair = decided.get(comp.quiver)
             if pair is None:
                 pair = _check_component(comp.quiver, f"n={n} m={m} {t!r}", normal_form)
                 decided[comp.quiver] = pair
             classes.add(pair)
 
-    moves = [(t, d, k) for t in ts for d in t.diagonals for k in (1, -1)]
-    rng.shuffle(moves)
-    admissible = (move for move in moves if mutation.preserves_invariant(*move))
-    sampled = list(islice(admissible, samples))
-    for move in sampled:
-        mutation.rotate(*move)
+    for t, d, k in sampled:
+        mutation.rotate(t, d, k, quivers[t])
     return (
         f"n={n} m={m}: {len(ts)} dissections, {len(classes)} classes, "
         f"{len(sampled)} sampled moves ok"

@@ -287,6 +287,38 @@ def fuss_catalan(n: int, m: int) -> int:
     return math.comb((m + 1) * (n + 1), n) // (n + 1)
 
 
+# A chain (x, y, g) of lex_dissections: the arc x..y split into g gaps.
+_Chain = tuple[int, int, int]
+
+
+def _list_uses(
+    root: _Chain, fans_of: Callable[[_Chain], Iterable[tuple[object, tuple[_Chain, ...]]]]
+) -> Counter[_Chain]:
+    """How many times lex_dissections requests each chain's list of values,
+    counted in one pass over the distinct chains reachable from root,
+    longest arc first.
+
+    A chain's values are generated runs(c) = streams(c) + (uses(c) > 0)
+    times: once each time it is streamed, and once to fill its list if any
+    fan requests that.  Every run goes through all of the chain's fans: a
+    fan with one sub-chain streams it, and a fan with several requests each
+    sub-chain's list.  A sub-chain's arc is shorter than its chain's, so
+    each count is final before it is passed on."""
+    streams: Counter[_Chain] = Counter({root: 1})
+    uses: Counter[_Chain] = Counter()
+    by_arc: list[set[_Chain]] = [set() for _ in range(root[1] - root[0] + 1)]
+    by_arc[-1].add(root)
+    for chains in reversed(by_arc):
+        for key in chains:
+            runs = streams[key] + (uses[key] > 0)
+            for _, parts in fans_of(key):
+                tally = streams if len(parts) == 1 else uses
+                for part in parts:
+                    tally[part] += runs
+                    by_arc[part[1] - part[0]].add(part)
+    return uses
+
+
 def lex_dissections(
     p: PolygonParams,
     unit: Callable[[int, int], _V],
@@ -321,7 +353,8 @@ def lex_dissections(
 
     A fan left with one sub-chain streams it; a fan with several takes the
     sub-chains' lists of values from a memo, and each list is dropped once
-    the last fan that uses it has taken it.
+    the last fan that uses it has taken it; _list_uses counts those fans
+    before the first value.
 
     Refuses parameter ranges whose Fuss-Catalan count exceeds `cap`
     (pass cap=None to disable the guard); the check runs on the first pull.
@@ -331,10 +364,9 @@ def lex_dissections(
         raise CapExceeded(f"{total} dissections exceed the cap of {cap}")
     N, m = p.N, p.m
     empty = join(())
-    Chain = tuple[int, int, int]
-    fans: dict[Chain, list[tuple[_V, tuple[Chain, ...]]]] = {}
+    fans: dict[_Chain, list[tuple[_V, tuple[_Chain, ...]]]] = {}
 
-    def fans_of(key: Chain) -> list[tuple[_V, tuple[Chain, ...]]]:
+    def fans_of(key: _Chain) -> list[tuple[_V, tuple[_Chain, ...]]]:
         # The fans at x in output order, each with the sub-chains it leaves;
         # a sub-chain of boundary edges only (y - x == g) has one empty
         # value and is left out.
@@ -343,7 +375,7 @@ def lex_dissections(
             x, y, g = key
             out = fans[key] = []
 
-            def grow(prev: int, fan: _V, parts: tuple[Chain, ...]) -> None:
+            def grow(prev: int, fan: _V, parts: tuple[_Chain, ...]) -> None:
                 for h in range(prev + m, y - g + 2, m):
                     sub = parts if h - prev == m else parts + ((prev, h, m),)
                     grow(h, fan + unit(x, h), sub)
@@ -354,23 +386,11 @@ def lex_dissections(
             grow(x + 1, empty, ())
         return out
 
-    # uses counts the requests for each chain's list, walking the fans as
-    # chain_values will; a streamed chain is walked each time it streams.
-    uses: Counter[Chain] = Counter()
+    root = (0, N - 1, m + 1)
+    uses = _list_uses(root, fans_of)
+    lists: dict[_Chain, list[_V]] = {}
 
-    def walk(key: Chain) -> None:
-        for _, parts in fans_of(key):
-            if len(parts) == 1:
-                walk(parts[0])
-            else:
-                for part in parts:
-                    uses[part] += 1
-                    if uses[part] == 1:
-                        walk(part)
-
-    lists: dict[Chain, list[_V]] = {}
-
-    def chain_list(key: Chain) -> list[_V]:
+    def chain_list(key: _Chain) -> list[_V]:
         out = lists.get(key)
         if out is None:
             out = lists[key] = list(chain_values(key))
@@ -379,7 +399,7 @@ def lex_dissections(
             del lists[key]
         return out
 
-    def chain_values(key: Chain) -> Iterator[_V]:
+    def chain_values(key: _Chain) -> Iterator[_V]:
         for fan, parts in fans_of(key):
             if not parts:
                 yield fan
@@ -390,8 +410,6 @@ def lex_dissections(
                 for combo in product((fan,), *map(chain_list, parts)):
                     yield join(combo)
 
-    root = (0, N - 1, m + 1)
-    walk(root)
     yield from chain_values(root)
 
 

@@ -482,20 +482,21 @@ def rotation_move(
 
 
 def rotate(
-    t: Dissection, d: Diagonal, k: int
+    t: Dissection, d: Diagonal, k: int, q: QuiverWithRelations
 ) -> tuple[Dissection, QuiverWithRelations, tuple[MoveRecord, ...]]:
     """Rotate ``d`` by ``k`` in the geometry, and by ``rotation_move`` on
-    ``quiver_of(t)``; returns the moved dissection, its quiver and the move
-    records.  The two results must agree label for label: vertex i of the
-    algebra's carries t's i-th diagonal, and the vertex of ``d`` its image.
-    A refusal or a difference raises ``MutationError`` naming t, d, k and
-    the refusal or the first arrow or relation that differs."""
+    ``q``, which is ``quiver_of(t)``; returns the moved dissection, its
+    quiver and the move records.  The two results must agree label for
+    label: vertex i of the algebra's carries t's i-th diagonal, and the
+    vertex of ``d`` its image.  A refusal or a difference raises
+    ``MutationError`` naming t, d, k and the refusal or the first arrow or
+    relation that differs."""
 
     moved = apply_move(t, d, k)
     geo = quiver_of(moved)
     where = f"{t!r}: rotating {d!r} by {k:+d}"
     try:
-        records, result = rotation_move(quiver_of(t), t.diagonals.index(d), k)
+        records, result = rotation_move(q, t.diagonals.index(d), k)
     except MoveRejected as exc:
         raise MutationError(f"{where}: {exc}") from exc
     (image,) = set(moved.diagonals) - set(t.diagonals)

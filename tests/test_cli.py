@@ -6,6 +6,7 @@ documented exit codes: 0 ok, 1 invariant failure, 2 bad input, 3 cap.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
@@ -192,6 +193,35 @@ def test_enumerate_streams_without_holding_its_output(runner, tmp_path):
     assert result.exit_code == 0
     assert len(out.read_text(encoding="utf-8").splitlines()) == fuss_catalan(9, 1)
     assert peak_mb < MATERIALIZED_PEAK_MB / 2
+
+
+class RecordingStdout(io.StringIO):
+    """A standard output that keeps each write, as each would be one system
+    call if standard output wrote through."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_enumerate_writes_blocks_of_lines(monkeypatch, tmp_path, n):
+    # Where standard output writes through, each write is a system call:
+    # the first line goes alone, after its check, and the rest in blocks.
+    want = "".join(dissection_lines(PolygonParams(n, 1)))
+    stdout = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    main.main(["enumerate", "--n", str(n), "--m", "1"], standalone_mode=False)
+    blocks = -(-fuss_catalan(n, 1) // mcw.cli._BLOCK_LINES)
+    assert len(stdout.writes) <= blocks + 1
+    assert "".join(stdout.writes) == want
+    out = tmp_path / "e.jsonl"
+    main.main(["enumerate", "--n", str(n), "--m", "1", "--out", str(out)], standalone_mode=False)
+    assert out.read_bytes() == want.encode()
 
 
 @pytest.mark.parametrize("command", ["enumerate"])
@@ -475,22 +505,25 @@ def test_reduce_cap_refuses_a_longer_script(runner, tmp_path):
 
 
 def test_enumerate_into_a_closed_pipe_exits_0():
-    # The reader takes one line and closes the pipe while the command is
-    # still writing; the exit-code table keeps 1 for oracle failures.
+    # The reader closes the pipe while the command is still writing: after
+    # one line, and, with standard output writing through, inside the
+    # first block of 256 lines.  The exit-code table keeps 1 for oracle
+    # failures.
     src = Path(mcw.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "mcw.cli", "enumerate", "--n", "9", "--m", "1"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-    )
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=120) == 0
-    assert json.loads(first)["n"] == 9
-    assert err == b""
+    for unbuffered, take in (("", lambda f: f.readline()), ("1", lambda f: f.read(5000))):
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": unbuffered}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mcw.cli", "enumerate", "--n", "9", "--m", "1"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        head = take(proc.stdout)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
+        assert json.loads(head.split(b"\n")[0])["n"] == 9
+        assert err == b""
 
 
 @pytest.mark.parametrize("spec", ["d(0,2):+2", "d(0,2):-3"])
@@ -779,7 +812,7 @@ def test_check_tests_moves_only_until_the_sample_is_full(runner, monkeypatch, sa
         return True
 
     monkeypatch.setattr(mcw.mutation, "preserves_invariant", admissible)
-    monkeypatch.setattr(mcw.mutation, "rotate", lambda t, d, k: (t, quiver_of(t), ()))
+    monkeypatch.setattr(mcw.mutation, "rotate", lambda t, d, k, q: (t, q, ()))
     result = invoke(runner, "check", "--n", "3", "--m", "2", "--samples", str(samples))
     assert result.exit_code == 0
     lines = result.output.splitlines()

@@ -14,7 +14,7 @@ import tracemalloc
 from bisect import bisect_left
 from collections import Counter, deque
 from functools import lru_cache
-from itertools import chain, combinations, pairwise, product, zip_longest
+from itertools import chain, combinations, islice, pairwise, product, zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -575,6 +575,51 @@ def test_dissection_tuples_drain_without_a_sorted_list(n, m, bound_mb):
     finally:
         tracemalloc.stop()
     assert peak_mb < bound_mb
+
+
+def walked_list_uses(root, fans_of) -> Counter:
+    """The requests for each chain's list, counted by replaying the
+    generator's calls: a streamed chain is walked each time it streams, a
+    listed one on its first request only."""
+    uses: Counter = Counter()
+
+    def walk(key):
+        for _, parts in fans_of(key):
+            if len(parts) == 1:
+                walk(parts[0])
+            else:
+                for part in parts:
+                    uses[part] += 1
+                    if uses[part] == 1:
+                        walk(part)
+
+    walk(root)
+    return uses
+
+
+@pytest.mark.parametrize(
+    "n,m", [(n, m) for m in range(1, 5) for n in range(1, 13) if (n + 1) * m + 2 <= 14]
+)
+def test_list_uses_match_the_walk_and_every_list_is_dropped(monkeypatch, n, m):
+    counted = []
+    count = geometry._list_uses
+
+    def checked(root, fans_of):
+        uses = count(root, fans_of)
+        assert uses == walked_list_uses(root, fans_of)
+        counted.append(uses)
+        return uses
+
+    monkeypatch.setattr(geometry, "_list_uses", checked)
+    # Values are plain ints, so the drain costs little but the walk itself.
+    stream = geometry.lex_dissections(PolygonParams(n, m), lambda a, b: 1, sum, None)
+    assert sum(islice(stream, fuss_catalan(n, m))) == n * fuss_catalan(n, m)
+    # Suspended after its last value: each list was requested exactly as
+    # often as counted, so each was dropped on its last request.
+    assert stream.gi_frame.f_locals["lists"] == {}
+    (uses,) = counted
+    assert set(uses.values()) <= {0}
+    assert next(stream, None) is None
 
 
 def test_dissection_tuples_check_the_cap_on_the_first_pull():
