@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .geometry import Dissection, Sealed, faces
 
@@ -147,6 +147,13 @@ class QuiverWithRelations(
         return frozenset(
             (arrows[f].source, arrows[f].target, arrows[s].target)
             for f, s in self.relations
+        )
+
+    def named(self, names: Sequence[Hashable]) -> tuple[frozenset[tuple], frozenset[tuple]]:
+        """The arrow pairs and relation triples with vertex v named ``names[v]``."""
+        return (
+            frozenset(tuple(names[v] for v in pair) for pair in self.arrow_pairs()),
+            frozenset(tuple(names[v] for v in triple) for triple in self.relation_triples()),
         )
 
     def __repr__(self) -> str:

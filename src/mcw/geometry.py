@@ -287,6 +287,9 @@ def fuss_catalan(n: int, m: int) -> int:
     return math.comb((m + 1) * (n + 1), n) // (n + 1)
 
 
+# The default cap on the number of dissections an enumeration may yield.
+ENUMERATION_CAP = 10**6
+
 # A chain (x, y, g) of lex_dissections: the arc x..y split into g gaps.
 _Chain = tuple[int, int, int]
 
@@ -323,7 +326,7 @@ def lex_dissections(
     p: PolygonParams,
     unit: Callable[[int, int], _V],
     join: Callable[[Iterable[_V]], _V],
-    cap: int | None = 10**6,
+    cap: int = ENUMERATION_CAP,
 ) -> Iterator[_V]:
     """Yield one value per maximal dissection exactly once, in lexicographic
     order on its sorted diagonal tuple, generated in that order: no list of
@@ -356,11 +359,15 @@ def lex_dissections(
     the last fan that uses it has taken it; _list_uses counts those fans
     before the first value.
 
-    Refuses parameter ranges whose Fuss-Catalan count exceeds `cap`
-    (pass cap=None to disable the guard); the check runs on the first pull.
+    Refuses parameter ranges whose Fuss-Catalan count exceeds `cap`; the
+    check runs on the first pull.  FC(n, m) >= FC(n, 1) = Catalan(n+1) >=
+    2^n, so an n of at least cap.bit_length() is refused without computing
+    the count, which has tens of thousands of digits at n = 10^5.
     """
+    if p.n >= cap.bit_length():
+        raise CapExceeded(f"at least 2^{p.n} dissections exceed the cap of {cap}")
     total = fuss_catalan(p.n, p.m)
-    if cap is not None and total > cap:
+    if total > cap:
         raise CapExceeded(f"{total} dissections exceed the cap of {cap}")
     N, m = p.N, p.m
     empty = join(())
@@ -414,7 +421,7 @@ def lex_dissections(
 
 
 def dissection_tuples(
-    p: PolygonParams, cap: int | None = 10**6
+    p: PolygonParams, cap: int = ENUMERATION_CAP
 ) -> Iterator[tuple[Diagonal, ...]]:
     """Yield the sorted diagonal tuple of every maximal dissection exactly
     once, in lexicographic order; see lex_dissections for the order and
@@ -422,7 +429,7 @@ def dissection_tuples(
     return lex_dissections(p, lambda a, b: (Diagonal(a, b),), lambda parts: sum(parts, ()), cap)
 
 
-def enumerate_dissections(p: PolygonParams, cap: int | None = 10**6) -> Iterator[Dissection]:
+def enumerate_dissections(p: PolygonParams, cap: int = ENUMERATION_CAP) -> Iterator[Dissection]:
     """Yield every maximal dissection exactly once, in lexicographic order on
     the sorted diagonal tuple; see dissection_tuples for the cap."""
     for diags in dissection_tuples(p, cap):
@@ -468,6 +475,9 @@ def _convolve(dst: dict[int, int], x: dict[int, int], y: dict[int, int]) -> None
 # per polygon vertex (95 MB at 3/10000, N = 40,002; 815 MB at 3/100000), so
 # a larger polygon is refused before any table is built.
 CENSUS_MAX_VERTICES = 100_000
+# Its time goes to the convolution terms, about 0.4 us each, and their count
+# grows about as n^3.6 at m = 1; past this budget a census is refused.
+CENSUS_MAX_TERMS = 10**7
 
 
 def census_counts(p: PolygonParams) -> dict[tuple[int, int], int]:
@@ -491,10 +501,13 @@ def census_counts(p: PolygonParams) -> dict[tuple[int, int], int]:
     cell lies on the boundary edge (N-1, 0), so all its runs close.
 
     The work grows polynomially in N, not with FC(n, m), so no cap on FC
-    bounds it; a polygon of more than CENSUS_MAX_VERTICES vertices raises
-    CapExceeded before any table is built.  Raises CensusError unless the
-    dissections counted are fuss_catalan(n, m) and the component sizes sum
-    to n times that, every diagonal being a vertex of exactly one component.
+    bounds it.  Two budgets raise CapExceeded instead: a polygon of more
+    than CENSUS_MAX_VERTICES vertices is refused before any table is built,
+    and a convolution that would take the census past CENSUS_MAX_TERMS
+    (10^7) terms before it runs; n = 174 is the largest census at m = 1
+    (9.9 million terms).  Raises CensusError unless the dissections counted
+    are fuss_catalan(n, m) and the component sizes sum to n times that,
+    every diagonal being a vertex of exactly one component.
     """
     N, m = p.N, p.m
     if N > CENSUS_MAX_VERTICES:
@@ -502,7 +515,6 @@ def census_counts(p: PolygonParams) -> dict[tuple[int, int], int]:
             f"a census of the {N}-gon (n={p.n}, m={m}) exceeds the cap of "
             f"{CENSUS_MAX_VERTICES} polygon vertices"
         )
-    total = fuss_catalan(p.n, m)
     K = p.n + 1  # (s, r) is keyed s*K + r, as r <= s <= n < K
     # region[L] = (count, open, closed) below a diagonal over an arc of length L
     region: dict[int, tuple[int, dict[int, int], dict[int, int]]] = {}
@@ -515,6 +527,17 @@ def census_counts(p: PolygonParams) -> dict[tuple[int, int], int]:
     # merged with the leading run through the closing diagonal.
     prefix: list[dict[int, tuple[_Runs, _Runs, _Runs]]] = [{0: (start, _Runs(), _Runs())}]
     prefix += [{} for _ in range(m)]
+    terms = 0
+
+    def convolve(dst: dict[int, int], x: dict[int, int], y: dict[int, int]) -> None:
+        nonlocal terms
+        terms += len(x) * len(y)
+        if terms > CENSUS_MAX_TERMS:
+            raise CapExceeded(
+                f"a census of the {N}-gon (n={p.n}, m={m}) exceeds the budget of "
+                f"{CENSUS_MAX_TERMS} convolution terms"
+            )
+        _convolve(dst, x, y)
 
     def fold(i: int, length: int) -> tuple[_Runs, _Runs, _Runs]:
         lead, mid, trail = _Runs(), _Runs(), _Runs()
@@ -542,10 +565,10 @@ def census_counts(p: PolygonParams) -> dict[tuple[int, int], int]:
                     continue
                 acc.count += y.count * cc
                 if acc is lead:
-                    _convolve(acc.lead, y.lead, co)
+                    convolve(acc.lead, y.lead, co)
                 else:
                     _add(acc.lead, y.lead, cc)
-                    _convolve(acc.run, y.run, co)
+                    convolve(acc.run, y.run, co)
                 _add(acc.closed, y.closed, cc)
                 _add(acc.closed, ct, y.count)
         for acc in (lead, mid, trail):
@@ -576,6 +599,7 @@ def census_counts(p: PolygonParams) -> dict[tuple[int, int], int]:
         for part in (acc.lead, acc.run, acc.closed):
             _add(tally, part)
     tally.pop(0, None)
+    total = fuss_catalan(p.n, m)
     if count != total:
         raise CensusError(f"counted {count} dissections of the {N}-gon, expected {total}")
     vertices = sum(key // K * c for key, c in tally.items())

@@ -416,6 +416,9 @@ def apply_mutation(
     raise MutationError(f"unknown move kind {kind!r}")
 
 
+MOVE_KINDS = ("plus", "minus", "rel_rem")
+
+
 class MoveRecord(
     NamedTuple(
         "MoveRecord",
@@ -432,7 +435,7 @@ class MoveRecord(
     __slots__ = ()
 
     def __new__(cls, kind, site, invariant_before, invariant_after):
-        if kind not in ("plus", "minus", "rel_rem"):
+        if kind not in MOVE_KINDS:
             raise MutationError(f"unknown move kind {kind!r}")
         before, after = invariant_before, invariant_after
         if (before.s, before.r, before.snf) != (after.s, after.r, after.snf):
@@ -501,12 +504,9 @@ def rotate(
         raise MutationError(f"{where}: {exc}") from exc
     (image,) = set(moved.diagonals) - set(t.diagonals)
     labels = tuple(image if x == d else x for x in t.diagonals)
-    for what, ours, theirs in (
-        ("arrow", result.arrow_pairs(), geo.arrow_pairs()),
-        ("relation", result.relation_triples(), geo.relation_triples()),
+    for what, got, want in zip(
+        ("arrow", "relation"), result.named(labels), geo.named(moved.diagonals)
     ):
-        got = {tuple(labels[x] for x in p) for p in ours}
-        want = {tuple(moved.diagonals[x] for x in p) for p in theirs}
         if got != want:
             first = min(got ^ want)
             side = "algebra move" if first in got else "geometry"

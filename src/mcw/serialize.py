@@ -12,6 +12,7 @@ from typing import Any, Hashable, Iterable, Iterator, Mapping
 
 from . import algebra, homology, mutation, normalform
 from .geometry import (
+    ENUMERATION_CAP,
     Dissection,
     GeometryError,
     PolygonParams,
@@ -96,7 +97,7 @@ def dissection_to_json(t: Dissection) -> dict[str, Any]:
 _fragment = "[{}, {}], ".format
 
 
-def dissection_lines(p: PolygonParams, cap: int | None = 10**6) -> Iterator[str]:
+def dissection_lines(p: PolygonParams, cap: int = ENUMERATION_CAP) -> Iterator[str]:
     """One line per maximal dissection of p, in lexicographic order, each
     the text of ``dumps(dissection_to_json(t)) + "\\n"`` without building t,
     its dict or an encoder call.  lex_dissections builds the diagonal list
@@ -194,8 +195,10 @@ def move_to_json(rec: mutation.MoveRecord) -> dict[str, Any]:
 
 def move_from_json(obj: Any) -> mutation.MoveRecord:
     _require(obj, "kind", "site", "before", "after")
+    if obj["kind"] not in mutation.MOVE_KINDS:
+        raise SerializeError(f"unknown move kind {obj['kind']!r}")
     return mutation.MoveRecord(
-        str(obj["kind"]),
+        obj["kind"],
         tuple(_int_list(obj["site"], "site")),
         invariant_from_json(obj["before"]),
         invariant_from_json(obj["after"]),

@@ -10,7 +10,7 @@ from mcw.geometry import Diagonal, Dissection, PolygonParams, apply_move, enumer
 @lru_cache(maxsize=None)
 def all_dissections(n: int, m: int):
     """Cached list of all maximal dissections for a parameter pair."""
-    return list(enumerate_dissections(PolygonParams(n, m), cap=None))
+    return list(enumerate_dissections(PolygonParams(n, m)))
 
 
 def in_moved_order(

@@ -213,7 +213,7 @@ def test_criterion_5_move_group_law():
     ]
     pairs = 0
     for n, m in cells:
-        for t in enumerate_dissections(PolygonParams(n, m), cap=None):
+        for t in enumerate_dissections(PolygonParams(n, m)):
             for d in t.diagonals:
                 orbit = [(t, d)]
                 cur_t, cur_d = t, d

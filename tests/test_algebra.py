@@ -42,6 +42,17 @@ def test_ten_gon_chain_with_one_relation():
     assert q.relation_triples() == {(2, 1, 0)}
 
 
+def test_named_renames_the_arrow_pairs_and_relation_triples():
+    for n, m in small_range(5, 3):
+        for t in all_dissections(n, m)[:20]:
+            q = quiver_of(t)
+            assert q.named(range(q.vertex_count)) == (q.arrow_pairs(), q.relation_triples())
+    q = quiver_of(dissection(3, 2, [(0, 3), (3, 6), (6, 9)]))
+    a, b, c = diagonal(0, 3), diagonal(3, 6), diagonal(6, 9)
+    assert q.named((a, b, c)) == ({(c, b), (b, a)}, {(c, b, a)})
+    assert q.named("xyz") == ({("z", "y"), ("y", "x")}, {("z", "y", "x")})
+
+
 def test_twelve_gon_inner_quadrilateral_full_cycle():
     q = quiver_of(dissection(4, 2, [(0, 3), (3, 6), (6, 9), (0, 9)]))
     # vertices: 0 = d(0,3), 1 = d(0,9), 2 = d(3,6), 3 = d(6,9)

@@ -154,6 +154,18 @@ def test_enumerate_cap(runner):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize("n", ["100000", "1000000"])
+def test_enumerate_refuses_a_large_n_at_once(runner, n):
+    # FC(n, 1) has about 0.6 n digits: too many to print, and at n = 10^6
+    # tens of seconds to compute.
+    result = invoke(runner, "enumerate", "--n", n, "--m", "1")
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"error: at least 2^{n} dissections exceed the cap of 1000000\n"
+    )
+
+
 def test_refused_enumeration_writes_nothing(runner, tmp_path):
     args = ["enumerate", "--n", "4", "--m", "3", "--cap", "10"]
     result = invoke(runner, *args)
@@ -447,7 +459,9 @@ def test_check_names_a_refused_rotation_and_its_reasons(runner, monkeypatch):
 def test_mutate_input_validation(runner, tmp_path):
     src = write_dissection(tmp_path / "t.json", 2, 1, [(0, 2), (0, 3)])
     assert invoke(runner, "mutate", "--in", src, "--move", "flip 0 2").exit_code == 2
-    assert invoke(runner, "mutate", "--in", src, "--move", "d(1,4):+1").exit_code == 2
+    absent = invoke(runner, "mutate", "--in", src, "--move", "d(1,4):+1")
+    assert absent.exit_code == 2
+    assert absent.stderr == "error: d(1,4) is not in the dissection\n"
     assert invoke(runner, "mutate", "--in", src, "--move", "d(0,2):0").exit_code == 2
 
 
@@ -785,6 +799,19 @@ def test_census_refuses_a_polygon_past_its_vertex_cap(runner, monkeypatch):
     monkeypatch.setattr(mcw.geometry, "CENSUS_MAX_VERTICES", PolygonParams(4, 2).N)
     assert invoke(runner, "census", "--n", "4", "--m", "2").exit_code == 0
     assert invoke(runner, "census", "--n", "5", "--m", "2").exit_code == 3
+
+
+def test_census_refuses_work_past_its_term_budget(runner, monkeypatch):
+    # 7/1's folds convolve 98 terms in all.
+    monkeypatch.setattr(mcw.geometry, "CENSUS_MAX_TERMS", 97)
+    result = invoke(runner, "census", "--n", "7", "--m", "1")
+    assert result.exit_code == 3
+    assert result.stderr == (
+        "error: a census of the 10-gon (n=7, m=1) exceeds the budget of "
+        "97 convolution terms\n"
+    )
+    monkeypatch.setattr(mcw.geometry, "CENSUS_MAX_TERMS", 98)
+    assert invoke(runner, "census", "--n", "7", "--m", "1").exit_code == 0
 
 
 def test_check_refuses_negative_samples(runner):

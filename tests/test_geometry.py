@@ -346,7 +346,7 @@ def test_bracket_pass_agrees_with_the_pairwise_scan():
             if p.N > 12:
                 continue
             chords = allowable(p)
-            for diags in dissection_tuples(p, cap=None):
+            for diags in dissection_tuples(p):
                 agree(p, diags)
                 if p.N <= 10:
                     for i in range(n):
@@ -464,7 +464,7 @@ def test_cell_walk_matches_the_scanning_oracle():
             p = PolygonParams(n, m)
             if p.N > 11:
                 continue
-            for diags in dissection_tuples(p, cap=None):
+            for diags in dissection_tuples(p):
                 subs = [diags]
                 if p.N <= 10:
                     subs += [diags[:i] + diags[i + 1 :] for i in range(n)]
@@ -516,7 +516,7 @@ def test_enumeration_is_sorted_and_valid():
 )
 def test_enumeration_streams_in_strict_order(n, m):
     count = 0
-    stream = enumerate_dissections(PolygonParams(n, m), cap=None)
+    stream = enumerate_dissections(PolygonParams(n, m))
     for x, y in pairwise(stream):
         assert x.diagonals < y.diagonals
         count += 1
@@ -534,7 +534,7 @@ def test_dissection_tuples_come_sorted(n, m):
     # is sorted again: each is strictly increasing, made of Diagonals, and
     # equal to the Dissection's own normalized tuple.
     p = PolygonParams(n, m)
-    tuples = list(dissection_tuples(p, cap=None))
+    tuples = list(dissection_tuples(p))
     for ds in tuples:
         assert all(type(d) is Diagonal for d in ds)
         assert all(x < y for x, y in pairwise(ds))
@@ -551,7 +551,7 @@ LEX_CELLS = [
 @pytest.mark.parametrize("n,m", LEX_CELLS)
 def test_dissection_tuples_match_the_block_sort_oracle(n, m):
     p = PolygonParams(n, m)
-    stream = dissection_tuples(p, cap=None)
+    stream = dissection_tuples(p)
     for got, want in zip_longest(stream, block_sort_tuples(p), fillvalue=None):
         assert got == want
 
@@ -612,7 +612,7 @@ def test_list_uses_match_the_walk_and_every_list_is_dropped(monkeypatch, n, m):
 
     monkeypatch.setattr(geometry, "_list_uses", checked)
     # Values are plain ints, so the drain costs little but the walk itself.
-    stream = geometry.lex_dissections(PolygonParams(n, m), lambda a, b: 1, sum, None)
+    stream = geometry.lex_dissections(PolygonParams(n, m), lambda a, b: 1, sum)
     assert sum(islice(stream, fuss_catalan(n, m))) == n * fuss_catalan(n, m)
     # Suspended after its last value: each list was requested exactly as
     # often as counted, so each was dropped on its last request.
@@ -628,6 +628,28 @@ def test_dissection_tuples_check_the_cap_on_the_first_pull():
         next(stream)
 
 
+@pytest.mark.parametrize("n,m", LEX_CELLS)
+def test_first_pull_refuses_exactly_past_the_cap(monkeypatch, n, m):
+    total = fuss_catalan(n, m)
+    counted = []
+
+    def counting(n, m):
+        counted.append((n, m))
+        return fuss_catalan(n, m)
+
+    monkeypatch.setattr(geometry, "fuss_catalan", counting)
+    for cap in (0, 1, total - 1, total):
+        counted.clear()
+        stream = dissection_tuples(PolygonParams(n, m), cap)
+        if total > cap:
+            with pytest.raises(CapExceeded, match=f"exceed the cap of {cap}$"):
+                next(stream)
+        else:
+            assert len(next(stream)) == n
+        # FC(n, m) >= 2^n, so a large n is refused before the count.
+        assert counted == ([] if n >= cap.bit_length() else [(n, m)])
+
+
 # --------------------------------------------------------------------- census
 
 
@@ -635,7 +657,7 @@ def enumerated_census(n: int, m: int) -> dict[tuple[int, int], int]:
     """The census by enumeration: the derived invariant of every component
     of every dissection's quiver."""
     tally: Counter[tuple[int, int]] = Counter()
-    for t in enumerate_dissections(PolygonParams(n, m), cap=None):
+    for t in enumerate_dissections(PolygonParams(n, m)):
         for comp in components(quiver_of(t)):
             inv = derived_invariant(comp.quiver)
             tally[(inv.s, inv.r)] += 1

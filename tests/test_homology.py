@@ -480,7 +480,7 @@ def test_equivalent_components_share_the_coxeter_polynomial():
             p = PolygonParams(n, m)
             if p.N > 11:
                 continue
-            for diags in dissection_tuples(p, cap=None):
+            for diags in dissection_tuples(p):
                 values.update(c.quiver for c in components(quiver_of(Dissection(p, diags))))
     classes = {(q.m, canonical_key(q)): q for q in values}
     groups: dict[tuple[int, int, int], tuple] = {}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import tracemalloc
 from collections import deque
 
@@ -72,10 +73,10 @@ def test_dissection_lines_are_the_encoders_text(n, m):
     # that runs on the cells of at most 5000 dissections: all but 9/1, 10/1
     # and 11/1.
     p = PolygonParams(n, m)
-    tuples = list(dissection_tuples(p, cap=None))
+    tuples = list(dissection_tuples(p))
     assert len(tuples) == fuss_catalan(n, m)
     load_back = len(tuples) <= 5000
-    for ds, line in zip(tuples, dissection_lines(p, cap=None), strict=True):
+    for ds, line in zip(tuples, dissection_lines(p), strict=True):
         t = Dissection(p, ds)
         assert line == dumps(dissection_to_json(t)) + "\n"
         if load_back:
@@ -275,6 +276,19 @@ def test_move_site_must_be_an_integer_list(bad):
     rec = move_to_json(record_move("plus", (0,), q, tilting_mutation_plus(q, 0)))
     with pytest.raises(SerializeError, match="^site must be a list of integers"):
         move_from_json({**rec, "site": bad})
+
+
+@pytest.mark.parametrize("bad", [5, "foo", "", None, ["plus"], "PLUS"])
+def test_move_kind_must_be_a_known_name(bad):
+    # A kind used to reach MoveRecord through str(), as a MutationError.
+    q = quiver_of(dissection(2, 1, [(0, 2), (0, 3)]))
+    rec = move_to_json(record_move("plus", (0,), q, tilting_mutation_plus(q, 0)))
+    with pytest.raises(SerializeError, match=f"^unknown move kind {re.escape(repr(bad))}$"):
+        move_from_json({**rec, "kind": bad})
+    trace = trace_to_json(reduce(dissection(3, 1, [(0, 2), (2, 5), (3, 5)]), 0))
+    steps = [{**trace["steps"][0], "kind": bad}] + trace["steps"][1:]
+    with pytest.raises(SerializeError, match="^unknown move kind"):
+        trace_from_json({**trace, "steps": steps})
 
 
 @pytest.mark.parametrize("bad", [[0.5, 1, 2], ["0", 1, 2], [True, 1, 2], 0])
