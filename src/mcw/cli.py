@@ -25,6 +25,7 @@ import click
 from . import algebra, homology, mutation, normalform, render
 from .geometry import (
     ENUMERATION_CAP,
+    CapExceeded,
     Diagonal,
     Dissection,
     GeometryError,
@@ -117,9 +118,13 @@ def _load_object(path: str) -> Dissection | algebra.QuiverWithRelations:
 def _components(path: str) -> list[algebra.QuiverWithRelations]:
     """Connected components of a dissection or quiver file, each screened
     by ``realizability_report``: the invariants and the reduction are
-    defined on the realizable class, and the canonical form's search grows
-    factorially on non-gentle input.  A dissection is screened too: a cell
-    of a partial one can give an oriented cycle of the wrong length.
+    defined on the realizable class.  The screen also keeps the
+    reduction's canonical labeling off the inputs where its search is known
+    to explode.  That search is exponential on non-gentle input and on
+    gentle input too (disjoint relation-free 3-cycles, which the cycle-rank
+    check refuses), so a gentle screen alone would not be enough.  A
+    dissection is screened too: a cell of a partial one can give an
+    oriented cycle of the wrong length.
     """
 
     obj = _load_object(path)
@@ -217,10 +222,12 @@ def enumerate_cmd(n: int, m: int, cap: int, out: str | None) -> None:
     line = next(lines)
     _writable(out)
     # The lines are rendered as text; the first must be the encoder's
-    # text for the dissection of p that it names.
+    # text for the dissection of p that it names.  The polygon is bounded by
+    # the count cap here, not by the file size limit.
     try:
-        named = Dissection(p, dissection_from_json(json.loads(line)).diagonals)
-    except (json.JSONDecodeError, SerializeError, GeometryError) as exc:
+        loaded = dissection_from_json(json.loads(line), max_vertices=p.N)
+        named = Dissection(p, loaded.diagonals)
+    except (json.JSONDecodeError, SerializeError, GeometryError, CapExceeded) as exc:
         _fail(1, f"line renderer wrote {line!r}, which does not load: {exc}")
     expected = dumps(dissection_to_json(named)) + "\n"
     if line != expected:

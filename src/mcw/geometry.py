@@ -407,15 +407,24 @@ def lex_dissections(
         return out
 
     def chain_values(key: _Chain) -> Iterator[_V]:
-        for fan, parts in fans_of(key):
-            if not parts:
-                yield fan
-            elif len(parts) == 1:
-                for rest in chain_values(parts[0]):
-                    yield fan + rest
+        # A fan with one sub-chain streams it through a stack of the fans
+        # taken so far, not a generator per level: at n = 1 the chain is
+        # about m levels deep, past the interpreter's recursion limit.
+        stack = [(empty, iter(fans_of(key)))]
+        while stack:
+            head, it = stack[-1]
+            for fan, parts in it:
+                fan = head + fan
+                if not parts:
+                    yield fan
+                elif len(parts) == 1:
+                    stack.append((fan, iter(fans_of(parts[0]))))
+                    break
+                else:
+                    for combo in product((fan,), *map(chain_list, parts)):
+                        yield join(combo)
             else:
-                for combo in product((fan,), *map(chain_list, parts)):
-                    yield join(combo)
+                stack.pop()
 
     yield from chain_values(root)
 
@@ -471,10 +480,13 @@ def _convolve(dst: dict[int, int], x: dict[int, int], y: dict[int, int]) -> None
             dst[key] = get(key, 0) + vx * vy
 
 
-# census_counts keeps a fold per arc length: a process peaks at about 2 KB
-# per polygon vertex (95 MB at 3/10000, N = 40,002; 815 MB at 3/100000), so
-# a larger polygon is refused before any table is built.
-CENSUS_MAX_VERTICES = 100_000
+# The program's one size limit: a polygon of more vertices is refused by
+# census_counts before any table is built, and a dissection or quiver file
+# past it is refused on loading.  census_counts keeps a fold per arc length,
+# about 2 KB per polygon vertex (95 MB at 3/10000, N = 40,002; 815 MB at
+# 3/100000).  A dissection of the largest polygon allowed has fewer
+# diagonals, hence quiver vertices, than the limit.
+MAX_VERTICES = 100_000
 # Its time goes to the convolution terms, about 0.4 us each, and their count
 # grows about as n^3.6 at m = 1; past this budget a census is refused.
 CENSUS_MAX_TERMS = 10**7
@@ -502,7 +514,7 @@ def census_counts(p: PolygonParams) -> dict[tuple[int, int], int]:
 
     The work grows polynomially in N, not with FC(n, m), so no cap on FC
     bounds it.  Two budgets raise CapExceeded instead: a polygon of more
-    than CENSUS_MAX_VERTICES vertices is refused before any table is built,
+    than MAX_VERTICES vertices is refused before any table is built,
     and a convolution that would take the census past CENSUS_MAX_TERMS
     (10^7) terms before it runs; n = 174 is the largest census at m = 1
     (9.9 million terms).  Raises CensusError unless the dissections counted
@@ -510,10 +522,10 @@ def census_counts(p: PolygonParams) -> dict[tuple[int, int], int]:
     every diagonal being a vertex of exactly one component.
     """
     N, m = p.N, p.m
-    if N > CENSUS_MAX_VERTICES:
+    if N > MAX_VERTICES:
         raise CapExceeded(
             f"a census of the {N}-gon (n={p.n}, m={m}) exceeds the cap of "
-            f"{CENSUS_MAX_VERTICES} polygon vertices"
+            f"{MAX_VERTICES} polygon vertices"
         )
     K = p.n + 1  # (s, r) is keyed s*K + r, as r <= s <= n < K
     # region[L] = (count, open, closed) below a diagonal over an arc of length L

@@ -172,41 +172,22 @@ def _smith(
     left and it divides every entry of the rest of the block, which a unit
     always does; otherwise the smallest remainder becomes the next pivot,
     or a row holding an entry it does not divide is added to the pivot's
-    row.  So d[t] | d[t+1] holds as the pivots are fixed.  All row
-    operations are mirrored on ``u`` and all column operations on ``v``,
-    and ``u @ m @ v == d`` is checked before returning.
+    row.  So d[t] | d[t+1] holds as the pivots are fixed.
+
+    The work is one 2n-row array: row i < n is row i of the matrix followed
+    by row i of ``u``, and rows n..2n-1 are ``v``, both starting as the
+    identity.  A row operation acts on rows below n, so it carries ``u``
+    along; a column operation acts on columns below n of every row, so it
+    carries ``v``.  The searches and tests read columns below n only.  d, u
+    and v are read off the array, and ``u @ m @ v == d`` is checked before
+    returning.
     """
 
     n = len(rows)
-    a = [list(row) for row in rows]
-    u = _identity(n)
-    v = _identity(n)
-
-    def swap_rows(i: int, j: int) -> None:
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        if i != j:
-            for row in a:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
+    w = [list(row) + e for row, e in zip(rows, _identity(n))] + _identity(n)
 
     def add_row(dst: int, src: int, k: int) -> None:
-        a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst: int, src: int, k: int) -> None:
-        for row in a:
-            row[dst] += k * row[src]
-        for row in v:
-            row[dst] += k * row[src]
-
-    def negate_row(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+        w[dst] = [x + k * y for x, y in zip(w[dst], w[src])]
 
     def smallest(t: int) -> tuple[int, int] | None:
         """Position of the first entry of least absolute value in the block."""
@@ -214,7 +195,7 @@ def _smith(
         best = None
         best_abs = 0
         for i in range(t, n):
-            row = a[i]
+            row = w[i]
             for j in range(t, n):
                 x = row[j]
                 if x and (best is None or abs(x) < best_abs):
@@ -225,31 +206,39 @@ def _smith(
 
     for t in range(n):
         while (pivot := smallest(t)) is not None:
-            swap_rows(t, pivot[0])
-            swap_cols(t, pivot[1])
-            p = a[t][t]
+            i, j = pivot
+            w[t], w[i] = w[i], w[t]
+            for row in w:
+                row[t], row[j] = row[j], row[t]
+            p = w[t][t]
             for i in range(t + 1, n):
-                if a[i][t]:
-                    add_row(i, t, -(a[i][t] // p))
+                if w[i][t]:
+                    add_row(i, t, -(w[i][t] // p))
             for j in range(t + 1, n):
-                if a[t][j]:
-                    add_col(j, t, -(a[t][j] // p))
-            if any(a[i][t] for i in range(t + 1, n)) or any(a[t][t + 1 :]):
+                if w[t][j]:
+                    k = -(w[t][j] // p)
+                    for row in w:
+                        row[j] += k * row[t]
+            if any(w[i][t] for i in range(t + 1, n)) or any(w[t][t + 1 : n]):
                 continue
             if abs(p) == 1:
                 break
             bad = next(
-                (i for i in range(t + 1, n) if any(x % p for x in a[i][t + 1 :])), None
+                (i for i in range(t + 1, n) if any(x % p for x in w[i][t + 1 : n])),
+                None,
             )
             if bad is None:
                 break
             add_row(t, bad, 1)
-        if a[t][t] < 0:
-            negate_row(t)
+        if w[t][t] < 0:
+            w[t] = [-x for x in w[t]]
 
-    if _product(_product(u, rows), v) != a:
+    d = [row[:n] for row in w[:n]]
+    u = [row[n:] for row in w[:n]]
+    v = w[n:]
+    if _product(_product(u, rows), v) != d:
         raise HomologyError("transform bookkeeping broke: u @ m @ v != d")
-    return a, u, v
+    return d, u, v
 
 
 def smith_normal_form(m: IntMatrix) -> SmithNormalForm:

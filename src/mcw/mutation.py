@@ -430,7 +430,8 @@ class MoveRecord(
         ],
     )
 ):
-    """Audit entry for one accepted move."""
+    """Audit entry for one accepted move, whose derived invariants before
+    and after must be equal as values, parity counts included."""
 
     __slots__ = ()
 
@@ -438,7 +439,7 @@ class MoveRecord(
         if kind not in MOVE_KINDS:
             raise MutationError(f"unknown move kind {kind!r}")
         before, after = invariant_before, invariant_after
-        if (before.s, before.r, before.snf) != (after.s, after.r, after.snf):
+        if before != after:
             raise MutationError(
                 f"accepted {kind} move at {site} changed the "
                 f"invariant: {before} -> {after}"

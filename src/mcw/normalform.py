@@ -448,7 +448,8 @@ class _Reduction:
         self.orient(x, shape.cells[c], "chain")
         for _ in path[1:]:
             c, entry = self._chain()[i]
-            self.turn(self.shape.slot(c, entry, p), 1, "chain")
+            if not self._slide(self.shape.slot(c, entry, p), c):
+                raise NormalFormError(f"chain phase: a cycle lies across side {p} of cycle {c}")
 
     def _place_connectors(self) -> None:
         """Turn each connector until every cycle's exit (toward the root, or
@@ -542,8 +543,8 @@ def reduce_component(q: QuiverWithRelations, cap: int | None = None) -> Reductio
     form takes no step.  Otherwise the three phases run (see the module
     docstring); ``cap`` bounds the number of steps on top of ``step_cap``
     and is checked before each step (``CapExceeded``).  Every step is
-    wrapped in a MoveRecord, which enforces (s, r, snf) preservation; the
-    final state is iso-matched to build_normal_form.
+    wrapped in a MoveRecord, which enforces that the whole derived invariant
+    is preserved; the final state is iso-matched to build_normal_form.
     """
 
     _screen(q)

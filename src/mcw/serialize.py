@@ -13,6 +13,8 @@ from typing import Any, Hashable, Iterable, Iterator, Mapping
 from . import algebra, homology, mutation, normalform
 from .geometry import (
     ENUMERATION_CAP,
+    MAX_VERTICES,
+    CapExceeded,
     Dissection,
     GeometryError,
     PolygonParams,
@@ -110,11 +112,12 @@ def dissection_lines(p: PolygonParams, cap: int = ENUMERATION_CAP) -> Iterator[s
         yield head + body[:-2] + tail
 
 
-def dissection_from_json(obj: Any) -> Dissection:
+def dissection_from_json(obj: Any, max_vertices: int = MAX_VERTICES) -> Dissection:
     """Load a dissection, rejecting repeated, non-allowable and crossing
     diagonals.
 
     Non-crossing partial dissections are accepted, as ``Dissection`` allows.
+    A polygon of more than ``max_vertices`` vertices raises CapExceeded.
     """
     _require(obj, "n", "m", "diagonals")
     n, m = _int_field(obj, "n"), _int_field(obj, "m")
@@ -123,6 +126,12 @@ def dissection_from_json(obj: Any) -> Dissection:
         t = dissection(n, m, chords)
     except GeometryError as exc:
         raise SerializeError(f"invalid dissection: {exc}") from exc
+    N = t.params.N
+    if N > max_vertices:
+        raise CapExceeded(
+            f"a dissection of the {N}-gon (n={n}, m={m}) exceeds the cap of "
+            f"{max_vertices} polygon vertices"
+        )
     # The constructor keeps one of each diagonal; a file lists each once.
     twice = _repeated(diagonal(a, b) for a, b in chords)
     if twice is not None:
@@ -145,13 +154,17 @@ def quiver_to_json(q: algebra.QuiverWithRelations) -> dict[str, Any]:
 def quiver_from_json(obj: Any) -> algebra.QuiverWithRelations:
     """Load a quiver, rejecting a level below 1, a negative vertex count and
     a relation listed twice; the constructor checks the arrows and that each
-    relation composes."""
+    relation composes.  More than MAX_VERTICES vertices raise CapExceeded."""
     _require(obj, "m", "vertices", "arrows", "relations")
     m, vertices = _int_field(obj, "m"), _int_field(obj, "vertices")
     if m < 1:
         raise SerializeError(f"need m >= 1, got m={m}")
     if vertices < 0:
         raise SerializeError(f"need vertices >= 0, got vertices={vertices}")
+    if vertices > MAX_VERTICES:
+        raise CapExceeded(
+            f"a quiver of {vertices} vertices exceeds the cap of {MAX_VERTICES} vertices"
+        )
     arrows = _int_pairs(obj["arrows"], "arrows")
     relations = _int_pairs(obj["relations"], "relations")
     twice = _repeated(relations)
@@ -195,14 +208,14 @@ def move_to_json(rec: mutation.MoveRecord) -> dict[str, Any]:
 
 def move_from_json(obj: Any) -> mutation.MoveRecord:
     _require(obj, "kind", "site", "before", "after")
-    if obj["kind"] not in mutation.MOVE_KINDS:
-        raise SerializeError(f"unknown move kind {obj['kind']!r}")
-    return mutation.MoveRecord(
-        obj["kind"],
-        tuple(_int_list(obj["site"], "site")),
-        invariant_from_json(obj["before"]),
-        invariant_from_json(obj["after"]),
-    )
+    site = tuple(_int_list(obj["site"], "site"))
+    before, after = invariant_from_json(obj["before"]), invariant_from_json(obj["after"])
+    # MoveRecord refuses an unknown kind and a changed invariant; in a file
+    # either is bad input.
+    try:
+        return mutation.MoveRecord(obj["kind"], site, before, after)
+    except mutation.MutationError as exc:
+        raise SerializeError(str(exc)) from exc
 
 
 def trace_to_json(trace: normalform.ReductionTrace) -> dict[str, Any]:

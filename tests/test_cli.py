@@ -166,6 +166,16 @@ def test_enumerate_refuses_a_large_n_at_once(runner, n):
     )
 
 
+def test_enumerate_is_not_bound_by_the_file_size_limit(runner):
+    # FC(1, m) = m + 1: at m = 50,000 the count is well inside the cap,
+    # though the polygon, of 100,002 vertices, is past the file size limit.
+    result = invoke(runner, "enumerate", "--n", "1", "--m", "50000")
+    assert result.exit_code == 0
+    lines = result.output.splitlines()
+    assert len(lines) == 50_001
+    assert json.loads(lines[0]) == {"diagonals": [[0, 50001]], "m": 50_000, "n": 1}
+
+
 def test_refused_enumeration_writes_nothing(runner, tmp_path):
     args = ["enumerate", "--n", "4", "--m", "3", "--cap", "10"]
     result = invoke(runner, *args)
@@ -787,6 +797,55 @@ def test_census_has_no_cap(runner):
     assert "No such option" in result.output
 
 
+# Each file is about 60 bytes; a command that built anything as large as
+# its polygon or quiver would run out of memory.
+HUGE_DISSECTION = '{"n": 1000000000000, "m": 1, "diagonals": [[0, 2]]}'
+HUGE_QUIVER = '{"m": 1, "vertices": 1000000000000, "arrows": [], "relations": []}'
+SIZE_COMMANDS = {
+    "quiver": ["quiver", "--in"],
+    "invariants": ["invariants", "--in"],
+    "reduce": ["reduce", "--in"],
+    "equiv": ["equiv"],
+    "render": ["render", "--format", "svg", "--in"],
+    "mutate": ["mutate", "--move", "d(0,2):+1", "--in"],
+}
+
+
+@pytest.mark.parametrize("command", list(SIZE_COMMANDS))
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            HUGE_DISSECTION,
+            "error: a dissection of the 1000000000003-gon (n=1000000000000, m=1) "
+            "exceeds the cap of 100000 polygon vertices\n",
+        ),
+        (HUGE_QUIVER, "error: a quiver of 1000000000000 vertices exceeds the cap of 100000 vertices\n"),
+    ],
+    ids=["dissection", "quiver"],
+)
+def test_an_oversized_file_is_refused_at_once(runner, tmp_path, command, text, message):
+    path = tmp_path / "huge.json"
+    path.write_text(text + "\n")
+    args = SIZE_COMMANDS[command] + [str(path)] * (2 if command == "equiv" else 1)
+    start = time.perf_counter()
+    result = invoke(runner, *args)
+    assert time.perf_counter() - start < 1
+    if text == HUGE_QUIVER and command in ("quiver", "mutate"):
+        # These two commands read dissections only.
+        assert (result.exit_code, result.stderr) == (2, "error: missing keys: n, diagonals\n")
+    else:
+        assert (result.exit_code, result.stderr) == (3, message)
+
+
+def test_a_dissection_at_the_vertex_cap_still_runs(runner, tmp_path):
+    path = tmp_path / "cap.json"
+    path.write_text('{"n": 99997, "m": 1, "diagonals": [[0, 2]]}\n')
+    result = invoke(runner, "invariants", "--in", str(path))
+    assert result.exit_code == 0
+    assert json.loads(result.output) == {"s": 1, "r": 0, "snf": [1], "parity": [0, 0]}
+
+
 def test_census_refuses_a_polygon_past_its_vertex_cap(runner, monkeypatch):
     # Refused before any table is built: the fold tables of m = 10^11 would
     # take far more memory than the machine has.
@@ -796,7 +855,7 @@ def test_census_refuses_a_polygon_past_its_vertex_cap(runner, monkeypatch):
         "error: a census of the 399999999998-gon (n=3, m=99999999999) exceeds "
         "the cap of 100000 polygon vertices\n"
     )
-    monkeypatch.setattr(mcw.geometry, "CENSUS_MAX_VERTICES", PolygonParams(4, 2).N)
+    monkeypatch.setattr(mcw.geometry, "MAX_VERTICES", PolygonParams(4, 2).N)
     assert invoke(runner, "census", "--n", "4", "--m", "2").exit_code == 0
     assert invoke(runner, "census", "--n", "5", "--m", "2").exit_code == 3
 

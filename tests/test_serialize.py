@@ -14,6 +14,7 @@ import mcw.geometry
 from conftest import all_dissections
 from mcw.algebra import AlgebraError, quiver, quiver_of
 from mcw.geometry import (
+    CapExceeded,
     Dissection,
     PolygonParams,
     dissection,
@@ -289,6 +290,73 @@ def test_move_kind_must_be_a_known_name(bad):
     steps = [{**trace["steps"][0], "kind": bad}] + trace["steps"][1:]
     with pytest.raises(SerializeError, match="^unknown move kind"):
         trace_from_json({**trace, "steps": steps})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("snf", [1, 2]), ("parity", [1, 0]), ("parity", [0, 1]), ("r", 1), ("s", 3)],
+    ids=["snf", "odd-parity", "even-parity", "r", "s"],
+)
+def test_a_move_record_must_keep_its_invariant(field, value):
+    # Such a record used to reach MoveRecord, a MutationError with exit 1.
+    q = quiver_of(dissection(2, 1, [(0, 2), (0, 3)]))
+    rec = move_to_json(record_move("plus", (0,), q, tilting_mutation_plus(q, 0)))
+    assert rec["before"] == rec["after"] == {"s": 2, "r": 0, "snf": [1, 1], "parity": [0, 0]}
+    bad = {**rec, "after": {**rec["after"], field: value}}
+    before = invariant_from_json(bad["before"])
+    after = invariant_from_json(bad["after"])
+    message = (
+        r"^accepted plus move at \(0,\) changed the invariant: "
+        f"{re.escape(f'{before!r} -> {after!r}')}$"
+    )
+    with pytest.raises(SerializeError, match=message):
+        move_from_json(bad)
+    trace = trace_to_json(reduce(dissection(3, 1, [(0, 2), (2, 5), (3, 5)]), 0))
+    steps = [{**trace["steps"][0], "before": bad["before"], "after": bad["after"]}]
+    steps += trace["steps"][1:]
+    with pytest.raises(SerializeError, match="^accepted .* changed the invariant: "):
+        trace_from_json({**trace, "steps": steps})
+
+
+@pytest.mark.parametrize(
+    "load, doc, message",
+    [
+        (
+            dissection_from_json,
+            {"n": 10**12, "m": 1, "diagonals": [[0, 2]]},
+            "a dissection of the 1000000000003-gon (n=1000000000000, m=1) exceeds "
+            "the cap of 100000 polygon vertices",
+        ),
+        (
+            dissection_from_json,
+            {"n": 2, "m": 33_333, "diagonals": []},
+            "a dissection of the 100001-gon (n=2, m=33333) exceeds the cap of 100000 "
+            "polygon vertices",
+        ),
+        (
+            quiver_from_json,
+            {"m": 1, "vertices": 10**12, "arrows": [], "relations": []},
+            "a quiver of 1000000000000 vertices exceeds the cap of 100000 vertices",
+        ),
+        (
+            quiver_from_json,
+            {"m": 1, "vertices": 100_001, "arrows": [], "relations": []},
+            "a quiver of 100001 vertices exceeds the cap of 100000 vertices",
+        ),
+    ],
+)
+def test_loaders_refuse_a_size_past_the_cap(load, doc, message):
+    with pytest.raises(CapExceeded) as refused:
+        load(doc)
+    assert str(refused.value) == message
+
+
+def test_loaders_take_a_size_at_the_cap():
+    assert mcw.geometry.MAX_VERTICES == 100_000
+    t = dissection_from_json({"n": 99_997, "m": 1, "diagonals": [[0, 2]]})
+    assert t.params.N == 100_000 and t.diagonals == ((0, 2),)
+    q = quiver_from_json({"m": 1, "vertices": 100_000, "arrows": [[0, 1]], "relations": []})
+    assert q.vertex_count == 100_000
 
 
 @pytest.mark.parametrize("bad", [[0.5, 1, 2], ["0", 1, 2], [True, 1, 2], 0])

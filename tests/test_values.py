@@ -80,7 +80,7 @@ def _value_pools() -> dict[str, list]:
             for site in ((0,), (1,))
             for before in invariants
             for after in invariants
-            if before[:3] == after[:3]
+            if before == after
         ],
         "Dissection": ts,
     }
@@ -374,6 +374,18 @@ def test_move_record_values():
         ),
     ):
         MoveRecord("minus", (2,), INV, after)
+
+
+@pytest.mark.parametrize("parity", [(1, 0), (0, 1)])
+def test_move_record_refuses_a_parity_change(parity):
+    # The two invariants agree in s, r and the Smith form; a record compares
+    # them as values, so the parity counts count too.
+    after = DerivedInvariant(3, 0, (1, 1, 1), parity)
+    with pytest.raises(MutationError) as refused:
+        MoveRecord("plus", (0,), INV, after)
+    assert str(refused.value) == (
+        f"accepted plus move at (0,) changed the invariant: {INV!r} -> {after!r}"
+    )
 
 
 def test_realizability_report_values():
