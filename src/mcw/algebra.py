@@ -266,30 +266,29 @@ def _component_roots(vertex_count: int, arrows: Iterable[Arrow]) -> list[int]:
 
 def components(q: QuiverWithRelations) -> list[Component]:
     """Connected components of the underlying undirected graph, ordered by
-    smallest parent vertex."""
+    smallest parent vertex; each keeps its vertices and arrows in the
+    parent's order.  Vertices, arrows and relations are each bucketed by
+    their component's root in one pass, so the split is linear in q."""
     roots = _component_roots(q.vertex_count, q.arrows)
-    groups: dict[int, list[int]] = {}
+    # A root is its component's smallest vertex, so the parts are created
+    # in root order.  local[v] and arrow_local[a] are positions in the part.
+    parts: dict[int, tuple[list[int], list[tuple[int, int]], list[tuple[int, int]]]] = {}
+    local: list[int] = []
     for v, root in enumerate(roots):
-        groups.setdefault(root, []).append(v)
-
-    out: list[Component] = []
-    for root in sorted(groups):
-        verts = sorted(groups[root])
-        index = {v: i for i, v in enumerate(verts)}
-        arrs = [
-            (index[a.source], index[a.target])
-            for a in q.arrows
-            if a.source in index
-        ]
-        ids = [a.id for a in q.arrows if a.source in index]
-        id_pos = {aid: i for i, aid in enumerate(ids)}
-        rels = [
-            (id_pos[f], id_pos[s])
-            for f, s in q.relations
-            if f in id_pos and s in id_pos
-        ]
-        out.append(Component(quiver(q.m, len(verts), arrs, rels), tuple(verts)))
-    return out
+        verts = parts.setdefault(root, ([], [], []))[0]
+        local.append(len(verts))
+        verts.append(v)
+    arrow_local: list[int] = []
+    for a in q.arrows:
+        arrs = parts[roots[a.source]][1]
+        arrow_local.append(len(arrs))
+        arrs.append((local[a.source], local[a.target]))
+    for f, s in q.relations:
+        parts[roots[q.arrows[f].source]][2].append((arrow_local[f], arrow_local[s]))
+    return [
+        Component(quiver(q.m, len(verts), arrs, rels), tuple(verts))
+        for verts, arrs, rels in parts.values()
+    ]
 
 
 def full_relation_cycles(q: QuiverWithRelations) -> tuple[tuple[int, ...], ...]:

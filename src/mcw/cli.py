@@ -25,10 +25,8 @@ import click
 from . import algebra, homology, mutation, normalform, render
 from .geometry import (
     ENUMERATION_CAP,
-    CapExceeded,
     Diagonal,
     Dissection,
-    GeometryError,
     PolygonParams,
     census_counts,
     diagonal,
@@ -92,10 +90,14 @@ def _guarded(command: Callable[..., None]) -> Callable[..., None]:
     return run
 
 
-def _load_json(path: str) -> Any:
+def _read(path: str, *kinds: str) -> Dissection | algebra.QuiverWithRelations:
+    """The value in a JSON file of one of ``kinds``, "dissection" or
+    "quiver"; a file with both keys is a dissection.  A file of the other
+    kind is refused by name, and one of neither goes to the loader of a
+    command's one kind, which names the keys missing."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            obj = json.load(fh)
         except json.JSONDecodeError:
             raise  # a ValueError too; _guarded reports it as the decoder words it
         except RecursionError:
@@ -104,15 +106,17 @@ def _load_json(path: str) -> Any:
             # Bytes that are not UTF-8, or an integer past the interpreter's
             # digit limit for decimal conversion.
             raise SerializeError(f"{path}: unreadable JSON: {exc}") from None
-
-
-def _load_object(path: str) -> Dissection | algebra.QuiverWithRelations:
-    obj = _load_json(path)
     if isinstance(obj, Mapping) and "diagonals" in obj:
-        return dissection_from_json(obj)
-    if isinstance(obj, Mapping) and "arrows" in obj:
-        return quiver_from_json(obj)
-    raise SerializeError("expected a dissection or quiver JSON object")
+        kind = "dissection"
+    elif isinstance(obj, Mapping) and "arrows" in obj:
+        kind = "quiver"
+    elif len(kinds) == 1:
+        kind = kinds[0]
+    else:
+        raise SerializeError("expected a dissection or quiver JSON object")
+    if kind not in kinds:
+        raise SerializeError(f"{path} is a {kind} file; this command reads {kinds[0]} files")
+    return dissection_from_json(obj) if kind == "dissection" else quiver_from_json(obj)
 
 
 def _components(path: str) -> list[algebra.QuiverWithRelations]:
@@ -124,16 +128,19 @@ def _components(path: str) -> list[algebra.QuiverWithRelations]:
     gentle input too (disjoint relation-free 3-cycles, which the cycle-rank
     check refuses), so a gentle screen alone would not be enough.  A
     dissection is screened too: a cell of a partial one can give an
-    oriented cycle of the wrong length.
+    oriented cycle of the wrong length.  Each distinct component value is
+    screened once, in order of first occurrence, so a refusal names the
+    first failing component.
     """
 
-    obj = _load_object(path)
+    obj = _read(path, "dissection", "quiver")
     if isinstance(obj, Dissection):
         obj = algebra.quiver_of(obj)
     comps = [c.quiver for c in algebra.components(obj)]
-    for k, comp in enumerate(comps):
+    for comp in dict.fromkeys(comps):
         report = mutation.realizability_report(comp)
         if report.problems:
+            k = comps.index(comp)
             _fail(2, f"{path}: component {k} is not realizable: {report.problems[0]}")
     return comps
 
@@ -221,15 +228,10 @@ def enumerate_cmd(n: int, m: int, cap: int, out: str | None) -> None:
     # writes nothing and leaves no --out file behind.
     line = next(lines)
     _writable(out)
-    # The lines are rendered as text; the first must be the encoder's
-    # text for the dissection of p that it names.  The polygon is bounded by
-    # the count cap here, not by the file size limit.
-    try:
-        loaded = dissection_from_json(json.loads(line), max_vertices=p.N)
-        named = Dissection(p, loaded.diagonals)
-    except (json.JSONDecodeError, SerializeError, GeometryError, CapExceeded) as exc:
-        _fail(1, f"line renderer wrote {line!r}, which does not load: {exc}")
-    expected = dumps(dissection_to_json(named)) + "\n"
+    # The lines are rendered as text; the first must be the encoder's text
+    # for the lexicographically first dissection of p, the fan at vertex 0.
+    fan = Dissection(p, (Diagonal(0, k * m + 1) for k in range(1, n + 1)))
+    expected = dumps(dissection_to_json(fan)) + "\n"
     if line != expected:
         _fail(1, f"line renderer wrote {line!r}, the JSON encoder {expected!r}")
     with _output(out) as fh:
@@ -253,7 +255,7 @@ def quiver_cmd(infile: str, fmt: str, out: str | None) -> None:
     """Build the quiver with relations of a dissection."""
 
     _writable(out)
-    t = dissection_from_json(_load_json(infile))
+    t = _read(infile, "dissection")
     q = algebra.quiver_of(t)
     if fmt == "json":
         text = dumps(quiver_to_json(q)) + "\n"
@@ -286,7 +288,7 @@ def mutate_cmd(infile: str, move_spec: str, out: str | None) -> None:
     """Rotate one diagonal; refuses moves that change the derived class."""
 
     _writable(out)
-    t = dissection_from_json(_load_json(infile))
+    t = _read(infile, "dissection")
     d, k = _parse_move(move_spec)
     if len(t.diagonals) < t.params.n:
         # A move's rotation assumes that every cell is an (m+2)-gon.
@@ -372,7 +374,7 @@ def render_cmd(infile: str, fmt: str, out: str | None) -> None:
     """Draw a dissection or quiver as an SVG or DOT document."""
 
     _writable(out)
-    _emit(render.render(_load_object(infile), fmt), out)
+    _emit(render.render(_read(infile, "dissection", "quiver"), fmt), out)
 
 
 def _check_component(

@@ -306,19 +306,21 @@ def _list_uses(
     fan requests that.  Every run goes through all of the chain's fans: a
     fan with one sub-chain streams it, and a fan with several requests each
     sub-chain's list.  A sub-chain's arc is shorter than its chain's, so
-    each count is final before it is passed on."""
+    each count is final before it is passed on.  The chains are kept by
+    arc length, one set for each length that occurs, dropped once walked:
+    at n = 1 the polygon has about 2m arc lengths, and a set for every one
+    of them was most of this pass's memory."""
     streams: Counter[_Chain] = Counter({root: 1})
     uses: Counter[_Chain] = Counter()
-    by_arc: list[set[_Chain]] = [set() for _ in range(root[1] - root[0] + 1)]
-    by_arc[-1].add(root)
-    for chains in reversed(by_arc):
-        for key in chains:
+    by_arc: dict[int, set[_Chain]] = {root[1] - root[0]: {root}}
+    for arc in range(root[1] - root[0], 0, -1):
+        for key in by_arc.pop(arc, ()):
             runs = streams[key] + (uses[key] > 0)
             for _, parts in fans_of(key):
                 tally = streams if len(parts) == 1 else uses
                 for part in parts:
                     tally[part] += runs
-                    by_arc[part[1] - part[0]].add(part)
+                    by_arc.setdefault(part[1] - part[0], set()).add(part)
     return uses
 
 

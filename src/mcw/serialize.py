@@ -112,12 +112,12 @@ def dissection_lines(p: PolygonParams, cap: int = ENUMERATION_CAP) -> Iterator[s
         yield head + body[:-2] + tail
 
 
-def dissection_from_json(obj: Any, max_vertices: int = MAX_VERTICES) -> Dissection:
+def dissection_from_json(obj: Any) -> Dissection:
     """Load a dissection, rejecting repeated, non-allowable and crossing
     diagonals.
 
     Non-crossing partial dissections are accepted, as ``Dissection`` allows.
-    A polygon of more than ``max_vertices`` vertices raises CapExceeded.
+    A polygon of more than MAX_VERTICES vertices raises CapExceeded.
     """
     _require(obj, "n", "m", "diagonals")
     n, m = _int_field(obj, "n"), _int_field(obj, "m")
@@ -127,10 +127,10 @@ def dissection_from_json(obj: Any, max_vertices: int = MAX_VERTICES) -> Dissecti
     except GeometryError as exc:
         raise SerializeError(f"invalid dissection: {exc}") from exc
     N = t.params.N
-    if N > max_vertices:
+    if N > MAX_VERTICES:
         raise CapExceeded(
             f"a dissection of the {N}-gon (n={n}, m={m}) exceeds the cap of "
-            f"{max_vertices} polygon vertices"
+            f"{MAX_VERTICES} polygon vertices"
         )
     # The constructor keeps one of each diagonal; a file lists each once.
     twice = _repeated(diagonal(a, b) for a, b in chords)

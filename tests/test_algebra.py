@@ -4,6 +4,7 @@ cycles, relation chains, isomorphism, canonical forms."""
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from networkx import DiGraph
@@ -119,6 +120,71 @@ def test_components_partition_and_labels():
                 assert {
                     (back[a], back[b], back[e]) for a, b, e in c.quiver.relation_triples()
                 } <= q.relation_triples()
+
+
+def filtered_components(q):
+    """The components by filtering every arrow and relation once per
+    component: the quadratic oracle of the one-pass split."""
+    groups: dict[int, list[int]] = {}
+    adjacent = {v: {v} for v in range(q.vertex_count)}
+    for a in q.arrows:
+        adjacent[a.source].add(a.target)
+        adjacent[a.target].add(a.source)
+    seen: set[int] = set()
+    for v in range(q.vertex_count):
+        if v not in seen:
+            stack, groups[v] = [v], []
+            seen.add(v)
+            while stack:
+                w = stack.pop()
+                groups[v].append(w)
+                stack.extend(x for x in adjacent[w] if x not in seen)
+                seen.update(adjacent[w])
+    out = []
+    for verts in map(sorted, groups.values()):
+        index = {v: i for i, v in enumerate(verts)}
+        ids = [a.id for a in q.arrows if a.source in index]
+        arrs = [(index[q.arrows[i].source], index[q.arrows[i].target]) for i in ids]
+        pos = {i: k for k, i in enumerate(ids)}
+        rels = [(pos[f], pos[s]) for f, s in q.relations if f in pos]
+        out.append((quiver(q.m, len(verts), arrs, rels), tuple(verts)))
+    return out
+
+
+def random_quiver(rng: random.Random):
+    """A quiver of up to 12 vertices with random arrows and, among the
+    composable pairs, random relations."""
+    k = rng.randint(0, 12)
+    pairs = [(s, t) for s in range(k) for t in range(k) if s != t]
+    arrows = rng.sample(pairs, rng.randint(0, min(len(pairs), 2 * k)))
+    composable = [
+        (i, j) for i, (_, t) in enumerate(arrows) for j, (s, _) in enumerate(arrows) if t == s
+    ]
+    relations = rng.sample(composable, rng.randint(0, len(composable)))
+    return quiver(rng.randint(1, 3), k, arrows, relations)
+
+
+def test_components_match_the_filtering_oracle():
+    rng = random.Random(28)
+    quivers = [random_quiver(rng) for _ in range(500)]
+    for n, m in [(5, 1), (4, 2), (3, 3)]:
+        for t in all_dissections(n, m):
+            quivers += [quiver_of(dissection(n, m, list(t.diagonals[::2]))), quiver_of(t)]
+    for q in quivers:
+        assert [tuple(c) for c in components(q)] == filtered_components(q)
+
+
+def test_components_split_in_linear_time():
+    # 50,000 two-vertex components: filtering every arrow once per
+    # component took 10 s at 10,000 of them.
+    k = 50_000
+    q = quiver(1, 2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
+    start = time.perf_counter()
+    comps = components(q)
+    assert time.perf_counter() - start < 5
+    assert len(comps) == k
+    assert set(c.quiver for c in comps) == {quiver(1, 2, [(0, 1)])}
+    assert comps[-1].vertices == (2 * k - 2, 2 * k - 1)
 
 
 def test_max_relation_chain_cases():

@@ -833,9 +833,70 @@ def test_an_oversized_file_is_refused_at_once(runner, tmp_path, command, text, m
     assert time.perf_counter() - start < 1
     if text == HUGE_QUIVER and command in ("quiver", "mutate"):
         # These two commands read dissections only.
-        assert (result.exit_code, result.stderr) == (2, "error: missing keys: n, diagonals\n")
+        assert (result.exit_code, result.stderr) == (
+            2,
+            f"error: {path} is a quiver file; this command reads dissection files\n",
+        )
     else:
         assert (result.exit_code, result.stderr) == (3, message)
+
+
+def quiver_file(path, src):
+    """The quiver of the dissection file src, written to path."""
+    q = quiver_of(dissection_from_json(json.loads(Path(src).read_text())))
+    path.write_text(dumps(quiver_to_json(q)) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["quiver", "mutate"])
+def test_dissection_commands_name_a_quiver_file(runner, tmp_path, command):
+    # A valid quiver file is refused by its kind, as the oversized one above.
+    path = quiver_file(tmp_path / "q.json", DATA / "rotation_m2_found.json")
+    result = invoke(runner, *SIZE_COMMANDS[command], path)
+    assert (result.exit_code, result.stderr) == (
+        2,
+        f"error: {path} is a quiver file; this command reads dissection files\n",
+    )
+
+
+@pytest.mark.parametrize("command", ["invariants", "reduce", "equiv", "render"])
+def test_component_commands_read_both_kinds(runner, tmp_path, command):
+    src = DATA / "rotation_m2_found.json"
+    outputs = []
+    for path in (str(src), quiver_file(tmp_path / "q.json", src)):
+        args = SIZE_COMMANDS[command] + [path] * (2 if command == "equiv" else 1)
+        result = invoke(runner, *args)
+        assert result.exit_code == 0, result.output
+        outputs.append(result.stdout)
+    if command != "render":  # a dissection is drawn with its polygon
+        assert outputs[0] == outputs[1]
+
+
+def test_each_distinct_component_is_screened_once(runner, tmp_path, monkeypatch):
+    # 100,000 isolated vertices are one component value, screened once.
+    path = tmp_path / "isolated.json"
+    path.write_text(dumps({"m": 1, "vertices": 100_000, "arrows": [], "relations": []}))
+    screened = []
+    real = mcw.mutation.realizability_report
+
+    def counted(q):
+        screened.append(q)
+        return real(q)
+
+    monkeypatch.setattr(mcw.mutation, "realizability_report", counted)
+    result = invoke(runner, "reduce", "--in", str(path))
+    assert result.exit_code == 0
+    assert screened == [quiver(1, 1, [])]
+
+
+def test_a_refusal_names_the_first_failing_component(runner, tmp_path):
+    # Components 1 and 3 are the same relation-free 3-cycle; 1 is named.
+    path = tmp_path / "q.json"
+    arrows = [[1, 2], [2, 3], [3, 1], [5, 6], [6, 7], [7, 5]]
+    path.write_text(dumps({"m": 1, "vertices": 8, "arrows": arrows, "relations": []}))
+    result = invoke(runner, "invariants", "--in", str(path))
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"error: {path}: component 1 is not realizable: ")
 
 
 def test_a_dissection_at_the_vertex_cap_still_runs(runner, tmp_path):

@@ -24,6 +24,7 @@ from conftest import all_dissections, small_range
 from mcw import geometry
 from mcw.algebra import components, quiver_of
 from mcw.geometry import (
+    ENUMERATION_CAP,
     CapExceeded,
     Diagonal,
     Dissection,
@@ -620,6 +621,16 @@ def test_list_uses_match_the_walk_and_every_list_is_dropped(monkeypatch, n, m):
     (uses,) = counted
     assert set(uses.values()) <= {0}
     assert next(stream, None) is None
+
+
+@pytest.mark.parametrize(
+    "n,m",
+    [(n, m) for m in range(1, 7) for n in range(1, 9) if fuss_catalan(n, m) <= ENUMERATION_CAP],
+)
+def test_the_first_tuple_is_the_fan_at_zero(n, m):
+    # mcw enumerate checks its first line against the fan's encoding.
+    fan = tuple(Diagonal(0, k * m + 1) for k in range(1, n + 1))
+    assert next(dissection_tuples(PolygonParams(n, m))) == fan
 
 
 def test_dissection_tuples_check_the_cap_on_the_first_pull():
