@@ -14,13 +14,27 @@ from collections import Counter
 from functools import cached_property, lru_cache
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
-from .geometry import Dissection, Sealed, faces
+from .geometry import Dissection, faces
 
 
 class AlgebraError(ValueError):
     """Structurally invalid quiver input."""
 
     exit_code = 2
+
+
+class Sealed:
+    """Mixin for the quiver, the one tuple-backed value with an instance
+    ``__dict__`` (for ``cached_property``): it refuses attribute assignment
+    and deletion.  ``cached_property`` and pickle write the ``__dict__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class Arrow(NamedTuple):

@@ -272,11 +272,12 @@ def invariants_cmd(infile: str, out: str | None) -> None:
     """Derived invariant of each component, one JSON object per line."""
 
     _writable(out)
-    text = "".join(
-        dumps(invariant_to_json(homology.derived_invariant(comp))) + "\n"
-        for comp in _components(infile)
-    )
-    _emit(text, out)
+    comps = _components(infile)
+    # One invariant and one line per distinct component value.
+    lines = {
+        c: dumps(invariant_to_json(homology.derived_invariant(c))) + "\n" for c in dict.fromkeys(comps)
+    }
+    _emit("".join(map(lines.get, comps)), out)
 
 
 @main.command("mutate")

@@ -10,9 +10,8 @@ by a polygon rotation are distinct objects.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left
 from collections import Counter
-from functools import cached_property
 from itertools import combinations, product
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
@@ -68,20 +67,6 @@ def diagonal(a: int, b: int) -> Diagonal:
     return Diagonal(a, b)
 
 
-class Sealed:
-    """Mixin for a tuple-backed value that keeps an instance ``__dict__`` for
-    ``cached_property``: it refuses attribute assignment and deletion.  ``cached_property`` and pickle write
-    the ``__dict__`` directly."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
 # The value types are tuples: a typing.NamedTuple where no field needs
 # checking, and a subclass of one whose __new__ checks and normalizes where
 # a field does.  _replace and _make skip __new__, so nothing calls them.
@@ -131,8 +116,7 @@ def crosses(d1: Diagonal, d2: Diagonal) -> bool:
 
 
 class Dissection(
-    NamedTuple("Dissection", [("params", PolygonParams), ("diagonals", tuple[Diagonal, ...])]),
-    Sealed,
+    NamedTuple("Dissection", [("params", PolygonParams), ("diagonals", tuple[Diagonal, ...])])
 ):
     """A set of pairwise non-crossing m-allowable diagonals.
 
@@ -141,11 +125,14 @@ class Dissection(
     them.  Callers that need maximality check it themselves: ``mcw mutate``
     counts the diagonals, and the other commands screen each component of
     the quiver with ``realizability_report``.  Construction refuses a
-    diagonal with an endpoint outside 0..N-1, on which the cell walk would
-    never end; crossing and allowability are check_chords'.  The diagonals
-    are stored sorted, each once.  It keeps an instance ``__dict__`` for its
-    cached neighbour map.
+    diagonal with an endpoint outside 0..N-1, which the cell walk would
+    take for a corner; crossing and allowability are check_chords'.  The
+    diagonals are stored sorted, each once, and the cell walk bisects them.
+    A Dissection holds nothing but its tuple: it has no instance
+    ``__dict__`` and caches nothing.
     """
+
+    __slots__ = ()
 
     def __new__(cls, params: PolygonParams, diagonals: Iterable[Diagonal]) -> Dissection:
         diags = tuple(sorted(set(diagonals)))
@@ -154,19 +141,6 @@ class Dissection(
         if diags and (diags[0][0] < 0 or max(map(itemgetter(1), diags)) >= N):
             raise _out_of_range(next(d for d in diags if d[0] < 0 or d[1] >= N), N)
         return tuple.__new__(cls, (params, diags))
-
-    @cached_property
-    def _neighbors(self) -> dict[int, list[int]]:
-        """Sorted neighbours of each chord endpoint, along its chords and the
-        boundary edge to the next label, used by the cell walk."""
-        N = self.params.N
-        nbrs: dict[int, list[int]] = {}
-        for a, b in self.diagonals:
-            nbrs.setdefault(a, [a + 1]).append(b)
-            nbrs.setdefault(b, [b + 1 if b + 1 < N else 0]).append(a)
-        for ws in nbrs.values():
-            ws.sort()
-        return nbrs
 
     def __repr__(self) -> str:
         inner = ", ".join(map(repr, self.diagonals))
@@ -198,61 +172,54 @@ class ValidationResult(NamedTuple):
     detail: str | None = None
 
 
-def _cell_corners(t: Dissection, start: int, end: int) -> tuple[int, ...]:
-    """Corners of the cell adjacent to chord (start, end) on the anti-clockwise
-    arc from start to end, listed in increasing arc position (start first).
+def _arc_cell(
+    diags: tuple[Diagonal, ...], lo: int, hi: int
+) -> tuple[tuple[int, ...], tuple[int | None, ...]]:
+    """The cell on the arc lo..hi (lo < hi) of the chord or boundary edge
+    (lo, hi): its corners from lo up to hi (anti-clockwise), and the side
+    after each corner but hi, as an index into diags or None for an edge.
 
-    Each step goes to the neighbour farthest along the arc, no farther than
-    end: the largest label <= end, or, where the arc wraps past N-1 and no
-    neighbour has a label <= end, the largest label.  A vertex on no chord
-    steps along the boundary."""
-    N = t.params.N
-    nbrs = t._neighbors
-    corners = [start]
-    x, limit = start, end - 1  # the chord itself is not a side of this cell
-    while x != end:
-        ws = nbrs.get(x)
-        if ws is None:
-            x = x + 1 if x + 1 < N else 0
+    From each corner x the next is the end of the longest chord (x, y) with
+    y <= hi other than (lo, hi), found by bisecting the sorted diags, or
+    else x + 1.  A chord that crosses none stays inside the arc it starts
+    in, so the walk never wraps past N-1."""
+    corners = [lo]
+    sides: list[int | None] = []
+    x, key = lo, (lo, hi)
+    while x != hi:
+        i = bisect_left(diags, key) - 1
+        if i >= 0 and diags[i][0] == x:
+            x = diags[i][1]
+            sides.append(i)
         else:
-            i = bisect_right(ws, limit)
-            x = ws[i - 1] if i else ws[-1]
-        limit = end
+            x += 1
+            sides.append(None)
         corners.append(x)
-    return tuple(corners)
-
-
-def _cells(t: Dissection) -> list[tuple[int, ...]]:
-    """All cells of the dissection in sorted order, each as an anti-clockwise
-    corner tuple starting at its smallest label.  Works for partial
-    dissections too.
-
-    A cell's corners c0 < ... < ck lie in this order anti-clockwise, so its
-    side (c0, ck) is a chord or the boundary edge (0, N-1), and the cell lies
-    on that side's arc from c0 to ck.  Each chord and that edge so close
-    exactly one cell, which one walk from its smaller end finds.
-    """
-    cells = [_cell_corners(t, a, b) for a, b in t.diagonals]
-    cells.append(_cell_corners(t, 0, t.params.N - 1))
-    cells.sort()
-    return cells
+        key = (x, hi + 1)
+    return tuple(corners), tuple(sides)
 
 
 def faces(t: Dissection) -> list[Face]:
     """The cells of t as Face values (corner convention: smallest label first,
-    then clockwise).  For a valid maximal dissection these are n+1 cells,
-    each an (m+2)-gon, and every diagonal borders exactly two of them."""
-    index = {d: i for i, d in enumerate(t.diagonals)}
-    out: list[Face] = []
-    for anti in _cells(t):
-        corners = (anti[0],) + tuple(reversed(anti[1:]))
-        tags: list[int | None] = []
-        for i, u in enumerate(corners):
-            v = corners[(i + 1) % len(corners)]
-            # A Diagonal hashes and compares as its plain (a, b) tuple.
-            tags.append(index.get((u, v) if u < v else (v, u)))
-        out.append(Face(corners, tuple(tags)))
-    return out
+    then clockwise), sorted by their anti-clockwise corners.  For a valid
+    maximal dissection these are n+1 cells, each an (m+2)-gon, and every
+    diagonal borders exactly two of them.  Works for partial dissections.
+
+    A cell's corners c0 < ... < ck lie in this order anti-clockwise, so its
+    side (c0, ck) is a chord or the boundary edge (0, N-1), and the cell lies
+    on that side's arc from c0 to ck.  Each chord and that edge so close
+    exactly one cell, which _arc_cell walks with all its sides named."""
+    diags = t.diagonals
+    walks = [_arc_cell(diags, a, b) + (i,) for i, (a, b) in enumerate(diags)]
+    walks.append(_arc_cell(diags, 0, t.params.N - 1) + (None,))
+    walks.sort(key=itemgetter(0))
+    return [Face((c[0],) + c[:0:-1], (close,) + sides[::-1]) for c, sides, close in walks]
+
+
+def _cells(t: Dissection) -> list[tuple[int, ...]]:
+    """The cells of faces(t) in the same sorted order, each as an
+    anti-clockwise corner tuple starting at its smallest label."""
+    return [(f.corners[0],) + f.corners[:0:-1] for f in faces(t)]
 
 
 def check_chords(t: Dissection) -> ValidationResult:
@@ -628,14 +595,30 @@ def census_counts(p: PolygonParams) -> dict[tuple[int, int], int]:
 def rotation_cycle(t: Dissection, d: Diagonal, k: int) -> tuple[int, ...]:
     """Boundary cycle (anti-clockwise) of the 2(m+1)-gon formed by the two
     cells adjacent to d, in which d rotates by k; d's endpoints sit at
-    positions 0 and m+1.  Refuses a d outside t and a k other than +1, -1."""
-    if d not in t.diagonals:
+    positions 0 and m+1.  Refuses a d outside t and a k other than +1, -1.
+
+    Without d, the two cells are one, on the arc of d's parent: the
+    innermost chord enclosing d, or else the edge (0, N-1).  It is the next
+    chord if that starts at a; otherwise, scanning back from d to the first
+    chord that ends at b or beyond, the chord of that start that ends
+    nearest b.  One walk on that arc, rotated to start at a, is the cycle."""
+    diags, N = t.diagonals, t.params.N
+    i = bisect_left(diags, d)
+    if i == len(diags) or diags[i] != d:
         raise GeometryError(f"{d} is not in the dissection")
     if k not in (-1, +1):
         raise GeometryError(f"step k must be +1 or -1, got {k}")
-    side1 = _cell_corners(t, d.a, d.b)
-    side2 = _cell_corners(t, d.b, d.a)
-    return side1[:-1] + side2[:-1]
+    a, b = d
+    if i + 1 < len(diags) and diags[i + 1][0] == a:
+        parent = diags[i + 1]
+    else:
+        j = i - 1
+        while j >= 0 and diags[j][1] < b:
+            j -= 1
+        parent = diags[bisect_left(diags, (diags[j][0], b), 0, j)] if j >= 0 else (0, N - 1)
+    gon, _ = _arc_cell(diags[:i] + diags[i + 1 :], *parent)
+    at = gon.index(a)
+    return gon[at:] + gon[:at]
 
 
 def apply_move(t: Dissection, d: Diagonal, k: int) -> Dissection:
@@ -650,6 +633,5 @@ def apply_move(t: Dissection, d: Diagonal, k: int) -> Dissection:
     half = size // 2
     a = cycle[k % size]
     b = cycle[(half + k) % size]
-    new_d = diagonal(a, b)
-    diags = tuple(new_d if x == d else x for x in t.diagonals)
-    return Dissection(t.params, diags)
+    i = t.diagonals.index(d)
+    return Dissection(t.params, t.diagonals[:i] + (diagonal(a, b),) + t.diagonals[i + 1 :])

@@ -96,10 +96,10 @@ GARBLES = [
 
 
 def test_enumerate_refuses_a_renderer_that_disagrees(runner, tmp_path, monkeypatch):
-    # The first line is loaded back and encoded as JSON for the requested
-    # polygon; a line whose text differs, that does not load, or that names
-    # a chord or polygon of another size stops the command before it writes
-    # anything.
+    # The first line is compared with the encoding of the fan at vertex 0,
+    # the first dissection of the requested polygon; nothing is loaded, so
+    # every garble, whether not JSON or naming a chord or polygon of another
+    # size, fails that text comparison before the command writes anything.
     args = ["enumerate", "--n", "3", "--m", "1"]
     for k, (old, new) in enumerate(GARBLES):
 
@@ -887,6 +887,27 @@ def test_each_distinct_component_is_screened_once(runner, tmp_path, monkeypatch)
     result = invoke(runner, "reduce", "--in", str(path))
     assert result.exit_code == 0
     assert screened == [quiver(1, 1, [])]
+
+
+def test_each_distinct_component_gets_one_invariant(runner, tmp_path, monkeypatch):
+    # Two values among five components: vertices 0, 1, 4 are isolated, and
+    # 2->3, 5->6 are the same one-arrow component.
+    path = tmp_path / "q.json"
+    path.write_text(dumps({"m": 1, "vertices": 7, "arrows": [[2, 3], [5, 6]], "relations": []}))
+    expected = invoke(runner, "invariants", "--in", str(path)).stdout
+    assert len(expected.splitlines()) == 5
+    computed = []
+    real = mcw.homology.derived_invariant
+
+    def counted(q):
+        computed.append(q)
+        return real(q)
+
+    monkeypatch.setattr(mcw.homology, "derived_invariant", counted)
+    result = invoke(runner, "invariants", "--in", str(path))
+    assert result.exit_code == 0
+    assert result.stdout == expected
+    assert computed == [quiver(1, 1, []), quiver(1, 2, [(0, 1)])]
 
 
 def test_a_refusal_names_the_first_failing_component(runner, tmp_path):

@@ -363,8 +363,8 @@ def test_bracket_pass_agrees_with_the_pairwise_scan():
 
 
 def test_dissection_refuses_chords_outside_the_polygon(monkeypatch):
-    # The cell walk on such a chord never ends, so construction must refuse
-    # it before any face is computed.
+    # The cell walk would take such a chord's end for a corner, so
+    # construction must refuse it before any face is computed.
     def unreachable(*args):
         raise AssertionError("faces reached")
 
@@ -416,7 +416,8 @@ def test_faces_partition_property():
 def scanning_walk(t: Dissection, start: int, end: int) -> tuple[int, ...]:
     """The cell walk as first written: at each corner, scan every chord
     neighbour for the one farthest along the arc from start to end.  The
-    oracle for ``geometry._cell_corners``."""
+    oracle for ``geometry._arc_cell`` and for the parent's side of each
+    chord in ``geometry.rotation_cycle``."""
     N = t.params.N
     nbrs: dict[int, list[int]] = {}
     for a, b in t.diagonals:
@@ -457,8 +458,8 @@ def scanning_cells(walks) -> list[tuple[int, ...]]:
 def test_cell_walk_matches_the_scanning_oracle():
     # Every dissection of every cell with N <= 11, and for N <= 10 each of
     # its sub-dissections missing one diagonal.  Both sides of each chord
-    # are compared, since rotation_cycle walks the side that wraps past
-    # N-1 and _cells does not.
+    # are compared: _arc_cell walks the arc a..b, and rotation_cycle adds
+    # the other side, b back round to a, from the arc of d's parent.
     checked = 0
     for m in range(1, 6):
         for n in range(1, 10):
@@ -472,8 +473,12 @@ def test_cell_walk_matches_the_scanning_oracle():
                 for sub in subs:
                     t = Dissection(p, sub)
                     walks = scanning_walks(t)
-                    for (a, b), corners in walks.items():
-                        assert geometry._cell_corners(t, a, b) == corners, (sub, a, b)
+                    for d in t.diagonals:
+                        a, b = d
+                        side, other = walks[a, b], walks[b, a]
+                        assert geometry._arc_cell(t.diagonals, a, b)[0] == side, (sub, d)
+                        cycle = geometry.rotation_cycle(t, d, 1)
+                        assert cycle == side[:-1] + other[:-1], (sub, d)
                     assert geometry._cells(t) == scanning_cells(walks.values()), sub
                     checked += 1
     assert checked == 7_017 + 13_667  # dissections, then partial ones

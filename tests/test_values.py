@@ -175,14 +175,14 @@ def test_dissection_values():
         Dissection(PolygonParams(3, 1), (Diagonal(-1, 2),))
 
 
-def test_dissection_caches_its_neighbours_and_pickles():
+def test_dissection_holds_only_its_tuple_and_pickles():
     t = dissection(4, 1, [(0, 2), (0, 3), (3, 5), (0, 5)])
-    nbrs = t._neighbors
-    assert t._neighbors is nbrs and nbrs[0] == [1, 2, 3, 5]
+    faces(t)
+    assert not hasattr(t, "__dict__")
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(t, protocol))
         assert type(back) is Dissection and back == t and hash(back) == hash(t)
-        assert repr(back) == repr(t) and back._neighbors == nbrs
+        assert repr(back) == repr(t) and not hasattr(back, "__dict__")
         assert faces(back) == faces(t)
 
 
