@@ -194,29 +194,20 @@ def quiver_of(t: Dissection) -> QuiverWithRelations:
     """The gentle presentation attached to a dissection: vertex i is the
     diagonal ``t.diagonals[i]``; one arrow per corner of a cell where two
     diagonal sides meet (earlier side to later side in the clockwise
-    boundary walk); one zero-relation per composable arrow pair in a cell."""
-    arrow_ids: dict[tuple[int, int], int] = {}
+    boundary walk); one zero-relation per composable arrow pair in a cell.
+    Arrows are numbered cell by cell as ``faces`` gives the side tags: two
+    diagonals consecutive in one cell are consecutive in no other."""
     arrow_list: list[tuple[int, int]] = []
     relation_list: list[tuple[int, int]] = []
-
-    def arrow_id(s: int, tgt: int) -> int:
-        key = (s, tgt)
-        if key not in arrow_ids:
-            arrow_ids[key] = len(arrow_list)
-            arrow_list.append(key)
-        return arrow_ids[key]
-
     for f in faces(t):
         tags = f.side_diagonals
-        k = len(tags)
-        for i in range(k):
-            a, b = tags[i], tags[(i + 1) % k]
-            if a is not None and b is not None:
-                arrow_id(a, b)
-        for i in range(k):
-            a, b, c = tags[i], tags[(i + 1) % k], tags[(i + 2) % k]
-            if a is not None and b is not None and c is not None:
-                relation_list.append((arrow_id(a, b), arrow_id(b, c)))
+        # ids[i] is the arrow at the corner from side i to side i+1, if any.
+        ids: list[int | None] = [None] * len(tags)
+        for i, pair in enumerate(zip(tags, tags[1:] + tags[:1])):
+            if None not in pair:
+                ids[i] = len(arrow_list)
+                arrow_list.append(pair)
+        relation_list += [r for r in zip(ids, ids[1:] + ids[:1]) if None not in r]
 
     return quiver(t.params.m, len(t.diagonals), arrow_list, relation_list)
 
@@ -282,7 +273,8 @@ def components(q: QuiverWithRelations) -> list[Component]:
     """Connected components of the underlying undirected graph, ordered by
     smallest parent vertex; each keeps its vertices and arrows in the
     parent's order.  Vertices, arrows and relations are each bucketed by
-    their component's root in one pass, so the split is linear in q."""
+    their component's root in one pass, so the split is linear in q.  Equal
+    components are one quiver object."""
     roots = _component_roots(q.vertex_count, q.arrows)
     # A root is its component's smallest vertex, so the parts are created
     # in root order.  local[v] and arrow_local[a] are positions in the part.
@@ -299,10 +291,14 @@ def components(q: QuiverWithRelations) -> list[Component]:
         arrs.append((local[a.source], local[a.target]))
     for f, s in q.relations:
         parts[roots[q.arrows[f].source]][2].append((arrow_local[f], arrow_local[s]))
-    return [
-        Component(quiver(q.m, len(verts), arrs, rels), tuple(verts))
-        for verts, arrs, rels in parts.values()
-    ]
+    # Equal components share the first quiver built, and with it its cached
+    # tables and runs.
+    shared: dict[QuiverWithRelations, QuiverWithRelations] = {}
+    comps = []
+    for verts, arrs, rels in parts.values():
+        c = quiver(q.m, len(verts), arrs, rels)
+        comps.append(Component(shared.setdefault(c, c), tuple(verts)))
+    return comps
 
 
 def full_relation_cycles(q: QuiverWithRelations) -> tuple[tuple[int, ...], ...]:

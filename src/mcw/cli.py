@@ -383,9 +383,10 @@ def _check_component(
     where: str,
     normal_form: Callable[[int, int], algebra.QuiverWithRelations],
 ) -> tuple[int, int]:
-    """Reduce one component, audit its Smith form and Cartan determinant,
-    and check the reduction's witness against ``normal_form(s, r)``: a
-    bijection that maps the reduced form's arrows and relations exactly
+    """Reduce one component, compare its derived invariant's Smith diagonal
+    with ``bh_diagonal``, check its Cartan determinant against the odd
+    cycles, and check the reduction's witness against ``normal_form(s, r)``:
+    a bijection that maps the reduced form's arrows and relations exactly
     onto the normal form's.  Returns the component's class (s, r)."""
 
     # reduce_component screens the component's realizability first.
@@ -394,11 +395,10 @@ def _check_component(
     except normalform.NormalFormError as exc:
         raise mutation.MutationError(f"{where}: {exc}") from exc
     inv = homology.derived_invariant(q)
-    cartan = homology.cartan_matrix(q)
-    if homology.snf_diagonal(cartan) != homology.snf_diagonal(homology.bh_diagonal(q)):
+    if inv.snf != homology.bh_diagonal(q):
         raise homology.HomologyError(f"{where}: Smith form mismatch")
-    odd, _ = homology.cycle_parity_counts(q)
-    if homology.determinant(cartan) not in (0, 2**odd):
+    odd, _ = inv.cycle_parity_counts
+    if homology.determinant(homology.cartan_matrix(q)) not in (0, 2**odd):
         raise homology.HomologyError(f"{where}: Cartan determinant")
     target, final, witness = normal_form(inv.s, inv.r), trace.final, trace.iso_witness
     if (

@@ -216,12 +216,6 @@ def faces(t: Dissection) -> list[Face]:
     return [Face((c[0],) + c[:0:-1], (close,) + sides[::-1]) for c, sides, close in walks]
 
 
-def _cells(t: Dissection) -> list[tuple[int, ...]]:
-    """The cells of faces(t) in the same sorted order, each as an
-    anti-clockwise corner tuple starting at its smallest label."""
-    return [(f.corners[0],) + f.corners[:0:-1] for f in faces(t)]
-
-
 def check_chords(t: Dissection) -> ValidationResult:
     """Check that every diagonal is allowable and no two cross, reporting
     the first failure in that order; partial dissections pass."""
@@ -601,7 +595,10 @@ def rotation_cycle(t: Dissection, d: Diagonal, k: int) -> tuple[int, ...]:
     innermost chord enclosing d, or else the edge (0, N-1).  It is the next
     chord if that starts at a; otherwise, scanning back from d to the first
     chord that ends at b or beyond, the chord of that start that ends
-    nearest b.  One walk on that arc, rotated to start at a, is the cycle."""
+    nearest b.  One walk on that arc, rotated to start at a, is the cycle.
+    On a crossing t, which the constructor accepts, a walk that misses an
+    endpoint of d raises GeometryError; a crossing that leaves both on the
+    walk goes unseen."""
     diags, N = t.diagonals, t.params.N
     i = bisect_left(diags, d)
     if i == len(diags) or diags[i] != d:
@@ -617,6 +614,8 @@ def rotation_cycle(t: Dissection, d: Diagonal, k: int) -> tuple[int, ...]:
             j -= 1
         parent = diags[bisect_left(diags, (diags[j][0], b), 0, j)] if j >= 0 else (0, N - 1)
     gon, _ = _arc_cell(diags[:i] + diags[i + 1 :], *parent)
+    if a not in gon or b not in gon:
+        raise GeometryError(f"{t!r} crosses at {d}: the walk around it gave {gon}")
     at = gon.index(a)
     return gon[at:] + gon[:at]
 

@@ -59,15 +59,6 @@ class IntMatrix(NamedTuple("IntMatrix", [("rows", tuple[tuple[int, ...], ...])])
         i, j = ij
         return self.rows[i][j]
 
-    @staticmethod
-    def diagonal(entries: Sequence[int]) -> "IntMatrix":
-        n = len(entries)
-        return IntMatrix(
-            tuple(
-                tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n)
-            )
-        )
-
 
 def _product(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> list[list[int]]:
     """Plain list product of two square integer matrices of one size."""
@@ -277,19 +268,18 @@ def cycle_parity_counts(q: QuiverWithRelations) -> tuple[int, int]:
     return odd, q.full_cycle_count - odd
 
 
-def bh_diagonal(q: QuiverWithRelations) -> IntMatrix:
-    """Diagonal matrix predicted by the cycle parities of a gentle quiver.
-
-    One 2 per odd fully-relational cycle, one 0 per even one, and 1 in the
-    remaining slots.  Its Smith normal form must agree with the Cartan
-    matrix's.
+def bh_diagonal(q: QuiverWithRelations) -> tuple[int, ...]:
+    """The Smith diagonal that the cycle parities of a gentle quiver predict
+    (Bessenrodt–Holm): 1 in the slots no cycle takes, then one 2 per odd
+    fully-relational cycle and one 0 per even one.  The Cartan matrix's
+    Smith normal form must equal it.
     """
 
     odd, even = cycle_parity_counts(q)
     rest = q.vertex_count - odd - even
     if rest < 0:
         raise HomologyError("more cycles than vertices")
-    return IntMatrix.diagonal([2] * odd + [0] * even + [1] * rest)
+    return (1,) * rest + (2,) * odd + (0,) * even
 
 
 class DerivedInvariant(NamedTuple):

@@ -125,7 +125,7 @@ def structure_sweep():
                 cartan = cartan_matrix(comp.quiver)
                 if any(x not in (0, 1) for row in cartan.rows for x in row):
                     homology_failures.append(f"{t!r}: Cartan entry outside {{0, 1}}")
-                if snf_diagonal(cartan) != snf_diagonal(bh_diagonal(comp.quiver)):
+                if snf_diagonal(cartan) != bh_diagonal(comp.quiver):
                     homology_failures.append(f"{t!r}: Smith forms disagree")
                 odd, _ = cycle_parity_counts(comp.quiver)
                 if determinant(cartan) not in (0, 2**odd):

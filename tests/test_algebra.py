@@ -174,6 +174,22 @@ def test_components_match_the_filtering_oracle():
         assert [tuple(c) for c in components(q)] == filtered_components(q)
 
 
+def test_equal_components_share_one_quiver():
+    # One quiver object per distinct component value, the first one built,
+    # so a repeated component's cached tables and runs are built once.
+    rng = random.Random(30)
+    quivers = [random_quiver(rng) for _ in range(300)]
+    quivers += [quiver_of(t) for t in all_dissections(6, 1)]
+    repeated = 0
+    for q in quivers:
+        comps = components(q)
+        assert [tuple(c) for c in comps] == filtered_components(q)
+        values = {c.quiver for c in comps}
+        assert len({id(c.quiver) for c in comps}) == len(values)
+        repeated += len(comps) > len(values)
+    assert repeated > 50
+
+
 def test_components_split_in_linear_time():
     # 50,000 two-vertex components: filtering every arrow once per
     # component took 10 s at 10,000 of them.
@@ -184,6 +200,7 @@ def test_components_split_in_linear_time():
     assert time.perf_counter() - start < 5
     assert len(comps) == k
     assert set(c.quiver for c in comps) == {quiver(1, 2, [(0, 1)])}
+    assert len({id(c.quiver) for c in comps}) == 1
     assert comps[-1].vertices == (2 * k - 2, 2 * k - 1)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pickle
 import random
+import re
 import tracemalloc
 from bisect import bisect_left
 from collections import Counter, deque
@@ -369,7 +370,7 @@ def test_dissection_refuses_chords_outside_the_polygon(monkeypatch):
         raise AssertionError("faces reached")
 
     monkeypatch.setattr(geometry, "faces", unreachable)
-    monkeypatch.setattr(geometry, "_cells", unreachable)
+    monkeypatch.setattr(geometry, "_arc_cell", unreachable)
     with pytest.raises(GeometryError, match=r"^d\(7,10\) out of range for a 10-gon$"):
         dissection(3, 2, [(0, 3), (3, 6), (7, 10)])
     with pytest.raises(GeometryError, match=r"d\(-1,3\) out of range"):
@@ -450,7 +451,8 @@ def scanning_walks(t: Dissection) -> dict[tuple[int, int], tuple[int, ...]]:
 
 def scanning_cells(walks) -> list[tuple[int, ...]]:
     """The cells those walks found, each once, from its smallest label, in
-    sorted order.  The oracle for ``geometry._cells``."""
+    sorted order.  The oracle for the cells of ``faces``, read
+    anti-clockwise from the smallest label."""
     cells = {frozenset(w): w for w in walks}.values()
     return sorted(w[w.index(min(w)):] + w[: w.index(min(w))] for w in cells)
 
@@ -479,7 +481,8 @@ def test_cell_walk_matches_the_scanning_oracle():
                         assert geometry._arc_cell(t.diagonals, a, b)[0] == side, (sub, d)
                         cycle = geometry.rotation_cycle(t, d, 1)
                         assert cycle == side[:-1] + other[:-1], (sub, d)
-                    assert geometry._cells(t) == scanning_cells(walks.values()), sub
+                    cells = [(f.corners[0],) + f.corners[:0:-1] for f in faces(t)]
+                    assert cells == scanning_cells(walks.values()), sub
                     checked += 1
     assert checked == 7_017 + 13_667  # dissections, then partial ones
 
@@ -781,6 +784,22 @@ def test_move_requires_member_diagonal():
         apply_move(t, Diagonal(1, 3), +1)
     with pytest.raises(GeometryError):
         apply_move(t, Diagonal(0, 2), +2)
+
+
+def test_rotation_cycle_refuses_a_walk_that_misses_an_endpoint():
+    # The constructor accepts crossing chords; check_chords refuses them.
+    # A walk around d(0,2) or d(1,3), which cross, misses an endpoint of
+    # each, and the move paths refuse it by name.  d(0,4) crosses neither
+    # chord, so its walk holds both its endpoints and is returned; its 5
+    # corners, not 2(m+1) = 4, come from the crossing it does not see.
+    t = dissection(3, 1, [(0, 2), (1, 3), (0, 4)])
+    for d, gon in ((Diagonal(0, 2), "(0, 1, 3, 4)"), (Diagonal(1, 3), "(0, 2, 3, 4)")):
+        message = re.escape(f"{t!r} crosses at {d!r}: the walk around it gave {gon}")
+        with pytest.raises(GeometryError, match=message):
+            geometry.rotation_cycle(t, d, 1)
+        with pytest.raises(GeometryError, match=message):
+            apply_move(t, d, -1)
+    assert geometry.rotation_cycle(t, Diagonal(0, 4), 1) == (0, 2, 3, 4, 5)
 
 
 @pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (1, 4)])

@@ -173,25 +173,25 @@ def test_snf_agrees_with_sympy(rows):
 def test_determinant_small_cases():
     assert determinant(IntMatrix(((2,),))) == 2
     assert determinant(IntMatrix(((1, 2), (3, 4)))) == -2
-    assert determinant(IntMatrix.diagonal([1] * 4)) == 1
-    assert determinant(IntMatrix.diagonal((3, 0, 5))) == 0
+    assert determinant(IntMatrix(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))) == 1
+    assert determinant(IntMatrix(((3, 0, 0), (0, 0, 0), (0, 0, 5)))) == 0
 
 
 def test_bh_diagonal_examples():
     triangle = quiver_of(dissection(3, 1, [(0, 2), (2, 4), (0, 4)]))
     assert cycle_parity_counts(triangle) == (1, 0)
-    assert bh_diagonal(triangle).rows == IntMatrix.diagonal((2, 1, 1)).rows
+    assert bh_diagonal(triangle) == (1, 1, 2)
 
     square_cycle = quiver_of(dissection(4, 2, [(0, 3), (3, 6), (6, 9), (0, 9)]))
     assert cycle_parity_counts(square_cycle) == (0, 1)
-    assert bh_diagonal(square_cycle).rows == IntMatrix.diagonal((0, 1, 1, 1)).rows
+    assert bh_diagonal(square_cycle) == (1, 1, 1, 0)
 
 
 def test_bh_matches_cartan_on_range():
     for n, m in small_range(5, 3):
         for t in all_dissections(n, m)[:20]:
             q = quiver_of(t)
-            assert snf_diagonal(cartan_matrix(q)) == snf_diagonal(bh_diagonal(q))
+            assert snf_diagonal(cartan_matrix(q)) == bh_diagonal(q)
 
 
 def test_derived_invariant_equality_is_the_tuple():
@@ -232,7 +232,7 @@ def test_snf_mends_divisibility_and_order_on_diagonal_input(rows, diagonal):
     sympy = pytest.importorskip("sympy")
     res = smith_normal_form(IntMatrix(rows))
     assert res.diagonal == diagonal
-    assert res.d == IntMatrix.diagonal(diagonal)
+    assert res.d == IntMatrix(((diagonal[0], 0), (0, diagonal[1])))
     u, v = sympy.Matrix(res.u.rows), sympy.Matrix(res.v.rows)
     assert u * sympy.Matrix(rows) * v == sympy.Matrix(res.d.rows)
     assert abs(determinant(res.u)) == abs(determinant(res.v)) == 1

@@ -181,7 +181,7 @@ def test_dissection_loader_builds_no_cells(monkeypatch):
         raise AssertionError("cells built while loading")
 
     monkeypatch.setattr(mcw.geometry, "faces", unreachable)
-    monkeypatch.setattr(mcw.geometry, "_cells", unreachable)
+    monkeypatch.setattr(mcw.geometry, "_arc_cell", unreachable)
     for t in all_dissections(4, 2):
         assert dissection_from_json(dissection_to_json(t)) == t
     with pytest.raises(SerializeError, match=r"d\(0,2\) crosses d\(1,3\)"):

@@ -319,7 +319,6 @@ def test_int_matrix_values():
     assert all(type(row) is tuple for row in IntMatrix([[1, 1], [0, 1]]).rows)
     assert m != IntMatrix(((1, 0), (0, 1)))
     assert (m.size, m[0, 1], m[1, 0]) == (2, 1, 0)
-    assert IntMatrix.diagonal([2, 0]) == IntMatrix(((2, 0), (0, 0)))
     assert repr(m) == "IntMatrix(rows=((1, 1), (0, 1)))"
     assert_frozen(m, "rows")
     with pytest.raises(HomologyError, match="matrix must be square"):
