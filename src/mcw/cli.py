@@ -20,8 +20,6 @@ from functools import cache, wraps
 from itertools import islice
 from typing import Any, Callable, Iterator, Mapping, NoReturn, TextIO
 
-import click
-
 from . import algebra, homology, mutation, normalform, render
 from .geometry import (
     ENUMERATION_CAP,
@@ -45,6 +43,26 @@ from .serialize import (
     quiver_to_json,
     trace_to_json,
 )
+
+# The imports above execute `geometry` and `serialize`, which every command
+# runs; each command here maps to the layer whose module-level imports
+# execute the others it runs (README, "Start-up").  All of them run before
+# click is imported: compiling a layer with no bytecode cache briefly takes
+# memory, which click's heap then reuses instead of stacking on top of it.
+# The command name is only looked up; click parses the arguments.
+_FIRST_LAYER = {
+    "quiver": algebra,
+    "render": render,
+    "invariants": mutation,
+    "mutate": mutation,
+    "reduce": normalform,
+    "equiv": normalform,
+    "check": normalform,
+}
+if len(sys.argv) > 1 and sys.argv[1] in _FIRST_LAYER:
+    vars(_FIRST_LAYER[sys.argv[1]])
+
+import click  # noqa: E402  (after the layers; see above)
 
 # Lines of `enumerate` output per write, about 32 KB of text: one write per
 # line costs a system call per line wherever standard output writes through.

@@ -597,8 +597,10 @@ def rotation_cycle(t: Dissection, d: Diagonal, k: int) -> tuple[int, ...]:
     chord that ends at b or beyond, the chord of that start that ends
     nearest b.  One walk on that arc, rotated to start at a, is the cycle.
     On a crossing t, which the constructor accepts, a walk that misses an
-    endpoint of d raises GeometryError; a crossing that leaves both on the
-    walk goes unseen."""
+    endpoint of d raises GeometryError, and so does a walk of other than
+    2(m+1) corners on a t of all n diagonals: a non-crossing set of n is
+    maximal, with every cell an (m+2)-gon.  On a partial t, a crossing that
+    leaves both endpoints on the walk goes unseen."""
     diags, N = t.diagonals, t.params.N
     i = bisect_left(diags, d)
     if i == len(diags) or diags[i] != d:
@@ -614,7 +616,8 @@ def rotation_cycle(t: Dissection, d: Diagonal, k: int) -> tuple[int, ...]:
             j -= 1
         parent = diags[bisect_left(diags, (diags[j][0], b), 0, j)] if j >= 0 else (0, N - 1)
     gon, _ = _arc_cell(diags[:i] + diags[i + 1 :], *parent)
-    if a not in gon or b not in gon:
+    maximal = len(diags) == t.params.n
+    if a not in gon or b not in gon or (maximal and len(gon) != 2 * (t.params.m + 1)):
         raise GeometryError(f"{t!r} crosses at {d}: the walk around it gave {gon}")
     at = gon.index(a)
     return gon[at:] + gon[:at]

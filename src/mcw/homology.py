@@ -245,8 +245,8 @@ def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
 
 # A reduction step's MoveRecord reads the Smith form before and after the
 # move, and the state after one step is the state before the next: 457 of
-# 915 calls hit on the s = 40 reduction in tests/data, and 689 of 820 on
-# `mcw check --n 4 --m 2 --seed 1`, whose 131 distinct matrices all fit.
+# 915 calls hit on the s = 40 reduction in tests/data, and 646 of 794 on
+# `mcw check --n 4 --m 2 --seed 1`, whose 148 distinct matrices all fit.
 @lru_cache(maxsize=256)
 def snf_diagonal(m: IntMatrix) -> tuple[int, ...]:
     """Diagonal of the audited Smith normal form.

@@ -9,6 +9,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -1181,14 +1182,29 @@ def test_an_error_of_no_domain_is_not_mapped(runner, monkeypatch):
 _LOADED_LAYERS = """
 import json, sys, types
 import mcw
+
+def executed():
+    return [n for n in mcw._LAYERS if type(sys.modules["mcw." + n]) is types.ModuleType]
+
+class ClickWatch:
+    before_click = None
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "click" and self.before_click is None:
+            self.before_click = executed()
+        return None
+
+watch = ClickWatch()
+sys.meta_path.insert(0, watch)
 from mcw.cli import main
 try:
     main(sys.argv[1:])
 except SystemExit:
     pass
-executed = [n for n in mcw._LAYERS if type(sys.modules["mcw." + n]) is types.ModuleType]
-print(json.dumps(executed), file=sys.stderr)
+print(json.dumps([executed(), watch.before_click]), file=sys.stderr)
 """
+
+_EVERY_LAYER_BUT_RENDER = {"geometry", "algebra", "homology", "mutation", "normalform", "serialize"}
 
 
 @pytest.mark.parametrize(
@@ -1198,12 +1214,20 @@ print(json.dumps(executed), file=sys.stderr)
         ("census", {"geometry", "serialize"}),
         ("enumerate", {"geometry", "serialize"}),
         ("render", {"geometry", "algebra", "serialize", "render"}),
-        ("reduce", {"geometry", "algebra", "homology", "mutation", "normalform", "serialize"}),
+        ("reduce", _EVERY_LAYER_BUT_RENDER),
+        ("quiver", {"geometry", "algebra", "serialize"}),
+        ("invariants", {"geometry", "algebra", "homology", "mutation", "serialize"}),
+        ("mutate", {"geometry", "algebra", "homology", "mutation", "serialize"}),
+        ("equiv", _EVERY_LAYER_BUT_RENDER),
+        ("check", _EVERY_LAYER_BUT_RENDER),
     ],
 )
 def test_a_command_executes_only_the_layers_it_runs(tmp_path, command, layers):
-    # A layer stays an unexecuted lazy module until something reads from it;
-    # an executed one is a plain module again.
+    # README's table of the layers each command executes, and the order:
+    # each of them is executed before click is imported.  A layer stays an
+    # unexecuted lazy module until something reads from it; an executed one
+    # is a plain module again.  The package runs from a copy with no
+    # bytecode cache, so every layer it executes is compiled from source.
     src = write_dissection(tmp_path / "t.json", 3, 1, [(0, 2), (0, 3), (0, 4)])
     args = {
         "--help": ["--help"],
@@ -1211,14 +1235,23 @@ def test_a_command_executes_only_the_layers_it_runs(tmp_path, command, layers):
         "enumerate": ["enumerate", "--n", "4", "--m", "1"],
         "render": ["render", "--in", src, "--format", "dot"],
         "reduce": ["reduce", "--in", src],
+        "quiver": ["quiver", "--in", src],
+        "invariants": ["invariants", "--in", src],
+        "mutate": ["mutate", "--in", str(DATA / "rotation_m2_found.json"), "--move", "d(3,12):-1"],
+        "equiv": ["equiv", src, src],
+        "check": ["check", "--n", "2", "--m", "1"],
     }[command]
-    env = {**os.environ, "PYTHONPATH": str(Path(mcw.cli.__file__).resolve().parents[1])}
+    package = Path(mcw.cli.__file__).resolve().parent
+    shutil.copytree(package, tmp_path / "src" / "mcw", ignore=shutil.ignore_patterns("__pycache__"))
+    env = {**os.environ, "PYTHONPATH": str(tmp_path / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run(
         [sys.executable, "-c", _LOADED_LAYERS, *args], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
-    assert set(json.loads(proc.stderr.splitlines()[-1])) == layers
+    executed, before_click = json.loads(proc.stderr.splitlines()[-1])
+    assert set(executed) == layers
+    assert before_click == executed
 
 
 def test_render_svg_and_determinism(runner, tmp_path):
