@@ -76,13 +76,15 @@ def _fail(code: int, message: str) -> NoReturn:
     sys.exit(code)
 
 
-def _closed_pipe() -> NoReturn:
-    """Standard output lost its reader: exit 0 without a message.  Output
-    still buffered goes to the null device, so the flush at shutdown cannot
-    fail again."""
+def _drop_stdout() -> None:
+    """Send standard output to the null device, so that output still
+    buffered cannot fail again in the flush at shutdown."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, sys.stdout.fileno())
+
+def _closed_pipe() -> NoReturn:
+    """Standard output lost its reader: exit 0 without a message."""
+    _drop_stdout()
     sys.exit(0)
 
 
@@ -112,18 +114,21 @@ def _read(path: str, *kinds: str) -> Dissection | algebra.QuiverWithRelations:
     """The value in a JSON file of one of ``kinds``, "dissection" or
     "quiver"; a file with both keys is a dissection.  A file of the other
     kind is refused by name, and one of neither goes to the loader of a
-    command's one kind, which names the keys missing."""
-    with open(path, encoding="utf-8") as fh:
-        try:
+    command's one kind, which names the keys missing.  A file that the
+    system fails to read is invalid input too."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-        except json.JSONDecodeError:
-            raise  # a ValueError too; _guarded reports it as the decoder words it
-        except RecursionError:
-            raise SerializeError(f"{path}: JSON nested too deeply to read") from None
-        except ValueError as exc:
-            # Bytes that are not UTF-8, or an integer past the interpreter's
-            # digit limit for decimal conversion.
-            raise SerializeError(f"{path}: unreadable JSON: {exc}") from None
+    except OSError as exc:
+        raise SerializeError(f"cannot read {path}: {exc.strerror}") from None
+    except json.JSONDecodeError:
+        raise  # a ValueError too; _guarded reports it as the decoder words it
+    except RecursionError:
+        raise SerializeError(f"{path}: JSON nested too deeply to read") from None
+    except ValueError as exc:
+        # Bytes that are not UTF-8, or an integer past the interpreter's
+        # digit limit for decimal conversion.
+        raise SerializeError(f"{path}: unreadable JSON: {exc}") from None
     if isinstance(obj, Mapping) and "diagonals" in obj:
         kind = "dissection"
     elif isinstance(obj, Mapping) and "arrows" in obj:
@@ -181,21 +186,28 @@ def _writable(out: str | None) -> None:
 
 @contextmanager
 def _output(out: str | None) -> Iterator[TextIO]:
-    """The text stream a command writes to: standard output or the --out file."""
-    if out is None:
-        # sys.stdout itself: click's stdout wrapper is line-buffered, which
-        # would flush once per line of a streamed listing.  sys.stdout
-        # writes through under PYTHONUNBUFFERED, one system call per write,
-        # so a command that streams many lines writes them in blocks.
-        yield sys.stdout
-        sys.stdout.flush()
-    else:
-        try:
-            fh = open(out, "w", encoding="utf-8")
-        except OSError as exc:
-            _fail(2, f"cannot write {out}: {exc.strerror}")
-        with fh:
-            yield fh
+    """The text stream a command writes to: standard output or the --out
+    file.  A write that fails, as on a full disk, exits 2 naming its
+    target, and nothing is deleted, since the target may be a device; a
+    reader that leaves is _guarded's."""
+    try:
+        if out is None:
+            # sys.stdout itself: click's stdout wrapper is line-buffered,
+            # which would flush once per line of a streamed listing.
+            # sys.stdout writes through under PYTHONUNBUFFERED, one system
+            # call per write, so a command that streams many lines writes
+            # them in blocks.
+            yield sys.stdout
+            sys.stdout.flush()
+        else:
+            with open(out, "w", encoding="utf-8") as fh:
+                yield fh
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        if out is None:
+            _drop_stdout()
+        _fail(2, f"cannot write {out or 'standard output'}: {exc.strerror}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -507,10 +519,11 @@ def check_cmd(n: int, m: int, seed: int, samples: int) -> None:
 
     rng = random.Random(seed)
     decided: dict[algebra.QuiverWithRelations, tuple[int, int]] = {}
-    for mm in range(1, m + 1):
-        for nn in range(1, n + 1):
-            click.echo(_check_cell(nn, mm, rng, samples, decided))
-    click.echo("all checks passed")
+    with _output(None):
+        for mm in range(1, m + 1):
+            for nn in range(1, n + 1):
+                click.echo(_check_cell(nn, mm, rng, samples, decided))
+        click.echo("all checks passed")
 
 
 if __name__ == "__main__":

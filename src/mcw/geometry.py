@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter
 from itertools import combinations, product
-from operator import itemgetter
+from operator import itemgetter, length_hint
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 
@@ -251,38 +250,43 @@ def fuss_catalan(n: int, m: int) -> int:
 # The default cap on the number of dissections an enumeration may yield.
 ENUMERATION_CAP = 10**6
 
-# A chain (x, y, g) of lex_dissections: the arc x..y split into g gaps.
-_Chain = tuple[int, int, int]
+# A chain of lex_dissections, the arc x..y split into g gaps, is the int
+# ((y - x)·N + x)·(m + 2) + g, so key // (N·(m + 2)) is its arc's length.
+# Its table holds its fans' values and what each leaves: a key or a tuple.
+_Chain = int
+_Parts = _Chain | tuple[_Chain, ...]
+_Table = tuple[tuple[_V, ...], tuple[_Parts, ...]]
 
 
 def _list_uses(
-    root: _Chain, fans_of: Callable[[_Chain], Iterable[tuple[object, tuple[_Chain, ...]]]]
-) -> Counter[_Chain]:
+    root: _Chain, fans_of: Callable[[_Chain], _Table], span: int
+) -> tuple[dict[_Chain, int], dict[_Chain, int]]:
     """How many times lex_dissections requests each chain's list of values,
-    counted in one pass over the distinct chains reachable from root,
-    longest arc first.
+    and how many runs it makes of each chain's fans, counted in one pass
+    over the distinct chains reachable from root, longest arc first
+    (key // span is a chain's arc length).
 
-    A chain's values are generated runs(c) = streams(c) + (uses(c) > 0)
-    times: once each time it is streamed, and once to fill its list if any
-    fan requests that.  Every run goes through all of the chain's fans: a
-    fan with one sub-chain streams it, and a fan with several requests each
-    sub-chain's list.  A sub-chain's arc is shorter than its chain's, so
-    each count is final before it is passed on.  The chains are kept by
-    arc length, one set for each length that occurs, dropped once walked:
-    at n = 1 the polygon has about 2m arc lengths, and a set for every one
-    of them was most of this pass's memory."""
-    streams: Counter[_Chain] = Counter({root: 1})
-    uses: Counter[_Chain] = Counter()
-    by_arc: dict[int, set[_Chain]] = {root[1] - root[0]: {root}}
-    for arc in range(root[1] - root[0], 0, -1):
+    A chain runs runs(c) = streams(c) + (uses(c) > 0) times: once each time
+    it is streamed, and once to fill its list if any fan requests that.
+    Every run goes through all of the chain's fans: a fan with one
+    sub-chain streams it, and a fan with several requests each sub-chain's
+    list.  A sub-chain's arc is shorter than its chain's, so each count is
+    final, and its streams are turned into runs, before it is passed on.
+    The chains are kept by arc length, one set for each length that occurs,
+    dropped once walked: at n = 1 the polygon has about 2m arc lengths, and
+    a set for every one of them was most of this pass's memory."""
+    runs: dict[_Chain, int] = {root: 1}
+    uses: dict[_Chain, int] = {}
+    by_arc: dict[int, set[_Chain]] = {root // span: {root}}
+    for arc in range(root // span, 0, -1):
         for key in by_arc.pop(arc, ()):
-            runs = streams[key] + (uses[key] > 0)
-            for _, parts in fans_of(key):
-                tally = streams if len(parts) == 1 else uses
+            count = runs[key] = runs[key] + (key in uses)
+            for parts in fans_of(key)[1]:
+                tally, parts = (runs, (parts,)) if isinstance(parts, int) else (uses, parts)
                 for part in parts:
-                    tally[part] += runs
-                    by_arc.setdefault(part[1] - part[0], set()).add(part)
-    return uses
+                    tally[part] = tally.get(part, 0) + count
+                    by_arc.setdefault(part // span, set()).add(part)
+    return uses, runs
 
 
 def lex_dissections(
@@ -319,8 +323,9 @@ def lex_dissections(
 
     A fan left with one sub-chain streams it; a fan with several takes the
     sub-chains' lists of values from a memo, and each list is dropped once
-    the last fan that uses it has taken it; _list_uses counts those fans
-    before the first value.
+    the last fan that uses it has taken it.  A chain's table of fans is
+    built once and dropped as its last run starts; _list_uses counts the
+    runs and the fans that take each list before the first value.
 
     Refuses parameter ranges whose Fuss-Catalan count exceeds `cap`; the
     check runs on the first pull.  FC(n, m) >= FC(n, 1) = Catalan(n+1) >=
@@ -332,32 +337,39 @@ def lex_dissections(
     total = fuss_catalan(p.n, p.m)
     if total > cap:
         raise CapExceeded(f"{total} dissections exceed the cap of {cap}")
-    N, m = p.N, p.m
+    N, m, G = p.N, p.m, p.m + 2
     empty = join(())
-    fans: dict[_Chain, list[tuple[_V, tuple[_Chain, ...]]]] = {}
+    fans: dict[_Chain, _Table] = {}
+    shared: dict[tuple[_Chain, ...], tuple[_Chain, ...]] = {}
 
-    def fans_of(key: _Chain) -> list[tuple[_V, tuple[_Chain, ...]]]:
-        # The fans at x in output order, each with the sub-chains it leaves;
-        # a sub-chain of boundary edges only (y - x == g) has one empty
-        # value and is left out.
-        out = fans.get(key)
-        if out is None:
-            x, y, g = key
-            out = fans[key] = []
+    def chain(x: int, y: int, g: int) -> _Chain:
+        return ((y - x) * N + x) * G + g
+
+    def fans_of(key: _Chain) -> _Table:
+        # The fans at x in output order and what each leaves; a sub-chain
+        # of boundary edges only (y - x == g) has one empty value and is
+        # left out.  Equal tuples of several sub-chains are kept once.
+        table = fans.get(key)
+        if table is None:
+            arc, x = divmod(key // G, N)
+            y, g, values, subs = x + arc, key % G, [], []
 
             def grow(prev: int, fan: _V, parts: tuple[_Chain, ...]) -> None:
                 for h in range(prev + m, y - g + 2, m):
-                    sub = parts if h - prev == m else parts + ((prev, h, m),)
+                    sub = parts if h - prev == m else parts + (chain(prev, h, m),)
                     grow(h, fan + unit(x, h), sub)
                 if g > 1 or prev == y:
-                    rest = parts if y - prev == g - 1 else parts + ((prev, y, g - 1),)
-                    out.append((fan, rest))
+                    rest = parts if y - prev == g - 1 else parts + (chain(prev, y, g - 1),)
+                    values.append(fan)
+                    subs.append(rest[0] if len(rest) == 1 else shared.setdefault(rest, rest))
 
             grow(x + 1, empty, ())
-        return out
+            table = fans[key] = (tuple(values), tuple(subs))
+        return table
 
-    root = (0, N - 1, m + 1)
-    uses = _list_uses(root, fans_of)
+    root = chain(0, N - 1, m + 1)
+    uses, runs = _list_uses(root, fans_of, N * G)
+    shared.clear()  # every table is built
     lists: dict[_Chain, list[_V]] = {}
 
     def chain_list(key: _Chain) -> list[_V]:
@@ -369,19 +381,32 @@ def lex_dissections(
             del lists[key]
         return out
 
+    def run(head: _V, key: _Chain) -> tuple[_V, Iterator[tuple[_V, _Parts]], Iterator[_Parts]]:
+        # A stack entry for one pass over a chain's fans: the value so far,
+        # the fans, and what they leave; the chain's last pass drops them.
+        values, subs = fans[key]
+        runs[key] -= 1
+        if not runs[key]:
+            del fans[key], runs[key]
+        rest = iter(subs)
+        return head, zip(values, rest), rest
+
     def chain_values(key: _Chain) -> Iterator[_V]:
         # A fan with one sub-chain streams it through a stack of the fans
         # taken so far, not a generator per level: at n = 1 the chain is
-        # about m levels deep, past the interpreter's recursion limit.
-        stack = [(empty, iter(fans_of(key)))]
+        # about m levels deep, past the interpreter's recursion limit.  A
+        # chain's last fan (rest is empty then) hands its slot to its sub-chain.
+        stack = [run(empty, key)]
         while stack:
-            head, it = stack[-1]
+            head, it, rest = stack[-1]
             for fan, parts in it:
                 fan = head + fan
                 if not parts:
                     yield fan
-                elif len(parts) == 1:
-                    stack.append((fan, iter(fans_of(parts[0]))))
+                elif isinstance(parts, int):
+                    if not length_hint(rest):
+                        stack.pop()
+                    stack.append(run(fan, parts))
                     break
                 else:
                     for combo in product((fan,), *map(chain_list, parts)):

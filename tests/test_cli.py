@@ -551,6 +551,53 @@ def test_enumerate_into_a_closed_pipe_exits_0():
         assert err == b""
 
 
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+@needs_dev_full
+@pytest.mark.parametrize("command", ["census", "enumerate"])
+def test_a_full_out_file_is_invalid_input(runner, command):
+    # /dev/full takes the open and fails every write with ENOSPC, as a full
+    # disk does; exit 1 stays for invariant failures.
+    result = invoke(runner, command, "--n", "5", "--m", "1", "--out", "/dev/full")
+    assert result.exit_code == 2
+    assert result.stderr == "error: cannot write /dev/full: No space left on device\n"
+
+
+@needs_dev_full
+@pytest.mark.parametrize(
+    "args",
+    [["enumerate", "--n", "8", "--m", "1"], ["census", "--n", "5", "--m", "1"], ["check", "--n", "2", "--m", "1"]],
+    ids=["enumerate", "census", "check"],
+)
+def test_a_full_standard_output_is_invalid_input(args):
+    # The output still buffered goes to the null device, so the flush at
+    # shutdown cannot fail again and turn the exit code into 120.
+    src = Path(mcw.__file__).resolve().parents[1]
+    for unbuffered in ("", "1"):
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": unbuffered}
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "mcw.cli", *args],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        assert proc.returncode == 2
+        assert proc.stderr == b"error: cannot write standard output: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/mem"), reason="no /proc/self/mem")
+@pytest.mark.parametrize("command", ["quiver", "invariants"])
+def test_a_file_that_fails_to_read_is_invalid_input(runner, command):
+    # The file opens, but reading its first bytes fails with EIO: the page
+    # at address 0 is never mapped.
+    result = invoke(runner, command, "--in", "/proc/self/mem")
+    assert result.exit_code == 2
+    assert result.stderr == "error: cannot read /proc/self/mem: Input/output error\n"
+
+
 @pytest.mark.parametrize("spec", ["d(0,2):+2", "d(0,2):-3"])
 def test_mutate_rejects_multi_step_rotation(runner, tmp_path, spec):
     src = write_dissection(tmp_path / "t.json", 2, 1, [(0, 2), (0, 3)])

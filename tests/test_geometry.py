@@ -45,6 +45,7 @@ from mcw.geometry import (
     is_allowable,
 )
 from mcw.homology import derived_invariant
+from mcw.serialize import dissection_lines
 
 
 @lru_cache(maxsize=None)
@@ -571,31 +572,49 @@ def test_enumeration_matches_the_block_sort_oracle_on_small_cells():
         assert block_sort_tuples(p) == sorted(brute_force_dissections(p))
 
 
-@pytest.mark.parametrize("n,m,bound_mb", [(10, 1, 4), (12, 1, 10)])
+def drained_peak_mb(stream) -> float:
+    """The traced peak of drawing every value of a stream, in MB."""
+    tracemalloc.start()
+    try:
+        deque(stream, maxlen=0)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n,m,bound_mb", [(10, 1, 1.2), (12, 1, 8.4)])
 def test_dissection_tuples_drain_without_a_sorted_list(n, m, bound_mb):
     # Holding every tuple and sorting them once at the end peaked at 8.2 MB
     # at 10/1 and 111 MB at 12/1 (Python 3.11.7).  The lex-order generator
-    # holds only the memoized sub-chain lists: 1.1 and 8.7 MB, and 12.1 MB
-    # at 12/1 if no list were dropped after its last use.
-    tracemalloc.start()
-    try:
-        deque(dissection_tuples(PolygonParams(n, m)), maxlen=0)
-        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
-    assert peak_mb < bound_mb
+    # holds the memoized sub-chain lists and the tables of fans: 1.36 and
+    # 8.79 MB with a 2-tuple per fan and every table kept to the end, 1.02
+    # and 7.27 MB with the tables below; each bound is that plus 15 %.
+    assert drained_peak_mb(dissection_tuples(PolygonParams(n, m))) < bound_mb
 
 
-def walked_list_uses(root, fans_of) -> Counter:
-    """The requests for each chain's list, counted by replaying the
-    generator's calls: a streamed chain is walked each time it streams, a
-    listed one on its first request only."""
+@pytest.mark.parametrize("n,m,bound_mb", [(10, 1, 0.87), (1, 5000, 1.82)])
+def test_dissection_lines_drain_within_the_fan_tables(n, m, bound_mb):
+    # The text stream that mcw enumerate writes: 1.16 and 2.75 MB with a
+    # 2-tuple per fan and every table kept to the end, 0.76 and 1.58 MB
+    # with two tuples per table, freed after the chain's last run; each
+    # bound is that plus 15 %.  At n = 1 the 5,000 chains each stream the
+    # next, and their tables were most of the old peak.
+    assert drained_peak_mb(dissection_lines(PolygonParams(n, m))) < bound_mb
+
+
+def walked_list_uses(root, fans_of) -> tuple[Counter, Counter]:
+    """The requests for each chain's list and the runs of each chain's
+    fans, counted by replaying the generator's calls: a streamed chain is
+    walked each time it streams, a listed one on its first request only,
+    and each walk is one run."""
     uses: Counter = Counter()
+    runs: Counter = Counter()
 
     def walk(key):
-        for _, parts in fans_of(key):
-            if len(parts) == 1:
-                walk(parts[0])
+        runs[key] += 1
+        for parts in fans_of(key)[1]:
+            if isinstance(parts, int):
+                walk(parts)
             else:
                 for part in parts:
                     uses[part] += 1
@@ -603,7 +622,7 @@ def walked_list_uses(root, fans_of) -> Counter:
                         walk(part)
 
     walk(root)
-    return uses
+    return uses, runs
 
 
 @pytest.mark.parametrize(
@@ -613,21 +632,38 @@ def test_list_uses_match_the_walk_and_every_list_is_dropped(monkeypatch, n, m):
     counted = []
     count = geometry._list_uses
 
-    def checked(root, fans_of):
-        uses = count(root, fans_of)
-        assert uses == walked_list_uses(root, fans_of)
+    def checked(root, fans_of, span):
+        uses, runs = count(root, fans_of, span)
+        assert (uses, runs) == walked_list_uses(root, fans_of)
+        # Equal tuples of several sub-chains are one object in every table.
+        tuples = [parts for key in runs for parts in fans_of(key)[1] if isinstance(parts, tuple)]
+        assert len(set(map(id, tuples))) == len(set(tuples))
         counted.append(uses)
-        return uses
+        return uses, runs
 
     monkeypatch.setattr(geometry, "_list_uses", checked)
     # Values are plain ints, so the drain costs little but the walk itself.
     stream = geometry.lex_dissections(PolygonParams(n, m), lambda a, b: 1, sum)
     assert sum(islice(stream, fuss_catalan(n, m))) == n * fuss_catalan(n, m)
     # Suspended after its last value: each list was requested exactly as
-    # often as counted, so each was dropped on its last request.
+    # often as counted, so each was dropped on its last request, and each
+    # chain's table of fans was dropped on its last run.
     assert stream.gi_frame.f_locals["lists"] == {}
+    assert stream.gi_frame.f_locals["fans"] == {}
     (uses,) = counted
     assert set(uses.values()) <= {0}
+    assert next(stream, None) is None
+
+
+def test_at_n_1_the_stack_stays_shallow_and_every_table_is_dropped():
+    # At n = 1 each chain streams the next through its last fan, about m
+    # levels deep; each hands its stack slot on, so the stack holds only
+    # the run in progress and each table is freed once run.
+    stream = geometry.lex_dissections(PolygonParams(1, 5000), lambda a, b: 1, sum)
+    total = fuss_catalan(1, 5000)
+    inner = (stream.gi_yieldfrom.gi_frame.f_locals for _ in islice(stream, total))
+    assert max(len(frame["stack"]) for frame in inner) <= 2
+    assert stream.gi_frame.f_locals["fans"] == {}
     assert next(stream, None) is None
 
 

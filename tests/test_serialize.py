@@ -100,14 +100,15 @@ def test_dissection_lines_write_labels_of_several_digits():
 
 def test_dissection_lines_drain_within_the_tuple_bound():
     # 12/1 (742,900 lines) holds no more than the tuple stream's drain test
-    # allows: the memoized sub-chain lists hold text instead of tuples.
+    # allows: the memoized sub-chain lists hold text instead of tuples
+    # (6.25 MB against 7.27 MB, Python 3.11.7).
     tracemalloc.start()
     try:
         deque(dissection_lines(PolygonParams(12, 1)), maxlen=0)
         peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    assert peak_mb < 10
+    assert peak_mb < 8.4
 
 
 def test_quiver_round_trip_exhaustive():
